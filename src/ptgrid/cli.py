@@ -34,7 +34,7 @@ from .games import (
     solve_2x2,
     solve_fixed_point,
 )
-from .prospects import PtProfile, preference_demo
+from .prospects import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_GAMMA, PtProfile, preference_demo
 from .storage import framing_sweep, sweep_company_price, sweep_selling_price
 
 EXIT_OK = 0
@@ -59,7 +59,9 @@ def _out_dir(args) -> Path:
 
 def _prospect_params(args) -> dict:
     """Behavioral parameters from the config file, overridden by flags."""
-    params = {"alpha": 0.65, "gamma": 2.25, "beta": 0.88, "reference": 0.0}
+    params = {
+        "alpha": DEFAULT_ALPHA, "gamma": DEFAULT_GAMMA, "beta": DEFAULT_BETA, "reference": 0.0
+    }
     if args.config:
         from .formats import read_kv_config
 
@@ -260,7 +262,9 @@ def cmd_dsm(args) -> int:
     config_path = Path(args.config) if args.config else fixtures.dsm_config_path()
     cfg = load_dsm_config(config_path)
     if args.seed is not None:
+        # an explicit seed means synthetic profiles, even if the config names a CSV
         cfg["seed"] = args.seed
+        cfg["profiles_csv"] = None
     if args.tol is not None:
         cfg["tol"] = args.tol
     if args.max_iter is not None:
@@ -299,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prospect", help="gain/loss preference demo report")
     p.add_argument("--config", help="key = value file with alpha/gamma/beta/reference")
-    p.add_argument("--alpha", type=float, help="Prelec rationality (default 0.65)")
-    p.add_argument("--gamma", type=float, help="loss aversion (default 2.25)")
-    p.add_argument("--beta", type=float, help="gain/loss curvature (default 0.88)")
+    p.add_argument("--alpha", type=float, help=f"Prelec rationality (default {DEFAULT_ALPHA})")
+    p.add_argument("--gamma", type=float, help=f"loss aversion (default {DEFAULT_GAMMA})")
+    p.add_argument("--beta", type=float, help=f"gain/loss curvature (default {DEFAULT_BETA})")
     p.add_argument("--reference", type=float, help="framing reference point (default 0)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_prospect)
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dsm", help="DSM-scenario sweep CSVs")
     p.add_argument("--config", help="scenario config (bundled fixture when omitted)")
     p.add_argument("--figure", type=int, choices=(8, 9), required=True)
-    p.add_argument("--seed", type=int, help="override the profile seed")
+    p.add_argument("--seed", type=int, help="generate the profiles from this seed")
     p.add_argument("--tol", type=float, help="solver tolerance override")
     p.add_argument("--max-iter", type=int, dest="max_iter", help="solver iteration cap")
     p.add_argument("--out", help="output directory")

@@ -1,6 +1,7 @@
 """Finite normal-form games evaluated under expected utility or prospect
-theory, with best responses, a closed-form-backed 2x2 solver, a damped
-fixed-point solver for n players, and a simplex-grid brute-force oracle.
+theory, with best responses, a 2x2 solver backed by a bisection on the
+indifference condition, a damped fixed-point solver for n players, and a
+simplex-grid brute-force oracle.
 
 Behavioral evaluation follows the opponent-observation model: the evaluating
 player i replaces each opponent joint-action probability q with its Prelec
@@ -9,12 +10,11 @@ mixing probabilities enter unweighted:
 
     U_i = sum_a sum_o  p_i(a) * w(q(o)) * v_i(payoff(i, a, o))
 
-Weighted opponent probabilities are deliberately not renormalized (decision
-weights apply directly; renormalizing would cancel the weighting in 2-action
-games). Set renormalize=True to get the normalized variant. The joint
-opponent probability is weighted after taking the product over opponents;
-per_opponent=True weights each opponent's probability separately and
-multiplies the weights instead.
+The joint probability is formed first and weighted second, and the weights
+are applied as they are, without renormalization. pure_action_values is the
+one place this rule is computed: the utilities, the residual certificate, the
+fixed-point solver and the grid oracle all go through it, and the 2x2 solver
+certifies its candidates with it.
 """
 from __future__ import annotations
 
@@ -23,11 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .prospects import PtProfile, frame_value, prelec_inverse, prelec_weight
-
-PROB_TOL = 1e-9
+from .prospects import PROB_TOL, PtProfile, frame_value, prelec_weight
 
 
 class GameFormatError(ValueError):
@@ -79,9 +76,6 @@ class FiniteGame:
         if a.shape != b.shape or a.ndim != 2:
             raise ValueError("bimatrix payoffs must be two equal-shape matrices")
         return cls(np.stack([a, b]))
-
-    def payoff_matrix(self, player: int) -> np.ndarray:
-        return self.payoffs[player]
 
 
 class MixedProfile:
@@ -166,11 +160,11 @@ def _check_player(game: FiniteGame, player: int) -> None:
         raise IndexError(f"player {player} out of range for {game.n_players} players")
 
 
-def _check_profile(game: FiniteGame, profile: MixedProfile) -> None:
-    if len(profile) != game.n_players:
+def _check_profile(game: FiniteGame, mixes) -> None:
+    if len(mixes) != game.n_players:
         raise ValueError("profile has wrong number of players")
-    for m, a in zip(profile, game.action_counts):
-        if m.size != a:
+    for m, a in zip(mixes, game.action_counts):
+        if m.shape[-1] != a:
             raise ValueError("profile mix length does not match action count")
 
 
@@ -185,66 +179,36 @@ def eut_utility(game: FiniteGame, player: int, profile: MixedProfile) -> float:
     return float(np.sum(joint * game.payoffs[player]))
 
 
-def _opponent_weights(
-    game: FiniteGame,
-    player: int,
-    profile: MixedProfile,
-    alpha: float,
-    renormalize: bool,
-    per_opponent: bool,
-) -> np.ndarray:
-    """Perceived weights over opponent joint actions, flattened in the
-    opponents' axis order."""
-    if per_opponent:
-        w = np.array(1.0)
-        for j, m in enumerate(profile):
-            if j == player:
-                continue
-            w = np.multiply.outer(w, prelec_weight(m, alpha))
-    else:
-        q = np.array(1.0)
-        for j, m in enumerate(profile):
-            if j == player:
-                continue
-            q = np.multiply.outer(q, m)
-        w = prelec_weight(q, alpha)
-    if renormalize:
-        total = w.sum()
-        if total > 0.0:
-            w = w / total
-    return w.ravel()
-
-
-def pure_action_values(
-    game: FiniteGame,
-    player: int,
-    profile: MixedProfile,
-    behaviors,
-    renormalize: bool = False,
-    per_opponent: bool = False,
-) -> np.ndarray:
+def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.ndarray:
     """Perceived value of each of the player's pure actions against the
-    opponents' mixes, under the player's own behavioral profile."""
+    opponents' mixes, under the player's own behavioral profile.
+
+    `mixes` is a MixedProfile or any sequence of one probability vector per
+    player; the player's own entry is not read. A mix may carry leading
+    batch axes: the result has the opponents' batch shapes, broadcast,
+    followed by the player's action axis.
+    """
     _check_player(game, player)
-    _check_profile(game, profile)
+    mixes = [np.asarray(m, dtype=float) for m in mixes]
+    _check_profile(game, mixes)
+    opponents = [m for j, m in enumerate(mixes) if j != player]
+    k = len(opponents)
+    # joint opponent probability: one trailing axis per opponent, in order
+    q = 1.0
+    for pos, m in enumerate(opponents):
+        q = q * m.reshape(m.shape[:-1] + (1,) * pos + (-1,) + (1,) * (k - 1 - pos))
     b = behaviors[player]
-    w = _opponent_weights(game, player, profile, b.weighting.alpha, renormalize, per_opponent)
-    framed = frame_value(game.payoffs[player], b.frame)
-    own_first = np.moveaxis(framed, player, 0)
-    return own_first.reshape(own_first.shape[0], -1) @ w
+    w = prelec_weight(q, b.weighting.alpha)
+    w = w.reshape(w.shape[: w.ndim - k] + (-1,))
+    own_first = np.moveaxis(frame_value(game.payoffs[player], b.frame), player, 0)
+    framed = own_first.reshape(own_first.shape[0], -1)
+    return (framed @ w[..., None])[..., 0]
 
 
-def pt_utility(
-    game: FiniteGame,
-    player: int,
-    profile: MixedProfile,
-    behaviors,
-    renormalize: bool = False,
-    per_opponent: bool = False,
-) -> float:
+def pt_utility(game: FiniteGame, player: int, profile: MixedProfile, behaviors) -> float:
     """Perceived expected payoff under prospect-theoretic evaluation; equals
     eut_utility when the player's behavior is the EUT profile."""
-    vals = pure_action_values(game, player, profile, behaviors, renormalize, per_opponent)
+    vals = pure_action_values(game, player, profile, behaviors)
     return float(vals @ profile[player])
 
 
@@ -253,29 +217,21 @@ def best_response(
     player: int,
     profile: MixedProfile,
     behaviors,
-    renormalize: bool = False,
-    per_opponent: bool = False,
     tie_tol: float = 1e-12,
 ) -> tuple:
     """Indices of the player's pure actions maximizing perceived value,
     ascending; ties within tie_tol of the maximum are all reported."""
-    vals = pure_action_values(game, player, profile, behaviors, renormalize, per_opponent)
+    vals = pure_action_values(game, player, profile, behaviors)
     best = vals.max()
     return tuple(int(i) for i in np.flatnonzero(vals >= best - tie_tol))
 
 
-def equilibrium_residual(
-    game: FiniteGame,
-    profile: MixedProfile,
-    behaviors,
-    renormalize: bool = False,
-    per_opponent: bool = False,
-) -> float:
+def equilibrium_residual(game: FiniteGame, profile: MixedProfile, behaviors) -> float:
     """Largest unilateral-improvement gap across players; zero certifies a
     perceived-utility equilibrium."""
     worst = 0.0
     for i in range(game.n_players):
-        vals = pure_action_values(game, i, profile, behaviors, renormalize, per_opponent)
+        vals = pure_action_values(game, i, profile, behaviors)
         gap = float(vals.max() - vals @ profile[i])
         worst = max(worst, gap)
     return worst
@@ -289,102 +245,80 @@ def _eut_behaviors(n: int):
 # 2x2 solver
 
 
-def solve_2x2(
-    game: FiniteGame,
-    behaviors=None,
-    renormalize: bool = False,
-    per_opponent: bool = False,
-    tol: float = 1e-9,
-) -> list:
+def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
     """All equilibria of a 2-player, 2-action game: pure ones by
     best-response checks, plus the interior mixed one when the perceived
     indifference conditions admit a solution inside (0, 1).
 
     Each player's mixing probability is pinned by the *opponent's*
-    indifference condition. With Prelec weights the condition
-    w(q) * A = w(1-q) * B is transcendental, so the root is bracketed and
-    refined numerically (the rational case reduces to q = B / (A + B), and
-    the weighted-complement form q = w^-1(B / (A + B)) seeds the search).
-    Returns [] when no equilibrium certifies within tol; an absent interior
-    solution is reported by omission, never fabricated.
+    indifference condition w(q) * A = w(1-q) * B. With Prelec weights it is
+    transcendental and is solved by bisection (the rational case reduces to
+    q = B / (A + B)). Returns [] when no equilibrium certifies within tol; an
+    absent interior solution is reported by omission, never fabricated.
     """
     if game.n_players != 2 or game.action_counts != (2, 2):
         raise ValueError("solve_2x2 handles exactly 2 players with 2 actions each")
     if behaviors is None:
         behaviors = _eut_behaviors(2)
-    kw = dict(renormalize=renormalize, per_opponent=per_opponent)
-    results = []
-
-    for a1, a2 in itertools.product(range(2), range(2)):
-        prof = MixedProfile.pure(game, (a1, a2))
-        res = equilibrium_residual(game, prof, behaviors, **kw)
-        if res <= tol:
-            results.append(EquilibriumResult(prof, res, 0, True))
-
-    mix = _interior_2x2(game, behaviors, **kw)
+    candidates = [MixedProfile.pure(game, joint) for joint in itertools.product((0, 1), repeat=2)]
+    mix = _interior_2x2(game, behaviors)
     if mix is not None:
-        prof = MixedProfile(mix)
-        res = equilibrium_residual(game, prof, behaviors, **kw)
+        candidates.append(MixedProfile(mix))
+    results = []
+    for prof in candidates:
+        res = equilibrium_residual(game, prof, behaviors)
         if res <= tol:
             results.append(EquilibriumResult(prof, res, 0, True))
     return results
 
 
-def _interior_2x2(game, behaviors, renormalize, per_opponent):
+def _interior_2x2(game, behaviors):
     """Interior mixed equilibrium of a 2x2 game, or None."""
     probs = [None, None]
     for i in (0, 1):
         # player i's indifference fixes the *other* player's mix
-        q = _indifference_prob(game, i, behaviors[i], renormalize, per_opponent)
-        if q is None or not (0.0 < q < 1.0):
+        q = _indifference_prob(game, i, behaviors[i])
+        if q is None:
             return None
         probs[1 - i] = np.array([q, 1.0 - q])
     return probs
 
 
-def _indifference_prob(game, player, behavior, renormalize, per_opponent):
+def _indifference_prob(game, player, behavior):
     """Probability q on the opponent's first action making `player`
-    indifferent between its two actions, under the player's perception."""
+    indifferent between its two actions, under the player's perception.
+
+    In log-odds form the condition w(q) * A = w(1-q) * B reads
+    (-ln(1-q))^alpha - (-ln q)^alpha = ln(B / A). The left side rises
+    strictly from -inf to +inf on (0, 1) (Prelec 1998), so a root exists
+    exactly when A and B have the same sign, and it is unique. Bisection
+    narrows it to two adjacent floats and returns the one that satisfies the
+    condition more closely: near 0 or 1 one step of q can move the residual
+    certificate by more than its tolerance.
+    """
     framed = frame_value(game.payoffs[player], behavior.frame)
     own_first = np.moveaxis(framed, player, 0)
     # A: perceived advantage of own action 0 against opponent action 0,
     # B: perceived advantage of own action 1 against opponent action 1
-    a_gap = own_first[0, 0] - own_first[1, 0]
-    b_gap = own_first[1, 1] - own_first[0, 1]
-    alpha = behavior.weighting.alpha
-
-    def gap(q):
-        w = prelec_weight(np.array([q, 1.0 - q]), alpha)
-        if renormalize:
-            s = w.sum()
-            if s > 0.0:
-                w = w / s
-        return w[0] * a_gap - w[1] * b_gap
-
-    if a_gap == 0.0 and b_gap == 0.0:
-        return None  # degenerate: every mix is indifferent, nothing interior to pin
-    if alpha == 1.0 and not renormalize:
-        total = a_gap + b_gap
-        if total == 0.0:
-            return None
-        q = b_gap / total
-        return q if 0.0 < q < 1.0 else None
-    lo, hi = gap(0.0), gap(1.0)
-    if lo == 0.0 or hi == 0.0 or np.sign(lo) == np.sign(hi):
+    a_gap = float(own_first[0, 0] - own_first[1, 0])
+    b_gap = float(own_first[1, 1] - own_first[0, 1])
+    if np.sign(a_gap) * np.sign(b_gap) <= 0.0:
         return None
-    # seed from the weighted-complement closed form, then polish
-    total = a_gap + b_gap
-    if total != 0.0 and 0.0 < b_gap / total < 1.0:
-        seed = prelec_inverse(b_gap / total, alpha)
-    else:
-        seed = 0.5
-    lo_b, hi_b = 0.0, 1.0
-    if 0.0 < seed < 1.0 and gap(seed) != 0.0:
-        if np.sign(gap(seed)) == np.sign(lo):
-            lo_b = seed
+    alpha = behavior.weighting.alpha
+    # two logs, not log(B / A): the ratio of extreme gaps can underflow to 0
+    target = math.log(abs(b_gap)) - math.log(abs(a_gap))
+
+    def excess(q):
+        return (-math.log1p(-q)) ** alpha - (-math.log(q)) ** alpha - target
+
+    lo, hi, mid = 0.0, 1.0, 0.5
+    while lo < mid < hi:
+        if excess(mid) < 0.0:
+            lo = mid
         else:
-            hi_b = seed
-    return float(brentq(gap, lo_b, hi_b, xtol=1e-14, rtol=8.9e-16))
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return min((q for q in (lo, hi) if 0.0 < q < 1.0), key=lambda q: abs(excess(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +332,6 @@ def solve_fixed_point(
     step: float = 0.1,
     tol: float = 1e-9,
     max_iter: int = 10000,
-    renormalize: bool = False,
-    per_opponent: bool = False,
     temperature: float = 0.2,
     temp_decay: float = 0.995,
     temp_floor: float = 1e-3,
@@ -419,23 +351,19 @@ def solve_fixed_point(
         raise ValueError("step must be in (0, 1]")
     profile = init if init is not None else MixedProfile.uniform(game)
     _check_profile(game, profile)
-    kw = dict(renormalize=renormalize, per_opponent=per_opponent)
 
-    mixes = [m.copy() for m in profile]
+    mixes = list(profile)
     for iteration in range(max_iter + 1):
-        prof = MixedProfile(mixes)
         values = [
-            pure_action_values(game, i, prof, behaviors, **kw)
+            pure_action_values(game, i, mixes, behaviors)
             for i in range(game.n_players)
         ]
         residual = max(
             float(v.max() - v @ m) for v, m in zip(values, mixes)
         )
         residual = max(residual, 0.0)
-        if residual <= tol:
-            return EquilibriumResult(prof, residual, iteration, True)
-        if iteration == max_iter:
-            return EquilibriumResult(prof, residual, iteration, False)
+        if residual <= tol or iteration == max_iter:
+            return EquilibriumResult(MixedProfile(mixes), residual, iteration, residual <= tol)
         temp = temperature * temp_decay**iteration
         new_mixes = []
         for v, m in zip(values, mixes):
@@ -480,8 +408,6 @@ def brute_force_equilibrium(
     behaviors=None,
     grid: int = 100,
     budget: int = 2_000_000,
-    renormalize: bool = False,
-    per_opponent: bool = False,
 ) -> list:
     """Approximate equilibria by exhaustive search over a uniform simplex
     grid: returns the profiles whose improvement residual is a local minimum
@@ -498,17 +424,20 @@ def brute_force_equilibrium(
         raise BudgetExceededError(
             f"{total} grid profiles exceed the budget of {budget}"
         )
+    n = game.n_players
     grids = [_simplex_grid(a, grid) for a in game.action_counts]
-    counts = [g.shape[0] for g in grids]
-    kw = dict(renormalize=renormalize, per_opponent=per_opponent)
-
-    if game.n_players == 2:
-        residual = _residual_surface_2p(game, behaviors, grids, **kw)
-    else:
-        residual = np.empty(counts)
-        for idx in np.ndindex(*counts):
-            prof = MixedProfile([g[i] for g, i in zip(grids, idx)])
-            residual[idx] = equilibrium_residual(game, prof, behaviors, **kw)
+    # player j's grid on batch axis j: every cell of the surface is one profile
+    mixes = [
+        g.reshape((1,) * j + g.shape[:1] + (1,) * (n - 1 - j) + g.shape[1:])
+        for j, g in enumerate(grids)
+    ]
+    residual = 0.0
+    for i, own in enumerate(mixes):
+        vals = pure_action_values(game, i, mixes, behaviors)
+        # the same dot product per cell as equilibrium_residual takes, so the
+        # surface matches the per-profile certificate bit for bit
+        util = (vals[..., None, :] @ own[..., None])[..., 0, 0]
+        residual = np.maximum(residual, vals.max(axis=-1) - util)
 
     minima = _local_minima(residual)
     # a grid cell adjacent to a true equilibrium has residual of order
@@ -520,27 +449,6 @@ def brute_force_equilibrium(
         if residual[idx] <= keep:
             out.append(MixedProfile([g[i] for g, i in zip(grids, idx)]))
     return out
-
-
-def _residual_surface_2p(game, behaviors, grids, renormalize, per_opponent):
-    """Residual at every grid profile pair, fully vectorized."""
-    g1, g2 = grids
-    surfaces = []
-    for player, (own, opp) in enumerate(((g1, g2), (g2, g1))):
-        b = behaviors[player]
-        alpha = b.weighting.alpha
-        w = prelec_weight(opp, alpha)  # (n_opp, a_opp)
-        if renormalize:
-            s = w.sum(axis=1, keepdims=True)
-            w = np.divide(w, s, out=w.copy(), where=s > 0.0)
-        framed = frame_value(game.payoffs[player], b.frame)
-        if player == 1:
-            framed = framed.T
-        vals = w @ framed.T  # (n_opp, a_own): value of each own action
-        util = own @ vals.T  # (n_own, n_opp)
-        gap = vals.max(axis=1)[None, :] - util
-        surfaces.append(gap if player == 0 else gap.T)
-    return np.maximum(np.maximum(surfaces[0], surfaces[1]), 0.0)
 
 
 def _local_minima(residual: np.ndarray) -> np.ndarray:

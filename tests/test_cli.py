@@ -5,7 +5,8 @@ import pytest
 
 from ptgrid.cli import main
 from ptgrid.fixtures import example_game_path
-from ptgrid.formats import read_csv, read_manifest
+from ptgrid.dsm import synth_profile
+from ptgrid.formats import read_csv, read_manifest, read_profiles_csv
 
 
 def run(args):
@@ -173,6 +174,19 @@ def test_dsm_fig8_fixture_and_reproducibility(tmp_path):
     assert len(rows) == 24
     manifest = read_manifest(out1 / "fig8_manifest.json")
     assert manifest["seed"] == 42
+
+
+def test_dsm_seed_flag_generates_the_profiles(tmp_path):
+    # the bundled config names a profiles CSV; --seed takes precedence over it
+    out = tmp_path / "out"
+    assert run(["dsm", "--figure", "8", "--seed", "7", "--out", str(out)]) == 0
+    written = read_profiles_csv(out / "profiles.csv")
+    expected = synth_profile(7, 6, (0.72, 0.92))
+    assert len(written) == len(expected)
+    for got, want in zip(written, expected):
+        np.testing.assert_array_equal(got.hourly_demand, want.hourly_demand)
+        assert got.flexible_fraction == want.flexible_fraction
+    assert read_manifest(out / "fig8_manifest.json")["seed"] == 7
 
 
 def test_dsm_fig8_rational_alphas_coincide(tmp_path):

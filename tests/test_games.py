@@ -15,10 +15,12 @@ from ptgrid.games import (
     format_game,
     parse_game,
     pt_utility,
+    pure_action_values,
     solve_2x2,
     solve_fixed_point,
 )
-from ptgrid.prospects import PrelecWeighting, PtProfile, ValueFrame
+from ptgrid.games import _grid_slack, _local_minima, _simplex_grid
+from ptgrid.prospects import PrelecWeighting, PtProfile, ValueFrame, prelec_weight
 
 MATCHING_PENNIES = FiniteGame.from_bimatrix(
     [[1.0, -1.0], [-1.0, 1.0]],
@@ -157,34 +159,6 @@ def test_pt_framing_applies_to_own_payoffs():
     assert pt_utility(game, 0, prof, behaviors) == pytest.approx(-2.0, abs=1e-12)
 
 
-def test_renormalized_weights_cancel_in_two_action_games():
-    game = MATCHING_PENNIES
-    behaviors = [PtProfile.weighting_only(0.4)] * 2
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        prof = random_profile(rng, game)
-        # symmetric q/(1-q) renormalization collapses to plain probabilities
-        # only when the two weights are equal; just check it stays a proper
-        # convex evaluation: value between min and max framed payoff
-        val = pt_utility(game, 0, prof, behaviors, renormalize=True)
-        assert -1.0 - 1e-9 <= val <= 1.0 + 1e-9
-
-
-def test_per_opponent_weighting_flag():
-    rng = np.random.default_rng(5)
-    game = random_game(rng, 3)
-    behaviors = [PtProfile.weighting_only(0.5)] * 3
-    prof = random_profile(rng, game)
-    joint = pt_utility(game, 0, prof, behaviors)
-    factored = pt_utility(game, 0, prof, behaviors, per_opponent=True)
-    # the two weighting orders genuinely differ away from EUT
-    assert joint != pytest.approx(factored, abs=1e-9)
-    eut_like = [PtProfile.eut()] * 3
-    assert pt_utility(game, 0, prof, eut_like, per_opponent=True) == pytest.approx(
-        eut_utility(game, 0, prof), abs=1e-12
-    )
-
-
 def test_affine_shift_with_weighting_only():
     # framing off: adding c to every payoff of player i shifts its perceived
     # utility by c * sum of weights and leaves best responses unchanged
@@ -198,12 +172,34 @@ def test_affine_shift_with_weighting_only():
     base_br = best_response(game, 0, prof, behaviors)
     shifted_br = best_response(shifted, 0, prof, behaviors)
     assert base_br == shifted_br
-    from ptgrid.games import _opponent_weights
-
-    wsum = _opponent_weights(game, 0, prof, 0.45, False, False).sum()
+    wsum = prelec_weight(prof[1], 0.45).sum()
     assert pt_utility(shifted, 0, prof, behaviors) == pytest.approx(
         pt_utility(game, 0, prof, behaviors) + 7.5 * wsum, abs=1e-10
     )
+
+
+@pytest.mark.parametrize("n_players", [2, 3])
+def test_batched_values_equal_per_profile_calls(n_players):
+    rng = np.random.default_rng(14)
+    game = random_game(rng, n_players)
+    behaviors = [
+        PtProfile.behavioral(alpha=float(rng.uniform(0.3, 1.0))) for _ in range(n_players)
+    ]
+    stacked = [rng.dirichlet(np.ones(a), size=6) for a in game.action_counts]
+    # player 0 unbatched, the others on a shared batch axis; the batch
+    # shape is that of the opponents' mixes
+    mixed = [stacked[0][2]] + stacked[1:]
+    for i in range(n_players):
+        batched = pure_action_values(game, i, stacked, behaviors)
+        assert batched.shape == (6, game.action_counts[i])
+        broadcast = np.broadcast_to(pure_action_values(game, i, mixed, behaviors), batched.shape)
+        for k in range(6):
+            one = MixedProfile([m[k] for m in stacked])
+            single = pure_action_values(game, i, one, behaviors)
+            np.testing.assert_array_equal(batched[k], single)
+            one = MixedProfile([stacked[0][2]] + [m[k] for m in stacked[1:]])
+            single = pure_action_values(game, i, one, behaviors)
+            np.testing.assert_array_equal(broadcast[k], single)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +288,45 @@ def test_solve_2x2_rejects_wrong_shape():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError):
         solve_2x2(random_game(rng, 3))
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.35, 0.65, 1.0])
+def test_solve_2x2_interior_root_satisfies_indifference(alpha):
+    # player 2 plays matching pennies, so player 1's indifference alone pins
+    # player 2's mix: w(q) * A = w(1 - q) * B with A, B player 1's gaps
+    behaviors = [PtProfile.weighting_only(alpha)] * 2
+    for a_gap, b_gap in [(5.0, 3.0), (1.0, 2.5), (-2.0, -7.0), (0.5, 0.5)]:
+        game = FiniteGame.from_bimatrix(
+            [[a_gap, 0.0], [0.0, b_gap]], [[-1.0, 1.0], [1.0, -1.0]]
+        )
+        (res,) = interior(solve_2x2(game, behaviors))
+        q = res.profile[1][0]
+        assert prelec_weight(q, alpha) * a_gap == pytest.approx(
+            prelec_weight(1.0 - q, alpha) * b_gap, rel=1e-12
+        )
+
+
+def test_solve_2x2_returns_the_float_closest_to_the_root():
+    # player 2's mix is pinned 5e-11 away from pure: there one float step of
+    # q moves the residual by about 2e-9, so only the closer of the two
+    # floats around the root certifies within the default tolerance
+    game = FiniteGame([
+        [[-0.32869653311640956, 3.214614416331779], [-0.31028021086948154, 1.092304536381672]],
+        [[-3.224217550686399, 1.564232394556191], [-2.3963694120660897, -3.8213444645645467]],
+    ])
+    behaviors = [PtProfile.weighting_only(0.4919477550838598)] * 2
+    (res,) = interior(solve_2x2(game, behaviors))
+    assert res.profile[1][1] == pytest.approx(5.03e-11, rel=1e-3)
+    assert res.residual <= 1e-9
+
+
+def test_solve_2x2_extreme_gap_ratio():
+    # B / A underflows to 0.0; the root lies below the smallest float, so
+    # only the pure equilibrium certifies
+    game = FiniteGame.from_bimatrix([[1e200, 0.0], [0.0, 1e-200]], [[-1.0, 1.0], [1.0, -1.0]])
+    results = solve_2x2(game, [PtProfile.weighting_only(0.5)] * 2)
+    assert [tuple(int(np.argmax(m)) for m in r.profile) for r in results] == [(0, 1)]
+    assert interior(results) == []
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +443,35 @@ def test_solver_vs_oracle_on_random_2x2():
                 for cand in oracle
             )
             assert dist <= 0.02
+
+
+def reference_oracle(game, behaviors, grid):
+    """The oracle's search written as a plain loop: the residual of every
+    grid profile, then the same local-minimum and slack filter."""
+    grids = [_simplex_grid(a, grid) for a in game.action_counts]
+    residual = np.empty([g.shape[0] for g in grids])
+    for idx in np.ndindex(*residual.shape):
+        prof = MixedProfile([g[i] for g, i in zip(grids, idx)])
+        residual[idx] = equilibrium_residual(game, prof, behaviors)
+    keep = _local_minima(residual) & (residual <= _grid_slack(game, grid))
+    return [[g[i] for g, i in zip(grids, idx)] for idx in zip(*np.nonzero(keep))]
+
+
+@pytest.mark.parametrize("counts, grid", [((2, 2, 2), 12), ((3, 3), 8)])
+def test_brute_force_matches_reference_loop(counts, grid):
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        game = FiniteGame(rng.uniform(-5.0, 5.0, size=(len(counts), *counts)))
+        behaviors = [
+            PtProfile.weighting_only(float(rng.uniform(0.3, 1.0))) for _ in counts
+        ]
+        found = brute_force_equilibrium(game, behaviors, grid=grid)
+        expected = reference_oracle(game, behaviors, grid)
+        assert found
+        assert len(found) == len(expected)
+        for prof, ref in zip(found, expected):
+            for m, r in zip(prof, ref):
+                np.testing.assert_array_equal(m, r)
 
 
 # ---------------------------------------------------------------------------
