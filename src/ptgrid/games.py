@@ -15,6 +15,11 @@ are applied as they are, without renormalization. pure_action_values is the
 one place this rule is computed: the utilities, the residual certificate, the
 fixed-point solver and the grid oracle all go through it, and the 2x2 solver
 certifies its candidates with it.
+
+Each game frames a player's payoffs once per (player, frame) and keeps the
+result, own action axis first and flattened to (A_i, prod A_-i), in a private
+read-only memo that lives and dies with the game; a value call then does only
+the per-call work of weighting the opponents' mixes and one mat-vec.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ class FiniteGame:
     """An n-player game given by a payoff tensor of shape
     (n_players, actions_1, ..., actions_n)."""
 
-    __slots__ = ("payoffs", "n_players", "action_counts")
+    __slots__ = ("payoffs", "n_players", "action_counts", "_framed")
 
     def __init__(self, payoffs):
         arr = np.asarray(payoffs, dtype=float)
@@ -60,6 +65,8 @@ class FiniteGame:
         object.__setattr__(self, "payoffs", arr)
         object.__setattr__(self, "n_players", n)
         object.__setattr__(self, "action_counts", tuple(arr.shape[1:]))
+        # (player, frame) -> framed payoffs, filled by _framed_payoffs
+        object.__setattr__(self, "_framed", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGame is immutable")
@@ -89,8 +96,8 @@ class MixedProfile:
             v = np.asarray(m, dtype=float)
             if v.ndim != 1 or v.size < 2:
                 raise ValueError("each mix must be a probability vector over >= 2 actions")
-            if np.any(v < 0.0):
-                raise ValueError("mixing probabilities must be non-negative")
+            if not np.all(v >= 0.0):
+                raise ValueError(f"mixing probabilities must be non-negative numbers: {v!r}")
             if abs(v.sum() - 1.0) > PROB_TOL:
                 raise ValueError(f"mixing probabilities sum to {v.sum()!r}, not 1")
             v = v.copy()
@@ -200,9 +207,21 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
     b = behaviors[player]
     w = prelec_weight(q, b.weighting.alpha)
     w = w.reshape(w.shape[: w.ndim - k] + (-1,))
-    own_first = np.moveaxis(frame_value(game.payoffs[player], b.frame), player, 0)
-    framed = own_first.reshape(own_first.shape[0], -1)
-    return (framed @ w[..., None])[..., 0]
+    return (_framed_payoffs(game, player, b.frame) @ w[..., None])[..., 0]
+
+
+def _framed_payoffs(game: FiniteGame, player: int, frame) -> np.ndarray:
+    """The player's framed payoffs, own action axis first, flattened over the
+    opponents' joint actions to shape (A_i, prod A_-i). Computed once per
+    (player, frame) and kept, read-only, on the game."""
+    key = (player, frame)
+    framed = game._framed.get(key)
+    if framed is None:
+        own_first = np.moveaxis(frame_value(game.payoffs[player], frame), player, 0)
+        framed = own_first.reshape(own_first.shape[0], -1)
+        framed.setflags(write=False)
+        game._framed[key] = framed
+    return framed
 
 
 def pt_utility(game: FiniteGame, player: int, profile: MixedProfile, behaviors) -> float:
@@ -296,12 +315,11 @@ def _indifference_prob(game, player, behavior):
     condition more closely: near 0 or 1 one step of q can move the residual
     certificate by more than its tolerance.
     """
-    framed = frame_value(game.payoffs[player], behavior.frame)
-    own_first = np.moveaxis(framed, player, 0)
+    framed = _framed_payoffs(game, player, behavior.frame)
     # A: perceived advantage of own action 0 against opponent action 0,
     # B: perceived advantage of own action 1 against opponent action 1
-    a_gap = float(own_first[0, 0] - own_first[1, 0])
-    b_gap = float(own_first[1, 1] - own_first[0, 1])
+    a_gap = float(framed[0, 0] - framed[1, 0])
+    b_gap = float(framed[1, 1] - framed[0, 1])
     if np.sign(a_gap) * np.sign(b_gap) <= 0.0:
         return None
     alpha = behavior.weighting.alpha
@@ -358,23 +376,21 @@ def solve_fixed_point(
             pure_action_values(game, i, mixes, behaviors)
             for i in range(game.n_players)
         ]
+        peaks = [v.max() for v in values]
         residual = max(
-            float(v.max() - v @ m) for v, m in zip(values, mixes)
+            float(top - v @ m) for v, top, m in zip(values, peaks, mixes)
         )
         residual = max(residual, 0.0)
         if residual <= tol or iteration == max_iter:
             return EquilibriumResult(MixedProfile(mixes), residual, iteration, residual <= tol)
         temp = temperature * temp_decay**iteration
         new_mixes = []
-        for v, m in zip(values, mixes):
+        for v, top, m in zip(values, peaks, mixes):
             if temp < temp_floor:
                 target = np.zeros_like(m)
                 target[int(np.argmax(v))] = 1.0
             else:
-                spread = float(v.max() - v.min())
-                scale = max(spread, 1e-12) * temp
-                z = (v - v.max()) / scale
-                e = np.exp(z)
+                e = np.exp((v - top) / (max(float(top - v.min()), 1e-12) * temp))
                 target = e / e.sum()
             new_mixes.append((1.0 - step) * m + step * target)
         mixes = new_mixes

@@ -26,40 +26,41 @@ def _as_float_array(x):
 def prelec_weight(p, alpha: float):
     """Prelec probability weight w(p) = exp(-(-ln p)^alpha).
 
-    w(0) = 0 and w(1) = 1 by continuous extension; alpha = 1 returns p
-    unchanged (the rational limit). Scalar in, scalar out; arrays are
-    weighted elementwise.
+    The formula is exact at the ends: ln 0 = -inf gives w(0) = 0 and ln 1 = 0
+    gives w(1) = 1. alpha = 1 returns p unchanged (the rational limit).
+    Scalar in, scalar out; arrays are weighted elementwise.
     """
     _check_alpha(alpha)
-    arr, scalar = _as_float_array(p)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"probability outside [0, 1]: {p!r}")
-    if alpha == 1.0:
-        out = arr.copy()
-    else:
-        out = np.zeros_like(arr)
-        interior = (arr > 0.0) & (arr < 1.0)
-        with np.errstate(divide="ignore"):
-            out[interior] = np.exp(-((-np.log(arr[interior])) ** alpha))
-        out[arr == 1.0] = 1.0
-    return float(out) if scalar else out
+    return _prelec(p, alpha, "probability")
 
 
 def prelec_inverse(w, alpha: float):
     """Inverse of prelec_weight: p = exp(-(-ln w)^(1/alpha))."""
     _check_alpha(alpha)
-    arr, scalar = _as_float_array(w)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"weight outside [0, 1]: {w!r}")
-    if alpha == 1.0:
+    return _prelec(w, 1.0 / alpha, "weight")
+
+
+def _prelec(x, exponent: float, what: str):
+    """exp(-(-ln x)^exponent) elementwise; exponent 1 returns x unchanged."""
+    arr, scalar = _unit_interval_array(x, what)
+    if exponent == 1.0:
         out = arr.copy()
     else:
-        out = np.zeros_like(arr)
-        interior = (arr > 0.0) & (arr < 1.0)
         with np.errstate(divide="ignore"):
-            out[interior] = np.exp(-((-np.log(arr[interior])) ** (1.0 / alpha)))
-        out[arr == 1.0] = 1.0
-    return float(out) if scalar else out
+            out = np.exp(-((-np.log(arr)) ** exponent))
+    return float(out[0]) if scalar else out
+
+
+def _unit_interval_array(x, what: str):
+    """x as a float array, rejecting any entry outside [0, 1], NaN included.
+
+    A scalar comes back as a one-element array: numpy evaluates 0-d operands
+    with scalar math, which can differ from its array loops in the last bit.
+    """
+    arr, scalar = _as_float_array(x)
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ValueError(f"{what} outside [0, 1]: {x!r}")
+    return arr.reshape(-1) if scalar else arr, scalar
 
 
 def _check_alpha(alpha: float) -> None:
@@ -192,9 +193,7 @@ class Prospect:
         if not pairs:
             raise ValueError("prospect needs at least one outcome")
         values = np.array([v for v, _ in pairs])
-        probs = np.array([p for _, p in pairs])
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
+        probs, _ = _unit_interval_array([p for _, p in pairs], "probability")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
         if not np.all(np.isfinite(values)):

@@ -12,8 +12,13 @@ from ptgrid.dsm import (
     solve_dsm,
     synth_profile,
 )
-from ptgrid.games import MixedProfile, brute_force_equilibrium, equilibrium_residual
-from ptgrid.prospects import PtProfile
+from ptgrid.games import (
+    MixedProfile,
+    brute_force_equilibrium,
+    equilibrium_residual,
+    solve_fixed_point,
+)
+from ptgrid.prospects import PtProfile, frame_value
 
 
 def flat_profile(peak=4.0, ff=0.5):
@@ -248,6 +253,23 @@ def test_fixture_hourly_report_and_alpha_one_reduction():
     )
     report_rational = hourly_load_report(profiles, rational)
     np.testing.assert_allclose(report_rational.pt, report_rational.eut, atol=1e-9)
+
+
+def test_one_solve_frames_each_player_once(monkeypatch):
+    import ptgrid.games
+
+    calls = []
+
+    def counting_frame_value(u, frame):
+        calls.append(frame)
+        return frame_value(u, frame)
+
+    monkeypatch.setattr(ptgrid.games, "frame_value", counting_frame_value)
+    profiles = synth_profile(42, 6)
+    game = build_dsm_game(profiles, FIXTURE)
+    res = solve_fixed_point(game, FIXTURE.behaviors())
+    assert res.iterations > 100
+    assert len(calls) == 6
 
 
 def test_rationality_sweep_small_grid():

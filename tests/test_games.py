@@ -19,8 +19,8 @@ from ptgrid.games import (
     solve_2x2,
     solve_fixed_point,
 )
-from ptgrid.games import _grid_slack, _local_minima, _simplex_grid
-from ptgrid.prospects import PrelecWeighting, PtProfile, ValueFrame, prelec_weight
+from ptgrid.games import _framed_payoffs, _grid_slack, _local_minima, _simplex_grid
+from ptgrid.prospects import PrelecWeighting, PtProfile, ValueFrame, frame_value, prelec_weight
 
 MATCHING_PENNIES = FiniteGame.from_bimatrix(
     [[1.0, -1.0], [-1.0, 1.0]],
@@ -64,6 +64,8 @@ def test_game_validation():
         game.payoffs = None
     with pytest.raises(ValueError):
         game.payoffs[0, 0, 0] = 1.0  # read-only array
+    with pytest.raises(AttributeError):
+        game._framed = {}
 
 
 def test_profile_validation():
@@ -72,6 +74,10 @@ def test_profile_validation():
         MixedProfile([[0.5, 0.6], [0.5, 0.5]])
     with pytest.raises(ValueError):
         MixedProfile([[-0.1, 1.1], [0.5, 0.5]])
+    with pytest.raises(ValueError):
+        MixedProfile([[np.nan, np.nan], [0.5, 0.5]])
+    with pytest.raises(ValueError):
+        MixedProfile([[np.nan, 1.0], [0.5, 0.5]])
     uniform = MixedProfile.uniform(game)
     np.testing.assert_array_equal(uniform[0], [0.5, 0.5])
     pure = MixedProfile.pure(game, (1, 0))
@@ -200,6 +206,97 @@ def test_batched_values_equal_per_profile_calls(n_players):
             one = MixedProfile([stacked[0][2]] + [m[k] for m in stacked[1:]])
             single = pure_action_values(game, i, one, behaviors)
             np.testing.assert_array_equal(broadcast[k], single)
+
+
+def reference_values(game, player, mixes, behaviors):
+    """The value kernel written out step by step, every step redone on every
+    call: q by the left-to-right broadcast product, Prelec weights on the
+    interior entries only with the endpoints set by hand, the framed payoffs
+    moved own-axis-first and flattened, then one mat-vec."""
+    mixes = [np.asarray(m, dtype=float) for m in mixes]
+    opponents = [m for j, m in enumerate(mixes) if j != player]
+    k = len(opponents)
+    q = 1.0
+    for pos, m in enumerate(opponents):
+        q = q * m.reshape(m.shape[:-1] + (1,) * pos + (-1,) + (1,) * (k - 1 - pos))
+    alpha = behaviors[player].weighting.alpha
+    if alpha == 1.0:
+        w = q.copy()
+    else:
+        w = np.zeros_like(q)
+        interior = (q > 0.0) & (q < 1.0)
+        w[interior] = np.exp(-((-np.log(q[interior])) ** alpha))
+        w[q == 1.0] = 1.0
+    w = w.reshape(w.shape[: w.ndim - k] + (-1,))
+    own_first = np.moveaxis(frame_value(game.payoffs[player], behaviors[player].frame), player, 0)
+    framed = own_first.reshape(own_first.shape[0], -1)
+    return (framed @ w[..., None])[..., 0]
+
+
+def mixes_with_endpoints(rng, game, batch):
+    """A batch of mixes per player: random interior ones, pure ones (exact 0
+    and 1) and ones with a single zero entry."""
+    out = []
+    for a in game.action_counts:
+        m = rng.dirichlet(np.ones(a), size=batch)
+        m[: a] = np.eye(a)
+        m[a] = 0.0
+        m[a, :2] = [0.25, 0.75]
+        out.append(m)
+    return out
+
+
+FRAMES = [ValueFrame(), ValueFrame(reference=0.5, gamma=2.25, beta_gain=0.88, beta_loss=0.88)]
+
+
+@pytest.mark.parametrize("n_players", [2, 3])
+@pytest.mark.parametrize("alpha", [1.0, 0.65, 0.1])
+@pytest.mark.parametrize("frame", FRAMES)
+def test_values_equal_reference_kernel_bit_for_bit(n_players, alpha, frame):
+    rng = np.random.default_rng(15 + n_players)
+    behaviors = [PtProfile(PrelecWeighting(alpha), frame)] * n_players
+    for _ in range(4):
+        game = random_game(rng, n_players)
+        mixes = mixes_with_endpoints(rng, game, 9)
+        # the same mixes unbatched, and spread over one batch axis per player
+        spread = [
+            m.reshape((1,) * j + m.shape[:1] + (1,) * (n_players - 1 - j) + m.shape[1:])
+            for j, m in enumerate(mixes)
+        ]
+        for i in range(n_players):
+            for batch in (mixes, spread, [m[-1] for m in mixes]):
+                expected = reference_values(game, i, batch, behaviors)
+                # first call fills the memo, the second reads it
+                assert np.array_equal(pure_action_values(game, i, batch, behaviors), expected)
+                assert np.array_equal(pure_action_values(game, i, batch, behaviors), expected)
+
+
+def test_framed_payoffs_are_kept_per_player_and_frame():
+    rng = np.random.default_rng(17)
+    game = random_game(rng, 3)
+    prof = random_profile(rng, game)
+    for _ in range(2):
+        for frame in FRAMES:
+            behaviors = [PtProfile(PrelecWeighting(0.65), frame)] * 3
+            for i in range(3):
+                assert np.array_equal(
+                    pure_action_values(game, i, prof, behaviors),
+                    reference_values(game, i, prof, behaviors),
+                )
+    assert len(game._framed) == 3 * len(FRAMES)
+    identity, behavioral = (_framed_payoffs(game, 1, f) for f in FRAMES)
+    assert not np.array_equal(identity, behavioral)
+    assert identity.shape == (game.action_counts[1], game.action_counts[0] * game.action_counts[2])
+    assert not identity.flags.writeable
+    # a fresh game starts with an empty memo
+    assert FiniteGame(game.payoffs)._framed == {}
+
+
+@pytest.mark.parametrize("behavior", [PtProfile.eut(), PtProfile.behavioral()])
+def test_nan_opponent_mix_raises(behavior):
+    game = MATCHING_PENNIES
+    with pytest.raises(ValueError):
+        pure_action_values(game, 0, [[0.5, 0.5], [np.nan, np.nan]], [behavior] * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,37 @@ def test_prelec_domain_errors():
         prelec_weight(0.5, 1.5)
     with pytest.raises(ValueError):
         prelec_inverse(2.0, 0.5)
+    for fn in (prelec_weight, prelec_inverse):
+        for alpha in (0.3, 1.0):
+            with pytest.raises(ValueError):
+                fn(float("nan"), alpha)
+            with pytest.raises(ValueError):
+                fn(np.array([0.2, np.nan, 0.7]), alpha)
+
+
+def test_prelec_accepts_empty_array():
+    for fn in (prelec_weight, prelec_inverse):
+        assert fn(np.array([]), 0.5).shape == (0,)
+
+
+def test_prelec_endpoints_and_subnormal_without_warnings():
+    p = np.array([0.0, 5e-324, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = prelec_weight(p, 0.3)
+        back = prelec_inverse(np.array([0.0, 1.0]), 0.3)
+    expected = [0.0, prelec_weight(5e-324, 0.3), prelec_weight(0.5, 0.3), 1.0]
+    np.testing.assert_array_equal(w, expected)
+    assert 0.0 < w[1] < w[2]
+    np.testing.assert_array_equal(back, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("fn", [prelec_weight, prelec_inverse])
+def test_prelec_scalar_matches_array_bit_for_bit(fn):
+    p = np.random.default_rng(3).uniform(0.0, 1.0, 200)
+    for alpha in (0.1, 0.3, 0.65, 0.88):
+        arr = fn(p, alpha)
+        assert [fn(float(x), alpha) for x in p] == arr.tolist()
 
 
 def test_prelec_inverse_fixed_point_and_endpoints():
@@ -151,6 +183,10 @@ def test_prospect_validation():
         Prospect([(10.0, 0.6), (0.0, 0.5)])
     with pytest.raises(ValueError):
         Prospect([(10.0, -0.1), (0.0, 1.1)])
+    with pytest.raises(ValueError):
+        Prospect([(1.0, float("nan")), (0.0, 1.0)])
+    with pytest.raises(ValueError):
+        Prospect([(1.0, float("nan")), (0.0, float("nan"))])
     p = Prospect.binary(100.0, 0.5)
     assert p.expected_value() == pytest.approx(50.0)
     with pytest.raises(AttributeError):
