@@ -3,9 +3,9 @@
 Subcommands: prospect (gain/loss demo report), solve (equilibria of a game
 file), storage (selling-price / company-price / framing sweeps as CSV), and
 dsm (hourly-load and rationality-sweep CSV). Exit codes: 0 success, 2 input
-or config error, 3 numerical or solver failure. The default output directory
-comes from --out, falling back to the PTGRID_OUT environment variable, then
-to the working directory.
+or config error (including inputs over a size limit), 3 numerical or solver
+failure. The default output directory comes from --out, falling back to the
+PTGRID_OUT environment variable, then to the working directory.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .formats import (
     write_profiles_csv,
 )
 from .games import (
+    BudgetExceededError,
     GameFormatError,
     brute_force_equilibrium,
     load_game,
@@ -106,6 +107,8 @@ def _format_profile(profile) -> str:
 
 
 def cmd_solve(args) -> int:
+    if args.grid < 0:
+        raise ConfigError(f"--grid must be non-negative, got {args.grid}")
     game = load_game(args.game)
     behaviors = [PtProfile.weighting_only(args.alpha)] * game.n_players
     if game.n_players == 2 and game.action_counts == (2, 2):
@@ -344,7 +347,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, GameFormatError, FileNotFoundError, OSError) as exc:
+    except (
+        ConfigError, GameFormatError, BudgetExceededError, FileNotFoundError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverFailure as exc:

@@ -6,6 +6,11 @@ A participant starting at hour t relocates the flexible share of its load in
 hours [t, t + shift_span) uniformly onto the overnight trough; opting out
 leaves its profile untouched. Action convention: actions 0..k-1 are the k
 window start hours in ascending order, action k is opt-out.
+
+The payoff tensor has n * A^n entries for n consumers with A actions each.
+It is built in fixed-size blocks of joint actions, so working memory is one
+block plus the result, and a game over a fixed size limit raises
+BudgetExceededError before anything is allocated.
 """
 from __future__ import annotations
 
@@ -13,10 +18,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import EquilibriumResult, FiniteGame, MixedProfile, solve_fixed_point
+from .games import (
+    BudgetExceededError,
+    EquilibriumResult,
+    FiniteGame,
+    MixedProfile,
+    solve_fixed_point,
+)
 from .prospects import PtProfile
 
 HOURS = 24
+
+_BLOCK = 4096  # joint actions per block of the payoff build
+_MAX_PAYOFF_ENTRIES = 2**24  # n * A^n; 128 MiB per float64 copy
 
 
 @dataclass(frozen=True)
@@ -117,21 +131,38 @@ def action_load_table(profiles, config: DsmConfig) -> np.ndarray:
 def build_dsm_game(profiles, config: DsmConfig) -> FiniteGame:
     """Payoff tensor of the participation game: consumer i's payoff at a
     joint action is the negative of its bill, sum_h price(h) * own_load(h),
-    with price(h) = price_coeff * total_load(h) ** price_exponent."""
+    with price(h) = price_coeff * total_load(h) ** price_exponent.
+
+    Joint actions are processed in fixed-size blocks written straight into
+    the result, so the working memory is one block plus the tensor. Raises
+    BudgetExceededError, before allocating, when the tensor would hold more
+    than 2^24 entries (n <= 10 consumers at 4 actions)."""
     profiles = tuple(profiles)
     if len(profiles) != config.n_consumers:
         raise ValueError(
             f"expected {config.n_consumers} load profiles, got {len(profiles)}"
         )
-    table = action_load_table(profiles, config)
     n, A = len(profiles), config.n_actions
-    joint = np.indices((A,) * n).reshape(n, -1).T  # (A^n, n)
-    loads = table[np.arange(n)[None, :], joint, :]  # (A^n, n, 24)
-    total = loads.sum(axis=1)  # (A^n, 24)
-    price = config.price_coeff * total**config.price_exponent
-    bills = (price[:, None, :] * loads).sum(axis=2)  # (A^n, n)
-    payoffs = -bills.T.reshape((n,) + (A,) * n)
-    return FiniteGame(payoffs)
+    n_joint = A**n
+    if n * n_joint > _MAX_PAYOFF_ENTRIES:
+        raise BudgetExceededError(
+            f"{n} consumers with {A} actions need {n * n_joint} payoff entries, "
+            f"over the limit of {_MAX_PAYOFF_ENTRIES}"
+        )
+    table = action_load_table(profiles, config)
+    shape = (A,) * n
+    consumers = np.arange(n)[None, :]
+    payoffs = np.empty((n, n_joint))
+    for start in range(0, n_joint, _BLOCK):
+        stop = min(start + _BLOCK, n_joint)
+        joint = np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
+        loads = table[consumers, joint, :]  # (B, n, 24)
+        total = loads.sum(axis=1)  # (B, 24)
+        price = config.price_coeff * total**config.price_exponent
+        loads *= price[:, None, :]  # in place: the gathered block is a copy
+        payoffs[:, start:stop] = -loads.sum(axis=2).T
+        del loads  # freed before the next block is gathered
+    return FiniteGame(payoffs.reshape((n,) + shape))
 
 
 def solve_dsm(

@@ -37,7 +37,8 @@ class GameFormatError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a brute-force enumeration would exceed its budget."""
+    """Raised when an input would exceed a size budget: the grid oracle's
+    enumeration or the DSM payoff tensor."""
 
 
 class FiniteGame:

@@ -6,6 +6,7 @@ frozen and safe to share across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,8 +105,8 @@ class ValueFrame:
     def __post_init__(self):
         if not np.isfinite(self.reference):
             raise ValueError("reference must be finite")
-        if self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma!r}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma!r}")
         for name in ("beta_gain", "beta_loss"):
             b = getattr(self, name)
             if not (0.0 < b <= 1.0):

@@ -81,6 +81,20 @@ def test_solve_with_grid_oracle(capsys):
     assert "grid-oracle" in out
 
 
+def test_solve_grid_over_budget_exits_2(capsys):
+    assert run(["solve", str(example_game_path("matching_pennies")), "--grid", "10000"]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "budget" in err
+    assert "Traceback" not in err
+
+
+def test_solve_negative_grid_exits_2(capsys):
+    assert run(["solve", str(example_game_path("matching_pennies")), "--grid", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "--grid" in err
+    assert "Traceback" not in err
+
+
 def test_solve_missing_file_exits_2(capsys):
     assert run(["solve", "no_such.game"]) == 2
     assert "error" in capsys.readouterr().err
@@ -210,6 +224,16 @@ def test_dsm_corrupt_profiles_exit_2(tmp_path, capsys):
     assert run(["dsm", "--config", str(cfg), "--figure", "8"]) == 2
     err = capsys.readouterr().err
     assert "header" in err or "row" in err
+
+
+def test_dsm_over_size_limit_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("n_consumers = 20\n")
+    out = tmp_path / "out"
+    assert run(["dsm", "--config", str(cfg), "--figure", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "payoff entries" in err
+    assert "Traceback" not in err
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch, capsys):

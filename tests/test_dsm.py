@@ -1,9 +1,13 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ptgrid.dsm import (
     DsmConfig,
     LoadProfile,
+    action_load_table,
     build_dsm_game,
     hourly_load_report,
     nonparticipating_load,
@@ -13,6 +17,7 @@ from ptgrid.dsm import (
     synth_profile,
 )
 from ptgrid.games import (
+    BudgetExceededError,
     MixedProfile,
     brute_force_equilibrium,
     equilibrium_residual,
@@ -278,3 +283,62 @@ def test_rationality_sweep_small_grid():
     assert np.all(sweep.converged)
     assert sweep.pt_loads[-1] == pytest.approx(sweep.eut_load, abs=1e-9)
     assert sweep.pt_loads[0] > sweep.eut_load  # heavy distortion: more opt-out
+
+
+def one_shot_build(profiles, config):
+    """The payoff tensor built in one pass over every joint action at once,
+    through an (A^n, n, 24) load array."""
+    table = action_load_table(profiles, config)
+    n, A = len(profiles), config.n_actions
+    joint = np.indices((A,) * n).reshape(n, -1).T
+    loads = table[np.arange(n)[None, :], joint, :]
+    total = loads.sum(axis=1)
+    price = config.price_coeff * total**config.price_exponent
+    bills = (price[:, None, :] * loads).sum(axis=2)
+    return -bills.T.reshape((n,) + (A,) * n)
+
+
+@pytest.mark.parametrize("exponent", [1.0, 1.82])
+@pytest.mark.parametrize("seed", [42, 7])
+def test_block_build_matches_one_shot_build_bit_for_bit(exponent, seed):
+    base = dataclasses.replace(FIXTURE, price_exponent=exponent, alphas=None)
+    configs = [dataclasses.replace(base, n_consumers=n) for n in range(2, 9)]
+    configs += [
+        # 3^8 = 6561 joint actions: the last block is partial
+        dataclasses.replace(base, n_consumers=8, include_opt_out=False),
+        # 5^6 = 15625 joint actions: three full blocks and a partial one
+        dataclasses.replace(base, n_consumers=6, start_window=(17, 18, 19, 20)),
+        # 2^13 = 8192 joint actions: two full blocks
+        dataclasses.replace(base, n_consumers=13, start_window=(19,)),
+    ]
+    for config in configs:
+        profiles = synth_profile(seed, config.n_consumers)
+        game = build_dsm_game(profiles, config)
+        assert np.array_equal(game.payoffs, one_shot_build(profiles, config)), config
+
+
+def test_oversized_game_raises_before_allocating():
+    profiles = synth_profile(42, 20)
+    config = DsmConfig(n_consumers=20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="payoff entries"):
+            build_dsm_game(profiles, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n, limit_mb", [(8, 32), (9, 64)])
+def test_build_memory_stays_bounded(n, limit_mb):
+    # a one-shot build peaks at 224 MB (n = 8) and 996 MB (n = 9)
+    profiles = synth_profile(42, n)
+    config = dataclasses.replace(FIXTURE, n_consumers=n, alphas=None)
+    tracemalloc.start()
+    try:
+        build_dsm_game(profiles, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20

@@ -169,6 +169,10 @@ def test_frame_validation():
     with pytest.raises(ValueError):
         ValueFrame(gamma=0.5)
     with pytest.raises(ValueError):
+        ValueFrame(gamma=float("nan"))
+    with pytest.raises(ValueError):
+        ValueFrame(gamma=float("inf"))
+    with pytest.raises(ValueError):
         ValueFrame(beta_gain=0.0)
     with pytest.raises(ValueError):
         ValueFrame(beta_loss=1.5)
