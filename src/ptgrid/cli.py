@@ -31,6 +31,7 @@ from .games import (
     BudgetExceededError,
     GameFormatError,
     brute_force_equilibrium,
+    check_grid_budget,
     load_game,
     solve_2x2,
     solve_fixed_point,
@@ -110,6 +111,9 @@ def cmd_solve(args) -> int:
     if args.grid < 0:
         raise ConfigError(f"--grid must be non-negative, got {args.grid}")
     game = load_game(args.game)
+    if args.grid:
+        # before any solve, so an oversized grid prints no equilibrium first
+        check_grid_budget(game, args.grid)
     behaviors = [PtProfile.weighting_only(args.alpha)] * game.n_players
     if game.n_players == 2 and game.action_counts == (2, 2):
         results = solve_2x2(game, behaviors, tol=args.tol)

@@ -24,6 +24,7 @@ from .games import (
     FiniteGame,
     MixedProfile,
     solve_fixed_point,
+    solve_fixed_point_batch,
 )
 from .prospects import PtProfile
 
@@ -162,7 +163,7 @@ def build_dsm_game(profiles, config: DsmConfig) -> FiniteGame:
         loads *= price[:, None, :]  # in place: the gathered block is a copy
         payoffs[:, start:stop] = -loads.sum(axis=2).T
         del loads  # freed before the next block is gathered
-    return FiniteGame(payoffs.reshape((n,) + shape))
+    return FiniteGame._adopt(payoffs.reshape((n,) + shape))
 
 
 def solve_dsm(
@@ -178,13 +179,14 @@ def solve_dsm(
     given rationality parameters (config.alphas when omitted)."""
     if game is None:
         game = build_dsm_game(profiles, config)
-    if alphas is None:
-        behaviors = config.behaviors()
-    else:
-        behaviors = [PtProfile.weighting_only(float(a)) for a in alphas]
+    behaviors = config.behaviors() if alphas is None else _weighting_only(alphas)
     return solve_fixed_point(
         game, behaviors, step=step, tol=tol, max_iter=max_iter
     )
+
+
+def _weighting_only(alphas) -> list:
+    return [PtProfile.weighting_only(float(a)) for a in alphas]
 
 
 def nonparticipating_load(
@@ -222,11 +224,17 @@ def hourly_load_report(
     max_iter: int = 10000,
 ) -> HourlyLoadReport:
     """Solve the game under EUT and under config.alphas, and report both
-    expected nonparticipating load profiles."""
+    expected nonparticipating load profiles.
+
+    Both solves run as one batch of solve_fixed_point_batch; each result is
+    bit-identical to a solve_dsm call with the same alphas."""
     game = build_dsm_game(profiles, config)
-    eut = solve_dsm(profiles, config, alphas=[1.0] * config.n_consumers, game=game,
-                    tol=tol, max_iter=max_iter)
-    pt = solve_dsm(profiles, config, game=game, tol=tol, max_iter=max_iter)
+    eut, pt = solve_fixed_point_batch(
+        game,
+        [_weighting_only([1.0] * config.n_consumers), config.behaviors()],
+        tol=tol,
+        max_iter=max_iter,
+    )
     return HourlyLoadReport(
         eut=nonparticipating_load(eut, profiles, config),
         pt=nonparticipating_load(pt, profiles, config),
@@ -262,23 +270,31 @@ def rationality_sweep(
     max_iter: int = 10000,
 ) -> RationalitySweep:
     """For each alpha applied to every consumer, the expected
-    nonparticipating load at `hour` under the behavioral equilibrium."""
+    nonparticipating load at `hour` under the behavioral equilibrium.
+
+    The EUT baseline and every grid point run as one batch of
+    solve_fixed_point_batch: a point leaves the batch at the iteration it
+    converges, and each result is bit-identical to a solve_dsm call with
+    that alpha for every consumer."""
     if not (0 <= hour < HOURS):
         raise ValueError("hour must lie in [0, 23]")
     game = build_dsm_game(profiles, config)
     n = config.n_consumers
-    eut = solve_dsm(profiles, config, alphas=[1.0] * n, game=game, tol=tol, max_iter=max_iter)
-    eut_load = float(nonparticipating_load(eut, profiles, config)[hour])
     alphas = np.asarray(list(alpha_grid), dtype=float)
-    loads = np.zeros(alphas.size)
-    converged = np.zeros(alphas.size, dtype=bool)
-    for k, alpha in enumerate(alphas):
-        res = solve_dsm(profiles, config, alphas=[float(alpha)] * n, game=game,
-                        tol=tol, max_iter=max_iter)
-        loads[k] = nonparticipating_load(res, profiles, config)[hour]
-        converged[k] = res.converged
+    eut, *points = solve_fixed_point_batch(
+        game,
+        [_weighting_only([a] * n) for a in [1.0, *alphas]],
+        tol=tol,
+        max_iter=max_iter,
+    )
     return RationalitySweep(
-        hour=hour, alphas=alphas, pt_loads=loads, eut_load=eut_load, converged=converged
+        hour=hour,
+        alphas=alphas,
+        pt_loads=np.array(
+            [nonparticipating_load(r, profiles, config)[hour] for r in points], dtype=float
+        ),
+        eut_load=float(nonparticipating_load(eut, profiles, config)[hour]),
+        converged=np.array([r.converged for r in points], dtype=bool),
     )
 
 

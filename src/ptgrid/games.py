@@ -11,15 +11,25 @@ mixing probabilities enter unweighted:
     U_i = sum_a sum_o  p_i(a) * w(q(o)) * v_i(payoff(i, a, o))
 
 The joint probability is formed first and weighted second, and the weights
-are applied as they are, without renormalization. pure_action_values is the
-one place this rule is computed: the utilities, the residual certificate, the
-fixed-point solver and the grid oracle all go through it, and the 2x2 solver
-certifies its candidates with it.
+are applied as they are, without renormalization. One private kernel
+(_joint_prob, then _perceived) computes this rule: pure_action_values
+validates its inputs and calls it, and through pure_action_values the
+utilities, the residual certificate and the grid oracle use it; the 2x2
+solver certifies its candidates with it; the fixed-point solver calls the
+kernel directly, having validated its inputs once per solve.
 
 Each game frames a player's payoffs once per (player, frame) and keeps the
 result, own action axis first and flattened to (A_i, prod A_-i), in a private
 read-only memo that lives and dies with the game; a value call then does only
 the per-call work of weighting the opponents' mixes and one mat-vec.
+
+The fixed-point solver runs a batch of behavior sets on one game in a single
+loop (solve_fixed_point_batch; solve_fixed_point is a batch of one). Each
+player's mixes are (K, A_i) arrays and each player has one Prelec alpha per
+row, so every iteration makes one value call per player for all members
+still running. A member leaves the batch at the iteration where its residual
+reaches tol or where max_iter is hit, and its result is exactly the one a
+solve of that member alone returns, bit for bit.
 """
 from __future__ import annotations
 
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prospects import PROB_TOL, PtProfile, frame_value, prelec_weight
+from .prospects import PROB_TOL, PtProfile, _unit_interval_array, frame_value
 
 
 class GameFormatError(ValueError):
@@ -43,12 +53,23 @@ class BudgetExceededError(RuntimeError):
 
 class FiniteGame:
     """An n-player game given by a payoff tensor of shape
-    (n_players, actions_1, ..., actions_n)."""
+    (n_players, actions_1, ..., actions_n). The constructor copies the
+    caller's tensor; the game keeps it read-only."""
 
     __slots__ = ("payoffs", "n_players", "action_counts", "_framed")
 
     def __init__(self, payoffs):
-        arr = np.asarray(payoffs, dtype=float)
+        self._own(np.array(payoffs, dtype=float))
+
+    @classmethod
+    def _adopt(cls, payoffs: np.ndarray) -> "FiniteGame":
+        """A game that takes over a fresh float array without copying it; the
+        caller must hold no other reference it writes through."""
+        game = cls.__new__(cls)
+        game._own(payoffs)
+        return game
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim < 3:
             raise ValueError("payoff tensor needs shape (n_players, a_1, ..., a_n)")
         n = arr.shape[0]
@@ -59,9 +80,9 @@ class FiniteGame:
             )
         if any(a < 2 for a in arr.shape[1:]):
             raise ValueError("every player needs at least 2 actions")
-        if not np.all(np.isfinite(arr)):
+        # min and max, not isfinite: no full-size temporary, and NaN fails too
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise ValueError("payoffs must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "payoffs", arr)
         object.__setattr__(self, "n_players", n)
@@ -199,16 +220,55 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
     _check_player(game, player)
     mixes = [np.asarray(m, dtype=float) for m in mixes]
     _check_profile(game, mixes)
-    opponents = [m for j, m in enumerate(mixes) if j != player]
-    k = len(opponents)
-    # joint opponent probability: one trailing axis per opponent, in order
-    q = 1.0
-    for pos, m in enumerate(opponents):
-        q = q * m.reshape(m.shape[:-1] + (1,) * pos + (-1,) + (1,) * (k - 1 - pos))
+    q = _joint_prob([m for j, m in enumerate(mixes) if j != player])
+    _unit_interval_array(q, "probability")
     b = behaviors[player]
-    w = prelec_weight(q, b.weighting.alpha)
-    w = w.reshape(w.shape[: w.ndim - k] + (-1,))
-    return (_framed_payoffs(game, player, b.frame) @ w[..., None])[..., 0]
+    with np.errstate(divide="ignore"):
+        return _perceived(
+            _framed_payoffs(game, player, b.frame), q, float(b.weighting.alpha)
+        )
+
+
+def _joint_prob(opponents) -> np.ndarray:
+    """Joint probability of the opponents' actions: one trailing axis per
+    opponent, in order, multiplied left to right, then flattened to
+    (..., prod A_-i)."""
+    k = len(opponents)
+    q = opponents[0].reshape(opponents[0].shape[:-1] + (-1,) + (1,) * (k - 1))
+    for pos, m in enumerate(opponents[1:], start=1):
+        q = q * m.reshape(m.shape[:-1] + (1,) * pos + (-1,) + (1,) * (k - 1 - pos))
+    return q.reshape(q.shape[: q.ndim - k] + (-1,))
+
+
+def _perceived(framed: np.ndarray, q: np.ndarray, alpha) -> np.ndarray:
+    """Perceived action values from the framed payoffs (A_i, M) and the joint
+    opponent probabilities q (..., M): Prelec weights, then one mat-vec per
+    batch row. alpha is a float for every row, or _row_alphas of a (K, M) q.
+    Unchecked: the caller validates q and silences log(0)."""
+    if isinstance(alpha, float):
+        w = q if alpha == 1.0 else np.exp(-((-np.log(q)) ** alpha))
+    else:
+        column, half, rational = alpha
+        nlog = -np.log(q)
+        w = np.exp(-(nlog ** column))
+        # numpy takes x ** 0.5 with a scalar exponent as sqrt, which differs
+        # in the last bit from the general power loop a column exponent uses
+        if half.size:
+            w[half] = np.exp(-np.sqrt(nlog[half]))
+        # exp(-(-ln q)^1) is not q bit for bit
+        if rational.size:
+            w[rational] = q[rational]
+    return (framed @ w[..., None])[..., 0]
+
+
+def _row_alphas(alphas: np.ndarray):
+    """One player's Prelec alphas of a batch, (K,), as _perceived takes them:
+    a float when every row shares it, else the (K, 1) column with the rows
+    at 0.5 and the rows at 1, which _perceived computes apart."""
+    first = float(alphas[0])
+    if np.all(alphas == first):
+        return first
+    return alphas[:, None], np.flatnonzero(alphas == 0.5), np.flatnonzero(alphas == 1.0)
 
 
 def _framed_payoffs(game: FiniteGame, player: int, frame) -> np.ndarray:
@@ -363,38 +423,108 @@ def solve_fixed_point(
     target hardens to the argmax (lowest index on ties). Stops as soon as the
     unilateral-improvement residual drops to tol; the result always carries
     the final residual, and non-convergence is reported, not raised.
+
+    Runs solve_fixed_point_batch on a batch of one.
     """
     if behaviors is None:
         behaviors = _eut_behaviors(game.n_players)
+    return solve_fixed_point_batch(
+        game, [behaviors], [init], step=step, tol=tol, max_iter=max_iter,
+        temperature=temperature, temp_decay=temp_decay, temp_floor=temp_floor,
+    )[0]
+
+
+def solve_fixed_point_batch(
+    game: FiniteGame,
+    behavior_sets,
+    inits=None,
+    step: float = 0.1,
+    tol: float = 1e-9,
+    max_iter: int = 10000,
+    temperature: float = 0.2,
+    temp_decay: float = 0.995,
+    temp_floor: float = 1e-3,
+) -> list:
+    """solve_fixed_point for K behavior sets on one game in one loop: one
+    result per set, in order, each bit-identical to a solve of that set alone.
+
+    `inits` is None or one start profile (None for uniform) per set. Every
+    set must give each player the same frame, since the framed payoffs are
+    shared; the Prelec alphas may differ per set and per player. Each
+    iteration makes one value call per player for all members still running.
+    A member whose residual reaches tol, or which reaches max_iter, is
+    recorded at that iteration and leaves the batch.
+    """
     if not (0.0 < step <= 1.0):
         raise ValueError("step must be in (0, 1]")
-    profile = init if init is not None else MixedProfile.uniform(game)
-    _check_profile(game, profile)
+    n = game.n_players
+    sets = [list(b) for b in behavior_sets]
+    if not sets:
+        raise ValueError("a batch needs at least one behavior set")
+    if any(len(b) != n for b in sets):
+        raise ValueError(f"every behavior set needs {n} profiles, one per player")
+    frames = [b.frame for b in sets[0]]
+    if any(b[i].frame != frames[i] for b in sets[1:] for i in range(n)):
+        raise ValueError("every behavior set of a batch must give a player the same frame")
+    if inits is None:
+        inits = [None] * len(sets)
+    if len(inits) != len(sets):
+        raise ValueError("inits must give one start profile per behavior set")
+    profiles = [MixedProfile.uniform(game) if p is None else p for p in inits]
+    for p in profiles:
+        _check_profile(game, p)
 
-    mixes = list(profile)
-    for iteration in range(max_iter + 1):
-        values = [
-            pure_action_values(game, i, mixes, behaviors)
-            for i in range(game.n_players)
-        ]
-        peaks = [v.max() for v in values]
-        residual = max(
-            float(top - v @ m) for v, top, m in zip(values, peaks, mixes)
-        )
-        residual = max(residual, 0.0)
-        if residual <= tol or iteration == max_iter:
-            return EquilibriumResult(MixedProfile(mixes), residual, iteration, residual <= tol)
-        temp = temperature * temp_decay**iteration
-        new_mixes = []
-        for v, top, m in zip(values, peaks, mixes):
-            if temp < temp_floor:
-                target = np.zeros_like(m)
-                target[int(np.argmax(v))] = 1.0
-            else:
-                e = np.exp((v - top) / (max(float(top - v.min()), 1e-12) * temp))
-                target = e / e.sum()
-            new_mixes.append((1.0 - step) * m + step * target)
-        mixes = new_mixes
+    framed = [_framed_payoffs(game, i, frames[i]) for i in range(n)]
+    alphas = [np.array([float(b[i].weighting.alpha) for b in sets]) for i in range(n)]
+    row_alphas = [_row_alphas(a) for a in alphas]
+    mixes = [np.array([p[i] for p in profiles], dtype=float) for i in range(n)]
+    members = np.arange(len(sets))  # batch member of each row
+    results = [None] * len(sets)
+    with np.errstate(divide="ignore"):
+        for iteration in range(max_iter + 1):
+            values = [
+                _perceived(framed[i], _joint_prob(mixes[:i] + mixes[i + 1:]), row_alphas[i])
+                for i in range(n)
+            ]
+            peaks = [v.max(axis=1) for v in values]
+            residual = None
+            for v, top, m in zip(values, peaks, mixes):
+                # per row the same dot product as a single solve's v @ m
+                gap = top - (v[:, None, :] @ m[:, :, None])[:, 0, 0]
+                residual = gap if residual is None else np.maximum(residual, gap)
+            residual = np.maximum(residual, 0.0)
+            done = residual <= tol
+            if iteration == max_iter:
+                done[:] = True
+            if done.any():
+                for k in np.flatnonzero(done):
+                    results[members[k]] = EquilibriumResult(
+                        MixedProfile([m[k] for m in mixes]),
+                        float(residual[k]),
+                        iteration,
+                        bool(residual[k] <= tol),
+                    )
+                if done.all():
+                    return results
+                keep = ~done
+                members = members[keep]
+                mixes = [m[keep] for m in mixes]
+                values = [v[keep] for v in values]
+                peaks = [top[keep] for top in peaks]
+                alphas = [a[keep] for a in alphas]
+                row_alphas = [_row_alphas(a) for a in alphas]
+            temp = temperature * temp_decay**iteration
+            new_mixes = []
+            for v, top, m in zip(values, peaks, mixes):
+                if temp < temp_floor:
+                    target = np.zeros_like(m)
+                    target[np.arange(len(m)), v.argmax(axis=1)] = 1.0
+                else:
+                    spread = np.maximum(top - v.min(axis=1), 1e-12)
+                    e = np.exp((v - top[:, None]) / (spread * temp)[:, None])
+                    target = e / e.sum(axis=1, keepdims=True)
+                new_mixes.append((1.0 - step) * m + step * target)
+            mixes = new_mixes
     raise AssertionError("unreachable")
 
 
@@ -420,11 +550,24 @@ def grid_enumeration_size(game: FiniteGame, grid: int) -> int:
     return size
 
 
+GRID_BUDGET = 2_000_000  # default cap on the grid profiles the oracle enumerates
+
+
+def check_grid_budget(game: FiniteGame, grid: int, budget: int = GRID_BUDGET) -> None:
+    """Raise BudgetExceededError when the grid oracle at this grid would
+    enumerate more than `budget` profiles."""
+    total = grid_enumeration_size(game, grid)
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} grid profiles exceed the budget of {budget}"
+        )
+
+
 def brute_force_equilibrium(
     game: FiniteGame,
     behaviors=None,
     grid: int = 100,
-    budget: int = 2_000_000,
+    budget: int = GRID_BUDGET,
 ) -> list:
     """Approximate equilibria by exhaustive search over a uniform simplex
     grid: returns the profiles whose improvement residual is a local minimum
@@ -436,11 +579,7 @@ def brute_force_equilibrium(
     """
     if behaviors is None:
         behaviors = _eut_behaviors(game.n_players)
-    total = grid_enumeration_size(game, grid)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} grid profiles exceed the budget of {budget}"
-        )
+    check_grid_budget(game, grid, budget)
     n = game.n_players
     grids = [_simplex_grid(a, grid) for a in game.action_counts]
     # player j's grid on batch axis j: every cell of the surface is one profile

@@ -83,9 +83,10 @@ def test_solve_with_grid_oracle(capsys):
 
 def test_solve_grid_over_budget_exits_2(capsys):
     assert run(["solve", str(example_game_path("matching_pennies")), "--grid", "10000"]) == 2
-    err = capsys.readouterr().err
-    assert "error" in err and "budget" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "budget" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # the budget is checked before any solve
 
 
 def test_solve_negative_grid_exits_2(capsys):

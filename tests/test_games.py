@@ -18,7 +18,11 @@ from ptgrid.games import (
     pure_action_values,
     solve_2x2,
     solve_fixed_point,
+    solve_fixed_point_batch,
 )
+from ptgrid.dsm import build_dsm_game, synth_profile
+from ptgrid.fixtures import dsm_config_path
+from ptgrid.formats import load_dsm_config
 from ptgrid.games import _framed_payoffs, _grid_slack, _local_minima, _simplex_grid
 from ptgrid.prospects import PrelecWeighting, PtProfile, ValueFrame, frame_value, prelec_weight
 
@@ -489,6 +493,125 @@ def test_determinism_bit_identical():
     assert r1.iterations == r2.iterations
     for m1, m2 in zip(r1.profile, r2.profile):
         np.testing.assert_array_equal(m1, m2)
+
+
+def single_solve_values(game, player, mixes, behaviors):
+    """The value kernel the single-solve loop called before batching: the
+    q product from 1.0, prelec_weight with its scalar alpha, the memoized
+    framed payoffs and one mat-vec."""
+    opponents = [m for j, m in enumerate(mixes) if j != player]
+    k = len(opponents)
+    q = 1.0
+    for pos, m in enumerate(opponents):
+        q = q * m.reshape(m.shape[:-1] + (1,) * pos + (-1,) + (1,) * (k - 1 - pos))
+    b = behaviors[player]
+    w = prelec_weight(q, b.weighting.alpha)
+    w = w.reshape(w.shape[: w.ndim - k] + (-1,))
+    return (_framed_payoffs(game, player, b.frame) @ w[..., None])[..., 0]
+
+
+def reference_solve(game, behaviors, init=None, step=0.1, tol=1e-9, max_iter=10000,
+                    temperature=0.2, temp_decay=0.995, temp_floor=1e-3):
+    """The single-solve loop as it stood before batching: Python-float
+    residuals and one 1-D mix per player."""
+    mixes = list(init if init is not None else MixedProfile.uniform(game))
+    for iteration in range(max_iter + 1):
+        values = [single_solve_values(game, i, mixes, behaviors) for i in range(game.n_players)]
+        peaks = [v.max() for v in values]
+        residual = max(float(top - v @ m) for v, top, m in zip(values, peaks, mixes))
+        residual = max(residual, 0.0)
+        if residual <= tol or iteration == max_iter:
+            return iteration, residual, residual <= tol, mixes
+        temp = temperature * temp_decay**iteration
+        new_mixes = []
+        for v, top, m in zip(values, peaks, mixes):
+            if temp < temp_floor:
+                target = np.zeros_like(m)
+                target[int(np.argmax(v))] = 1.0
+            else:
+                e = np.exp((v - top) / (max(float(top - v.min()), 1e-12) * temp))
+                target = e / e.sum()
+            new_mixes.append((1.0 - step) * m + step * target)
+        mixes = new_mixes
+
+
+def assert_same_as_reference(game, behavior_sets, inits=None, alone=True, **kw):
+    """Each member of one batched solve (and, with `alone`, the same member
+    solved by itself) carries the reference loop's iterations, residual,
+    converged flag and profile bytes."""
+    inits = inits or [None] * len(behavior_sets)
+    batch = solve_fixed_point_batch(game, behavior_sets, inits, **kw)
+    for behaviors, init, res in zip(behavior_sets, inits, batch):
+        iterations, residual, converged, mixes = reference_solve(game, behaviors, init, **kw)
+        single = [solve_fixed_point(game, behaviors, init, **kw)] if alone else []
+        for r in [res] + single:
+            assert (r.iterations, r.residual, r.converged) == (iterations, residual, converged)
+            assert [m.tobytes() for m in r.profile] == [m.tobytes() for m in mixes]
+    return batch
+
+
+def dsm_fixture(seed):
+    cfg = load_dsm_config(dsm_config_path())
+    config = cfg["config"]
+    profiles = synth_profile(seed, config.n_consumers, flexible_range=cfg["flexible_range"])
+    return cfg, config, build_dsm_game(profiles, config)
+
+
+def test_batch_matches_single_solve_loop_on_fig9_grid():
+    # 0.49999999999999994 on the grid, exact 0.5 added: numpy takes a scalar
+    # ** 0.5 as sqrt; the EUT member and the grid's exact 1.0 must weight
+    # with q itself
+    cfg, config, game = dsm_fixture(42)
+    assert cfg["alpha_grid"][-1] == 1.0
+    alphas = [1.0, *cfg["alpha_grid"], 0.5]
+    sets = [[PtProfile.weighting_only(float(a))] * config.n_consumers for a in alphas]
+    batch = assert_same_as_reference(
+        game, sets, alone=False, tol=cfg["tol"], max_iter=cfg["max_iter"]
+    )
+    assert len({r.iterations for r in batch}) > 5  # members left at many iterations
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_batch_matches_single_solve_loop_on_fig8_pair(seed):
+    cfg, config, game = dsm_fixture(seed)
+    assert set(config.alphas) == {0.5, 0.2, 0.1}
+    sets = [[PtProfile.weighting_only(1.0)] * config.n_consumers, config.behaviors()]
+    assert_same_as_reference(game, sets, tol=cfg["tol"], max_iter=cfg["max_iter"])
+
+
+def test_batch_matches_single_solve_loop_at_max_iter():
+    game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
+    sets = [[PtProfile.weighting_only(a)] * 3 for a in (1.0, 0.65, 0.5, 0.3, 0.1)]
+    sets.append([PtProfile.weighting_only(a) for a in (0.5, 1.0, 0.3)])
+    batch = assert_same_as_reference(game, sets, max_iter=1500)
+    assert [r.iterations for r in batch[:5]] == [1500, 1500, 1500, 1500, 345]
+    assert not any(r.converged for r in batch[:4])
+
+
+def test_batch_members_leave_at_different_iterations():
+    rng = np.random.default_rng(12)
+    game = FiniteGame(rng.uniform(-5.0, 5.0, size=(2, 3, 3)))
+    behavioral = PtProfile(PrelecWeighting(0.65), FRAMES[1])
+    pure = next(
+        MixedProfile.pure(game, joint)
+        for joint in np.ndindex(*game.action_counts)
+        if equilibrium_residual(game, MixedProfile.pure(game, joint), [behavioral] * 2) == 0.0
+    )
+    sets = [[PtProfile(PrelecWeighting(a), FRAMES[1])] * 2 for a in (0.65, 1.0, 0.5, 0.2)]
+    inits = [pure, None, random_profile(rng, game), None]
+    batch = assert_same_as_reference(game, sets, inits)
+    assert batch[0].iterations == 0
+    assert len({r.iterations for r in batch}) == 4
+
+
+def test_batch_rejects_frames_that_differ():
+    sets = [[PtProfile.eut()] * 2, [PtProfile.behavioral(alpha=1.0)] * 2]
+    with pytest.raises(ValueError, match="frame"):
+        solve_fixed_point_batch(MATCHING_PENNIES, sets)
+    with pytest.raises(ValueError):
+        solve_fixed_point_batch(MATCHING_PENNIES, [[PtProfile.eut()]])
+    with pytest.raises(ValueError):
+        solve_fixed_point_batch(MATCHING_PENNIES, [])
 
 
 # ---------------------------------------------------------------------------
