@@ -23,8 +23,8 @@ from .games import (
     EquilibriumResult,
     FiniteGame,
     MixedProfile,
+    _prefetched_solves,
     solve_fixed_point,
-    solve_fixed_point_batch,
 )
 from .prospects import PtProfile
 
@@ -189,6 +189,19 @@ def _weighting_only(alphas) -> list:
     return [PtProfile.weighting_only(float(a)) for a in alphas]
 
 
+def _solve_points(profiles, config: DsmConfig, game: FiniteGame, alpha_sets, tol, max_iter):
+    """One solve_dsm result per entry of alpha_sets (None for config.alphas).
+    Every solve runs in one batched fixed-point loop first; each point is
+    then the solve_dsm call for its alphas, which returns the batch's result
+    without iterating again."""
+    behavior_sets = [config.behaviors() if a is None else _weighting_only(a) for a in alpha_sets]
+    with _prefetched_solves(game, behavior_sets, tol=tol, max_iter=max_iter):
+        return [
+            solve_dsm(profiles, config, alphas=a, game=game, tol=tol, max_iter=max_iter)
+            for a in alpha_sets
+        ]
+
+
 def nonparticipating_load(
     result: EquilibriumResult | MixedProfile, profiles, config: DsmConfig
 ) -> np.ndarray:
@@ -226,14 +239,12 @@ def hourly_load_report(
     """Solve the game under EUT and under config.alphas, and report both
     expected nonparticipating load profiles.
 
-    Both solves run as one batch of solve_fixed_point_batch; each result is
-    bit-identical to a solve_dsm call with the same alphas."""
+    Both are solve_dsm calls on one game whose solves run as one batch of
+    solve_fixed_point_batch; each result is bit-identical to a solve of its
+    alphas alone."""
     game = build_dsm_game(profiles, config)
-    eut, pt = solve_fixed_point_batch(
-        game,
-        [_weighting_only([1.0] * config.n_consumers), config.behaviors()],
-        tol=tol,
-        max_iter=max_iter,
+    eut, pt = _solve_points(
+        profiles, config, game, [[1.0] * config.n_consumers, None], tol, max_iter
     )
     return HourlyLoadReport(
         eut=nonparticipating_load(eut, profiles, config),
@@ -272,20 +283,17 @@ def rationality_sweep(
     """For each alpha applied to every consumer, the expected
     nonparticipating load at `hour` under the behavioral equilibrium.
 
-    The EUT baseline and every grid point run as one batch of
-    solve_fixed_point_batch: a point leaves the batch at the iteration it
-    converges, and each result is bit-identical to a solve_dsm call with
-    that alpha for every consumer."""
+    The EUT baseline and every grid point are solve_dsm calls on one game
+    whose solves run as one batch of solve_fixed_point_batch: a point leaves
+    the batch at the iteration it converges, and each result is
+    bit-identical to a solve of that alpha alone."""
     if not (0 <= hour < HOURS):
         raise ValueError("hour must lie in [0, 23]")
     game = build_dsm_game(profiles, config)
     n = config.n_consumers
     alphas = np.asarray(list(alpha_grid), dtype=float)
-    eut, *points = solve_fixed_point_batch(
-        game,
-        [_weighting_only([a] * n) for a in [1.0, *alphas]],
-        tol=tol,
-        max_iter=max_iter,
+    eut, *points = _solve_points(
+        profiles, config, game, [[a] * n for a in [1.0, *alphas]], tol, max_iter
     )
     return RationalitySweep(
         hour=hour,

@@ -15,8 +15,9 @@ are applied as they are, without renormalization. One private kernel
 (_joint_prob, then _perceived) computes this rule: pure_action_values
 validates its inputs and calls it, and through pure_action_values the
 utilities, the residual certificate and the grid oracle use it; the 2x2
-solver certifies its candidates with it; the fixed-point solver calls the
-kernel directly, having validated its inputs once per solve.
+solver certifies its candidates with it; the fixed-point solver takes its
+first iteration through it, which checks the start and the behaviors once
+per solve, and calls the kernel directly for the rest.
 
 Each game frames a player's payoffs once per (player, frame) and keeps the
 result, own action axis first and flattened to (A_i, prod A_-i), in a private
@@ -29,12 +30,18 @@ player's mixes are (K, A_i) arrays and each player has one Prelec alpha per
 row, so every iteration makes one value call per player for all members
 still running. A member leaves the batch at the iteration where its residual
 reaches tol or where max_iter is hit, and its result is exactly the one a
-solve of that member alone returns, bit for bit.
+solve of that member alone returns, bit for bit. Equal default-start
+members are solved once. Inside a _prefetched_solves block, which runs its
+behavior sets as one batch, solve_fixed_point on that game returns the
+batch's result for a matching default-start solve instead of iterating; the
+DSM sweeps read each point through solve_dsm this way.
 """
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +63,7 @@ class FiniteGame:
     (n_players, actions_1, ..., actions_n). The constructor copies the
     caller's tensor; the game keeps it read-only."""
 
-    __slots__ = ("payoffs", "n_players", "action_counts", "_framed")
+    __slots__ = ("payoffs", "n_players", "action_counts", "_framed", "_prefetched")
 
     def __init__(self, payoffs):
         self._own(np.array(payoffs, dtype=float))
@@ -89,6 +96,8 @@ class FiniteGame:
         object.__setattr__(self, "action_counts", tuple(arr.shape[1:]))
         # (player, frame) -> framed payoffs, filled by _framed_payoffs
         object.__setattr__(self, "_framed", {})
+        # _solve_key -> result, filled only inside a _prefetched_solves block
+        object.__setattr__(self, "_prefetched", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGame is immutable")
@@ -216,6 +225,10 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
     player; the player's own entry is not read. A mix may carry leading
     batch axes: the result has the opponents' batch shapes, broadcast,
     followed by the player's action axis.
+
+    behaviors[player] is one PtProfile, or, when the opponents' mixes share
+    one leading batch axis of K rows, a sequence of K PtProfiles with one
+    frame: one Prelec alpha per row.
     """
     _check_player(game, player)
     mixes = [np.asarray(m, dtype=float) for m in mixes]
@@ -223,10 +236,20 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
     q = _joint_prob([m for j, m in enumerate(mixes) if j != player])
     _unit_interval_array(q, "probability")
     b = behaviors[player]
+    if not isinstance(b, (list, tuple)):
+        frame, alpha = b.frame, float(b.weighting.alpha)
+    else:
+        if q.ndim != 2 or q.shape[0] != len(b):
+            raise ValueError(
+                f"{len(b)} behaviors for player {player} need mixes with one "
+                f"batch axis of {len(b)} rows"
+            )
+        frame = b[0].frame
+        if any(r.frame != frame for r in b):
+            raise ValueError(f"the behaviors of player {player} must share one frame")
+        alpha = _row_alphas(np.array([float(r.weighting.alpha) for r in b]))
     with np.errstate(divide="ignore"):
-        return _perceived(
-            _framed_payoffs(game, player, b.frame), q, float(b.weighting.alpha)
-        )
+        return _perceived(_framed_payoffs(game, player, frame), q, alpha)
 
 
 def _joint_prob(opponents) -> np.ndarray:
@@ -424,10 +447,17 @@ def solve_fixed_point(
     unilateral-improvement residual drops to tol; the result always carries
     the final residual, and non-convergence is reported, not raised.
 
-    Runs solve_fixed_point_batch on a batch of one.
+    Runs solve_fixed_point_batch on a batch of one. Inside a
+    _prefetched_solves block on the game, a default-start solve that the
+    block ran already returns the block's result without iterating.
     """
     if behaviors is None:
         behaviors = _eut_behaviors(game.n_players)
+    if init is None and game._prefetched:
+        key = _solve_key(behaviors, (step, tol, max_iter, temperature, temp_decay, temp_floor))
+        hit = game._prefetched.get(key)
+        if hit is not None:
+            return hit
     return solve_fixed_point_batch(
         game, [behaviors], [init], step=step, tol=tol, max_iter=max_iter,
         temperature=temperature, temp_decay=temp_decay, temp_floor=temp_floor,
@@ -453,7 +483,8 @@ def solve_fixed_point_batch(
     shared; the Prelec alphas may differ per set and per player. Each
     iteration makes one value call per player for all members still running.
     A member whose residual reaches tol, or which reaches max_iter, is
-    recorded at that iteration and leaves the batch.
+    recorded at that iteration and leaves the batch. Equal behavior sets
+    with the default start are solved once and share one result.
     """
     if not (0.0 < step <= 1.0):
         raise ValueError("step must be in (0, 1]")
@@ -463,9 +494,6 @@ def solve_fixed_point_batch(
         raise ValueError("a batch needs at least one behavior set")
     if any(len(b) != n for b in sets):
         raise ValueError(f"every behavior set needs {n} profiles, one per player")
-    frames = [b.frame for b in sets[0]]
-    if any(b[i].frame != frames[i] for b in sets[1:] for i in range(n)):
-        raise ValueError("every behavior set of a batch must give a player the same frame")
     if inits is None:
         inits = [None] * len(sets)
     if len(inits) != len(sets):
@@ -474,18 +502,79 @@ def solve_fixed_point_batch(
     for p in profiles:
         _check_profile(game, p)
 
-    framed = [_framed_payoffs(game, i, frames[i]) for i in range(n)]
+    params = (step, tol, max_iter, temperature, temp_decay, temp_floor)
+    run = []  # members that enter the loop
+    source = []  # per member, its index in run
+    first = {}  # _solve_key -> index in run
+    for k, init in enumerate(inits):
+        key = _solve_key(sets[k], params) if init is None else None
+        if key in first:
+            source.append(first[key])
+            continue
+        if key is not None:
+            first[key] = len(run)
+        source.append(len(run))
+        run.append(k)
+    solved = _fixed_point_loop(
+        game, [sets[k] for k in run], [profiles[k] for k in run], *params
+    )
+    return [solved[j] for j in source]
+
+
+def _solve_key(behaviors, params) -> tuple:
+    """Identity of a default-start solve: the behavior set and the loop
+    parameters."""
+    return tuple(behaviors), tuple(params)
+
+
+@contextmanager
+def _prefetched_solves(game: FiniteGame, behavior_sets, **kwargs):
+    """Run the default-start solves of behavior_sets as one batch and, until
+    the block ends, let solve_fixed_point on this game return their results;
+    kwargs go to solve_fixed_point_batch. Blocks on one game do not nest."""
+    sets = [list(b) for b in behavior_sets]
+    results = solve_fixed_point_batch(game, sets, None, **kwargs)
+    params = _loop_params(kwargs)
+    for behaviors, result in zip(sets, results):
+        game._prefetched[_solve_key(behaviors, params)] = result
+    try:
+        yield
+    finally:
+        game._prefetched.clear()
+
+
+def _loop_params(kwargs) -> tuple:
+    """The loop parameters of a solve_fixed_point_batch call, defaults filled
+    in, in _solve_key order."""
+    bound = inspect.signature(solve_fixed_point_batch).bind_partial(**kwargs)
+    bound.apply_defaults()
+    names = ("step", "tol", "max_iter", "temperature", "temp_decay", "temp_floor")
+    return tuple(bound.arguments[name] for name in names)
+
+
+def _fixed_point_loop(game, sets, profiles, step, tol, max_iter, temperature, temp_decay,
+                      temp_floor) -> list:
+    """The damped fixed-point loop of solve_fixed_point_batch on checked
+    behavior sets and start profiles."""
+    n = game.n_players
+    mixes = [np.array([p[i] for p in profiles], dtype=float) for i in range(n)]
+    # iteration 0 goes through pure_action_values, which checks the start and
+    # the behaviors (one frame per player) once; the kernel takes the rest,
+    # whose mixes are convex combinations of checked ones
+    per_row = [[b[i] for b in sets] for i in range(n)]
+    values = [pure_action_values(game, i, mixes, per_row) for i in range(n)]
+    framed = [_framed_payoffs(game, i, sets[0][i].frame) for i in range(n)]
     alphas = [np.array([float(b[i].weighting.alpha) for b in sets]) for i in range(n)]
     row_alphas = [_row_alphas(a) for a in alphas]
-    mixes = [np.array([p[i] for p in profiles], dtype=float) for i in range(n)]
     members = np.arange(len(sets))  # batch member of each row
     results = [None] * len(sets)
     with np.errstate(divide="ignore"):
         for iteration in range(max_iter + 1):
-            values = [
-                _perceived(framed[i], _joint_prob(mixes[:i] + mixes[i + 1:]), row_alphas[i])
-                for i in range(n)
-            ]
+            if iteration:
+                values = [
+                    _perceived(framed[i], _joint_prob(mixes[:i] + mixes[i + 1:]), row_alphas[i])
+                    for i in range(n)
+                ]
             peaks = [v.max(axis=1) for v in values]
             residual = None
             for v, top, m in zip(values, peaks, mixes):

@@ -301,6 +301,30 @@ def test_rationality_sweep_small_grid():
     assert sweep.pt_loads[0] > sweep.eut_load  # heavy distortion: more opt-out
 
 
+@pytest.mark.parametrize("sweep", ["rationality", "hourly"])
+def test_sweep_reads_each_point_through_solve_dsm_after_one_loop(sweep, loop_runs, monkeypatch):
+    import ptgrid.dsm
+
+    solves = []
+    solve = ptgrid.dsm.solve_dsm
+
+    def counting_solve(*args, **kwargs):
+        solves.append(kwargs["alphas"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ptgrid.dsm, "solve_dsm", counting_solve)
+    profiles = synth_profile(42, 6)
+    if sweep == "rationality":
+        rationality_sweep(profiles, FIXTURE, [0.1, 0.5, 1.0], 19)
+        # EUT and the grid's 1.0 are one member of the loop
+        assert loop_runs == [3]
+        assert [a[0] for a in solves] == [1.0, 0.1, 0.5, 1.0]
+    else:
+        hourly_load_report(profiles, FIXTURE)
+        assert loop_runs == [2]
+        assert solves == [[1.0] * 6, None]
+
+
 def one_shot_build(profiles, config):
     """The payoff tensor built in one pass over every joint action at once,
     through an (A^n, n, 24) load array."""

@@ -23,7 +23,13 @@ from ptgrid.games import (
 from ptgrid.dsm import build_dsm_game, synth_profile
 from ptgrid.fixtures import dsm_config_path
 from ptgrid.formats import load_dsm_config
-from ptgrid.games import _framed_payoffs, _grid_slack, _local_minima, _simplex_grid
+from ptgrid.games import (
+    _framed_payoffs,
+    _grid_slack,
+    _local_minima,
+    _prefetched_solves,
+    _simplex_grid,
+)
 from ptgrid.prospects import PrelecWeighting, PtProfile, ValueFrame, frame_value, prelec_weight
 
 MATCHING_PENNIES = FiniteGame.from_bimatrix(
@@ -612,6 +618,62 @@ def test_batch_rejects_frames_that_differ():
         solve_fixed_point_batch(MATCHING_PENNIES, [[PtProfile.eut()]])
     with pytest.raises(ValueError):
         solve_fixed_point_batch(MATCHING_PENNIES, [])
+
+
+def test_pure_action_values_takes_one_behavior_per_row():
+    rng = np.random.default_rng(3)
+    game = random_game(rng, 3)
+    frame = FRAMES[1]
+    rows = [PtProfile(PrelecWeighting(a), frame) for a in (0.5, 1.0, 0.3, 0.5)]
+    profiles = [random_profile(rng, game) for _ in rows]
+    mixes = [np.array([p[j] for p in profiles]) for j in range(3)]
+    for i in range(3):
+        per_row = [None] * 3
+        per_row[i] = rows
+        batch = pure_action_values(game, i, mixes, per_row)
+        for k, (b, p) in enumerate(zip(rows, profiles)):
+            alone = pure_action_values(game, i, p, [b] * 3)
+            assert batch[k].tobytes() == alone.tobytes()
+    with pytest.raises(ValueError, match="rows"):
+        pure_action_values(game, 0, mixes, [rows[:3]] * 3)
+    with pytest.raises(ValueError, match="rows"):
+        pure_action_values(game, 0, profiles[0], [rows[:1]] * 3)
+    with pytest.raises(ValueError, match="frame"):
+        pure_action_values(game, 0, mixes, [rows[:3] + [PtProfile.eut()]] * 3)
+
+
+def test_batch_solves_equal_default_start_sets_once(loop_runs):
+    a, b = [PtProfile.weighting_only(0.6)] * 2, [PtProfile.weighting_only(1.0)] * 2
+    init = MixedProfile([[0.3, 0.7], [0.6, 0.4]])
+    batch = solve_fixed_point_batch(
+        MATCHING_PENNIES, [a, b, list(a), a, b], [None, None, None, init, None]
+    )
+    assert loop_runs == [3]  # a, b, and a from its own start
+    assert batch[2] is batch[0] and batch[4] is batch[1]
+    assert batch[3] is not batch[0]
+    for behaviors, init, res in zip([a, b, a], [None, None, init], [batch[0], batch[1], batch[3]]):
+        alone = solve_fixed_point(MATCHING_PENNIES, behaviors, init)
+        assert (alone.iterations, alone.residual) == (res.iterations, res.residual)
+        assert [m.tobytes() for m in alone.profile] == [m.tobytes() for m in res.profile]
+
+
+def test_prefetched_solves_serve_matching_default_start_solves_in_the_block(loop_runs):
+    game = random_game(np.random.default_rng(5), 2)
+    sets = [[PtProfile.weighting_only(a)] * 2 for a in (1.0, 0.5)]
+    with _prefetched_solves(game, sets, tol=1e-8):
+        assert loop_runs == [2]
+        served = solve_fixed_point(game, [PtProfile.weighting_only(0.5)] * 2, tol=1e-8)
+        assert solve_fixed_point(game, sets[1], tol=1e-8) is served
+        assert loop_runs == [2]
+        # another tolerance, start or step is another solve
+        assert solve_fixed_point(game, sets[1], tol=1e-9) is not served
+        assert solve_fixed_point(game, sets[1], MixedProfile.uniform(game), tol=1e-8) is not served
+        assert solve_fixed_point(game, sets[1], step=0.2, tol=1e-8) is not served
+        assert loop_runs == [2, 1, 1, 1]
+    again = solve_fixed_point(game, sets[1], tol=1e-8)
+    assert loop_runs == [2, 1, 1, 1, 1]
+    assert (again.iterations, again.residual) == (served.iterations, served.residual)
+    assert [m.tobytes() for m in again.profile] == [m.tobytes() for m in served.profile]
 
 
 # ---------------------------------------------------------------------------
