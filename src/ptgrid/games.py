@@ -566,6 +566,7 @@ def _fixed_point_loop(game, sets, profiles, step, tol, max_iter, temperature, te
     framed = [_framed_payoffs(game, i, sets[0][i].frame) for i in range(n)]
     alphas = [np.array([float(b[i].weighting.alpha) for b in sets]) for i in range(n)]
     row_alphas = [_row_alphas(a) for a in alphas]
+    eyes = [np.eye(a) for a in game.action_counts]  # hardened-step targets
     members = np.arange(len(sets))  # batch member of each row
     results = [None] * len(sets)
     with np.errstate(divide="ignore"):
@@ -604,10 +605,9 @@ def _fixed_point_loop(game, sets, profiles, step, tol, max_iter, temperature, te
                 row_alphas = [_row_alphas(a) for a in alphas]
             temp = temperature * temp_decay**iteration
             new_mixes = []
-            for v, top, m in zip(values, peaks, mixes):
+            for v, top, m, eye in zip(values, peaks, mixes, eyes):
                 if temp < temp_floor:
-                    target = np.zeros_like(m)
-                    target[np.arange(len(m)), v.argmax(axis=1)] = 1.0
+                    target = eye[v.argmax(axis=1)]
                 else:
                     spread = np.maximum(top - v.min(axis=1), 1e-12)
                     e = np.exp((v - top[:, None]) / (spread * temp)[:, None])
@@ -622,14 +622,24 @@ def _fixed_point_loop(game, sets, profiles, step, tol, max_iter, temperature, te
 
 
 def _simplex_grid(n_actions: int, grid: int) -> np.ndarray:
-    """All probability vectors over n_actions with entries k/grid."""
-    out = []
-    for comp in itertools.combinations_with_replacement(range(n_actions), grid):
-        v = np.zeros(n_actions)
-        for c in comp:
-            v[c] += 1.0
-        out.append(v / grid)
-    return np.array(out)
+    """All probability vectors over n_actions with entries k/grid, one per
+    row, with the count vectors in descending lexicographic order: the order
+    of itertools.combinations_with_replacement(range(n_actions), grid).
+
+    _local_minima compares each row with the next along a player's axis, so
+    this order is part of the oracle's result and must not change.
+
+    Built in closed form by stars and bars: the bar positions of
+    combinations(range(grid + n_actions - 1), n_actions - 1), reversed to
+    descending order, differenced into counts and divided by grid.
+    """
+    slots, k = grid + n_actions - 1, n_actions - 1
+    rows = math.comb(slots, k)
+    # one flat int stream, 2-3x faster than a (rows, k) subarray dtype
+    flat = itertools.chain.from_iterable(itertools.combinations(range(slots), k))
+    bars = np.fromiter(flat, dtype=np.intp, count=rows * k).reshape(rows, k)[::-1]
+    counts = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    return counts / grid
 
 
 def grid_enumeration_size(game: FiniteGame, grid: int) -> int:
@@ -663,9 +673,11 @@ def brute_force_equilibrium(
     among axis neighbors and within grid slack of the global minimum.
 
     Meant as an independent oracle for small games (<= 3 players, <= 3
-    actions); raises BudgetExceededError when the enumeration would exceed
-    `budget` profiles.
+    actions); raises ValueError when grid < 1 and BudgetExceededError when
+    the enumeration would exceed `budget` profiles.
     """
+    if grid < 1:
+        raise ValueError(f"grid must be a positive integer, got {grid}")
     if behaviors is None:
         behaviors = _eut_behaviors(game.n_players)
     check_grid_budget(game, grid, budget)

@@ -81,6 +81,12 @@ def test_solve_with_grid_oracle(capsys):
     assert "grid-oracle" in out
 
 
+def test_solve_grid_zero_runs_no_oracle(capsys):
+    assert run(["solve", str(example_game_path("matching_pennies")), "--grid", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "equilibrium" in out and "grid-oracle" not in out
+
+
 def test_solve_grid_over_budget_exits_2(capsys):
     assert run(["solve", str(example_game_path("matching_pennies")), "--grid", "10000"]) == 2
     captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -594,6 +595,16 @@ def test_batch_matches_single_solve_loop_at_max_iter():
     assert not any(r.converged for r in batch[:4])
 
 
+def test_batch_matches_single_solve_loop_in_hardened_phase_with_3_actions():
+    # the schedule's temperature falls below temp_floor after iteration 1057;
+    # from there each player's target is a row of its own 3x3 identity
+    game = FiniteGame(np.random.default_rng(15).uniform(-5.0, 5.0, size=(2, 3, 3)))
+    sets = [[PtProfile.weighting_only(a)] * 2 for a in (1.0, 0.65, 0.4, 0.2)]
+    batch = assert_same_as_reference(game, sets, max_iter=1200)
+    assert [r.iterations for r in batch] == [939, 939, 947, 1150]
+    assert all(r.converged for r in batch)
+
+
 def test_batch_members_leave_at_different_iterations():
     rng = np.random.default_rng(12)
     game = FiniteGame(rng.uniform(-5.0, 5.0, size=(2, 3, 3)))
@@ -696,6 +707,12 @@ def test_brute_force_dominance():
     )
 
 
+@pytest.mark.parametrize("grid", [0, -1])
+def test_brute_force_rejects_grid_below_one(grid):
+    with pytest.raises(ValueError, match="grid must be a positive integer"):
+        brute_force_equilibrium(MATCHING_PENNIES, grid=grid)
+
+
 def test_brute_force_budget():
     rng = np.random.default_rng(10)
     game = random_game(rng, 3)
@@ -727,10 +744,34 @@ def test_solver_vs_oracle_on_random_2x2():
             assert dist <= 0.02
 
 
+def enumerated_simplex_grid(n_actions, grid):
+    """The simplex grid built one unit at a time, in the order of
+    combinations_with_replacement: the oracle's row-order contract."""
+    out = []
+    for comp in itertools.combinations_with_replacement(range(n_actions), grid):
+        v = np.zeros(n_actions)
+        for c in comp:
+            v[c] += 1.0
+        out.append(v / grid)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "n_actions, grids",
+    [(a, range(1, 31)) for a in (2, 3, 4, 5)] + [(2, [200]), (3, [100])],
+)
+def test_simplex_grid_matches_enumeration(n_actions, grids):
+    for grid in grids:
+        built, expected = _simplex_grid(n_actions, grid), enumerated_simplex_grid(n_actions, grid)
+        assert built.shape == expected.shape and built.dtype == expected.dtype
+        assert np.array_equal(built, expected)
+        assert built.tobytes() == expected.tobytes()  # same bytes in the same row order
+
+
 def reference_oracle(game, behaviors, grid):
     """The oracle's search written as a plain loop: the residual of every
     grid profile, then the same local-minimum and slack filter."""
-    grids = [_simplex_grid(a, grid) for a in game.action_counts]
+    grids = [enumerated_simplex_grid(a, grid) for a in game.action_counts]
     residual = np.empty([g.shape[0] for g in grids])
     for idx in np.ndindex(*residual.shape):
         prof = MixedProfile([g[i] for g, i in zip(grids, idx)])
