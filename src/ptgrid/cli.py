@@ -32,6 +32,7 @@ from .games import (
     GameFormatError,
     brute_force_equilibrium,
     check_grid_budget,
+    check_solver_limits,
     load_game,
     solve_2x2,
     solve_fixed_point,
@@ -110,11 +111,16 @@ def _format_profile(profile) -> str:
 def cmd_solve(args) -> int:
     if args.grid < 0:
         raise ConfigError(f"--grid must be non-negative, got {args.grid}")
+    try:
+        check_solver_limits(args.tol, args.max_iter)
+        behavior = PtProfile.weighting_only(args.alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     game = load_game(args.game)
     if args.grid:
         # before any solve, so an oversized grid prints no equilibrium first
         check_grid_budget(game, args.grid)
-    behaviors = [PtProfile.weighting_only(args.alpha)] * game.n_players
+    behaviors = [behavior] * game.n_players
     if game.n_players == 2 and game.action_counts == (2, 2):
         results = solve_2x2(game, behaviors, tol=args.tol)
     else:
@@ -276,6 +282,10 @@ def cmd_dsm(args) -> int:
         cfg["tol"] = args.tol
     if args.max_iter is not None:
         cfg["max_iter"] = args.max_iter
+    try:
+        check_solver_limits(cfg["tol"], cfg["max_iter"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     profiles = _dsm_profiles(cfg, Path(config_path).parent)
     out = _out_dir(args)
     if args.figure == 8:

@@ -14,6 +14,7 @@ BudgetExceededError before anything is allocated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,12 @@ class DsmConfig:
             raise ValueError("offpeak_hours must lie in [0, 23]")
         if self.shift_span < 1:
             raise ValueError("shift_span must be at least 1")
-        if self.price_coeff < 0.0:
-            raise ValueError("price_coeff must be non-negative")
+        # written so that NaN fails
+        coeff, exponent = self.price_coeff, self.price_exponent
+        if not (math.isfinite(coeff) and coeff >= 0.0):
+            raise ValueError(f"price_coeff must be finite and non-negative, got {coeff!r}")
+        if not math.isfinite(exponent):
+            raise ValueError(f"price_exponent must be finite, got {exponent!r}")
         if self.alphas is not None and len(self.alphas) != self.n_consumers:
             raise ValueError("alphas must list one value per consumer")
 
@@ -171,7 +176,6 @@ def solve_dsm(
     config: DsmConfig,
     alphas=None,
     game: FiniteGame | None = None,
-    step: float = 0.1,
     tol: float = 1e-9,
     max_iter: int = 10000,
 ) -> EquilibriumResult:
@@ -180,9 +184,7 @@ def solve_dsm(
     if game is None:
         game = build_dsm_game(profiles, config)
     behaviors = config.behaviors() if alphas is None else _weighting_only(alphas)
-    return solve_fixed_point(
-        game, behaviors, step=step, tol=tol, max_iter=max_iter
-    )
+    return solve_fixed_point(game, behaviors, tol=tol, max_iter=max_iter)
 
 
 def _weighting_only(alphas) -> list:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsm import HOURS, DsmConfig, LoadProfile
+from .games import check_solver_limits
 from .prospects import PtProfile
 from .storage import StorageConsumer, StorageGridConfig
 
@@ -120,26 +121,24 @@ def load_storage_config(path) -> dict:
     selling_price, alphas, b_grid, rho_grid, ref_grid, gammas, frame_beta.
     """
     cfg = read_kv_config(path)
-    consumers = tuple(
-        StorageConsumer(
-            load=_get_float(cfg, f"load_{i}"),
-            surplus=_get_float(cfg, f"surplus_{i}"),
-            behavior=PtProfile.eut(),
-        )
-        for i in (1, 2)
-    )
     nominal = _get_float(cfg, "nominal_generation", 0.0) if "nominal_generation" in cfg else None
-    grid = StorageGridConfig(
-        passive_load=_get_float(cfg, "passive_load", 80.0),
-        nominal_generation=nominal,
-        penalty_coeff=_get_float(cfg, "penalty_coeff"),
-        company_price=_get_float(cfg, "company_price"),
-        selling_price=_get_float(cfg, "selling_price", 0.06),
-    )
     try:
         return {
-            "consumers": consumers,
-            "grid": grid,
+            "consumers": tuple(
+                StorageConsumer(
+                    load=_get_float(cfg, f"load_{i}"),
+                    surplus=_get_float(cfg, f"surplus_{i}"),
+                    behavior=PtProfile.eut(),
+                )
+                for i in (1, 2)
+            ),
+            "grid": StorageGridConfig(
+                passive_load=_get_float(cfg, "passive_load", 80.0),
+                nominal_generation=nominal,
+                penalty_coeff=_get_float(cfg, "penalty_coeff"),
+                company_price=_get_float(cfg, "company_price"),
+                selling_price=_get_float(cfg, "selling_price", 0.06),
+            ),
             "alphas": parse_float_list(cfg.get("alphas", "0.25,0.65")).tolist(),
             "b_grid": parse_grid(cfg.get("b_grid", "0.03:0.09:25")),
             "rho_grid": parse_grid(cfg.get("rho_grid", "0.10:0.20:21")),
@@ -182,6 +181,8 @@ def load_dsm_config(path) -> dict:
             offpeak_hours=parse_int_list(cfg.get("offpeak_hours", "1,2,3,4,5")),
             alphas=alphas,
         )
+        tol, max_iter = _get_float(cfg, "tol", 1e-9), _get_int(cfg, "max_iter", 10000)
+        check_solver_limits(tol, max_iter)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return {
@@ -194,8 +195,8 @@ def load_dsm_config(path) -> dict:
         ),
         "alpha_grid": parse_grid(cfg.get("alpha_grid", "0.05:1.0:20")),
         "hour": _get_int(cfg, "hour", 19),
-        "tol": _get_float(cfg, "tol", 1e-9),
-        "max_iter": _get_int(cfg, "max_iter", 10000),
+        "tol": tol,
+        "max_iter": max_iter,
         "raw": cfg,
     }
 

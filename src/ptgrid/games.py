@@ -16,29 +16,37 @@ are applied as they are, without renormalization. One private kernel
 validates its inputs and calls it, and through pure_action_values the
 utilities, the residual certificate and the grid oracle use it; the 2x2
 solver certifies its candidates with it; the fixed-point solver takes its
-first iteration through it, which checks the start and the behaviors once
-per solve, and calls the kernel directly for the rest.
+first iteration through it, which checks the behaviors once per solve, and
+calls the kernel directly for the rest.
 
 Each game frames a player's payoffs once per (player, frame) and keeps the
 result, own action axis first and flattened to (A_i, prod A_-i), in a private
 read-only memo that lives and dies with the game; a value call then does only
 the per-call work of weighting the opponents' mixes and one mat-vec.
 
-The fixed-point solver runs a batch of behavior sets on one game in a single
-loop (solve_fixed_point_batch; solve_fixed_point is a batch of one). Each
+The fixed-point solver follows one stated rule, so that "the equilibrium"
+of a game and a behavior set is always the same profile: every solve starts
+from the uniform profile, and each iteration moves every player's mix a
+fraction _STEP = 0.1 toward a softmax of its perceived action values at
+temperature _TEMPERATURE * _TEMP_DECAY**t (0.2 * 0.995**t). From iteration
+1058, the first where that temperature falls below _TEMP_FLOOR = 1e-3, the
+target is the argmax, lowest index on ties. The solve stops at the first
+iteration whose residual reaches tol, or at max_iter.
+
+The solver runs a batch of behavior sets on one game in a single loop
+(solve_fixed_point_batch; solve_fixed_point is a batch of one). Each
 player's mixes are (K, A_i) arrays and each player has one Prelec alpha per
 row, so every iteration makes one value call per player for all members
 still running. A member leaves the batch at the iteration where its residual
 reaches tol or where max_iter is hit, and its result is exactly the one a
-solve of that member alone returns, bit for bit. Equal default-start
-members are solved once. Inside a _prefetched_solves block, which runs its
-behavior sets as one batch, solve_fixed_point on that game returns the
-batch's result for a matching default-start solve instead of iterating; the
-DSM sweeps read each point through solve_dsm this way.
+solve of that member alone returns, bit for bit. Equal behavior sets are
+solved once. Inside a _prefetched_solves block, which runs its behavior sets
+as one batch, solve_fixed_point on that game returns the batch's result for
+a matching solve instead of iterating; the DSM sweeps read each point
+through solve_dsm this way.
 """
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from contextlib import contextmanager
@@ -427,140 +435,95 @@ def _indifference_prob(game, player, behavior):
 # n-player damped fixed-point solver
 
 
-def solve_fixed_point(
-    game: FiniteGame,
-    behaviors=None,
-    init: MixedProfile | None = None,
-    step: float = 0.1,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
-    temperature: float = 0.2,
-    temp_decay: float = 0.995,
-    temp_floor: float = 1e-3,
-) -> EquilibriumResult:
-    """Damped best-response iteration: every player's mix moves a fraction
-    `step` toward a smoothed best response each round.
+# the damped loop's one schedule, stated in the module docstring
+_STEP = 0.1
+_TEMPERATURE = 0.2
+_TEMP_DECAY = 0.995
+_TEMP_FLOOR = 1e-3
 
-    The smoothing is a softmax over perceived action values whose temperature
-    follows a fixed geometric schedule; once it falls below temp_floor the
-    target hardens to the argmax (lowest index on ties). Stops as soon as the
+
+def solve_fixed_point(
+    game: FiniteGame, behaviors=None, tol: float = 1e-9, max_iter: int = 10000
+) -> EquilibriumResult:
+    """Damped best-response iteration from the uniform profile on the one
+    schedule the module docstring states. Stops as soon as the
     unilateral-improvement residual drops to tol; the result always carries
     the final residual, and non-convergence is reported, not raised.
 
     Runs solve_fixed_point_batch on a batch of one. Inside a
-    _prefetched_solves block on the game, a default-start solve that the
-    block ran already returns the block's result without iterating.
+    _prefetched_solves block on the game, a solve that the block ran already
+    returns the block's result without iterating.
     """
     if behaviors is None:
         behaviors = _eut_behaviors(game.n_players)
-    if init is None and game._prefetched:
-        key = _solve_key(behaviors, (step, tol, max_iter, temperature, temp_decay, temp_floor))
-        hit = game._prefetched.get(key)
-        if hit is not None:
-            return hit
-    return solve_fixed_point_batch(
-        game, [behaviors], [init], step=step, tol=tol, max_iter=max_iter,
-        temperature=temperature, temp_decay=temp_decay, temp_floor=temp_floor,
-    )[0]
+    hit = game._prefetched.get(_solve_key(behaviors, tol, max_iter))
+    if hit is not None:
+        return hit
+    return solve_fixed_point_batch(game, [behaviors], tol, max_iter)[0]
 
 
 def solve_fixed_point_batch(
-    game: FiniteGame,
-    behavior_sets,
-    inits=None,
-    step: float = 0.1,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
-    temperature: float = 0.2,
-    temp_decay: float = 0.995,
-    temp_floor: float = 1e-3,
+    game: FiniteGame, behavior_sets, tol: float = 1e-9, max_iter: int = 10000
 ) -> list:
     """solve_fixed_point for K behavior sets on one game in one loop: one
     result per set, in order, each bit-identical to a solve of that set alone.
 
-    `inits` is None or one start profile (None for uniform) per set. Every
-    set must give each player the same frame, since the framed payoffs are
-    shared; the Prelec alphas may differ per set and per player. Each
+    Every set must give each player the same frame, since the framed payoffs
+    are shared; the Prelec alphas may differ per set and per player. Each
     iteration makes one value call per player for all members still running.
     A member whose residual reaches tol, or which reaches max_iter, is
-    recorded at that iteration and leaves the batch. Equal behavior sets
-    with the default start are solved once and share one result.
+    recorded at that iteration and leaves the batch. Equal behavior sets are
+    solved once and share one result.
     """
-    if not (0.0 < step <= 1.0):
-        raise ValueError("step must be in (0, 1]")
+    check_solver_limits(tol, max_iter)
     n = game.n_players
-    sets = [list(b) for b in behavior_sets]
+    sets = [tuple(b) for b in behavior_sets]
     if not sets:
         raise ValueError("a batch needs at least one behavior set")
     if any(len(b) != n for b in sets):
         raise ValueError(f"every behavior set needs {n} profiles, one per player")
-    if inits is None:
-        inits = [None] * len(sets)
-    if len(inits) != len(sets):
-        raise ValueError("inits must give one start profile per behavior set")
-    profiles = [MixedProfile.uniform(game) if p is None else p for p in inits]
-    for p in profiles:
-        _check_profile(game, p)
-
-    params = (step, tol, max_iter, temperature, temp_decay, temp_floor)
-    run = []  # members that enter the loop
-    source = []  # per member, its index in run
-    first = {}  # _solve_key -> index in run
-    for k, init in enumerate(inits):
-        key = _solve_key(sets[k], params) if init is None else None
-        if key in first:
-            source.append(first[key])
-            continue
-        if key is not None:
-            first[key] = len(run)
-        source.append(len(run))
-        run.append(k)
-    solved = _fixed_point_loop(
-        game, [sets[k] for k in run], [profiles[k] for k in run], *params
-    )
+    first = {}  # distinct behavior set -> its index in the loop, in order
+    source = [first.setdefault(b, len(first)) for b in sets]
+    solved = _fixed_point_loop(game, list(first), tol, max_iter)
     return [solved[j] for j in source]
 
 
-def _solve_key(behaviors, params) -> tuple:
-    """Identity of a default-start solve: the behavior set and the loop
-    parameters."""
-    return tuple(behaviors), tuple(params)
+def check_solver_limits(tol: float, max_iter: int) -> None:
+    """Raise ValueError for a negative or NaN tol and a negative max_iter."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
+
+
+def _solve_key(behaviors, tol, max_iter) -> tuple:
+    """Identity of a solve: the behavior set, tol and max_iter."""
+    return tuple(behaviors), tol, max_iter
 
 
 @contextmanager
-def _prefetched_solves(game: FiniteGame, behavior_sets, **kwargs):
-    """Run the default-start solves of behavior_sets as one batch and, until
-    the block ends, let solve_fixed_point on this game return their results;
-    kwargs go to solve_fixed_point_batch. Blocks on one game do not nest."""
+def _prefetched_solves(game: FiniteGame, behavior_sets, tol: float = 1e-9, max_iter: int = 10000):
+    """Run the solves of behavior_sets as one batch and, until the block
+    ends, let solve_fixed_point on this game with the same tol and max_iter
+    return their results. Blocks on one game do not nest."""
     sets = [list(b) for b in behavior_sets]
-    results = solve_fixed_point_batch(game, sets, None, **kwargs)
-    params = _loop_params(kwargs)
+    results = solve_fixed_point_batch(game, sets, tol, max_iter)
     for behaviors, result in zip(sets, results):
-        game._prefetched[_solve_key(behaviors, params)] = result
+        game._prefetched[_solve_key(behaviors, tol, max_iter)] = result
     try:
         yield
     finally:
         game._prefetched.clear()
 
 
-def _loop_params(kwargs) -> tuple:
-    """The loop parameters of a solve_fixed_point_batch call, defaults filled
-    in, in _solve_key order."""
-    bound = inspect.signature(solve_fixed_point_batch).bind_partial(**kwargs)
-    bound.apply_defaults()
-    names = ("step", "tol", "max_iter", "temperature", "temp_decay", "temp_floor")
-    return tuple(bound.arguments[name] for name in names)
-
-
-def _fixed_point_loop(game, sets, profiles, step, tol, max_iter, temperature, temp_decay,
-                      temp_floor) -> list:
+def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     """The damped fixed-point loop of solve_fixed_point_batch on checked
-    behavior sets and start profiles."""
+    behavior sets, every member from the uniform profile."""
     n = game.n_players
-    mixes = [np.array([p[i] for p in profiles], dtype=float) for i in range(n)]
-    # iteration 0 goes through pure_action_values, which checks the start and
-    # the behaviors (one frame per player) once; the kernel takes the rest,
-    # whose mixes are convex combinations of checked ones
+    mixes = [np.full((len(sets), a), 1.0 / a) for a in game.action_counts]
+    # iteration 0 goes through pure_action_values, which checks the behaviors
+    # (one frame per player) once; the kernel takes the rest, whose mixes are
+    # convex combinations of checked ones
     per_row = [[b[i] for b in sets] for i in range(n)]
     values = [pure_action_values(game, i, mixes, per_row) for i in range(n)]
     framed = [_framed_payoffs(game, i, sets[0][i].frame) for i in range(n)]
@@ -603,16 +566,16 @@ def _fixed_point_loop(game, sets, profiles, step, tol, max_iter, temperature, te
                 peaks = [top[keep] for top in peaks]
                 alphas = [a[keep] for a in alphas]
                 row_alphas = [_row_alphas(a) for a in alphas]
-            temp = temperature * temp_decay**iteration
+            temp = _TEMPERATURE * _TEMP_DECAY**iteration
             new_mixes = []
             for v, top, m, eye in zip(values, peaks, mixes, eyes):
-                if temp < temp_floor:
+                if temp < _TEMP_FLOOR:
                     target = eye[v.argmax(axis=1)]
                 else:
                     spread = np.maximum(top - v.min(axis=1), 1e-12)
                     e = np.exp((v - top[:, None]) / (spread * temp)[:, None])
                     target = e / e.sum(axis=1, keepdims=True)
-                new_mixes.append((1.0 - step) * m + step * target)
+                new_mixes.append((1.0 - _STEP) * m + _STEP * target)
             mixes = new_mixes
     raise AssertionError("unreachable")
 

@@ -7,6 +7,7 @@ Action convention: 0 = charge (buy), 1 = discharge (sell).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,12 +52,18 @@ class StorageGridConfig:
     penalty_split: tuple = (0.5, 0.5)
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
+        if not math.isfinite(self.passive_load):
+            raise ValueError(f"passive_load must be finite, got {self.passive_load!r}")
         for name in ("penalty_coeff", "company_price", "selling_price"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.nominal_generation is not None and self.nominal_generation <= 0.0:
-            raise ValueError("nominal_generation must be positive")
-        if len(self.penalty_split) != 2 or abs(sum(self.penalty_split) - 1.0) > 1e-9:
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
+        g = self.nominal_generation
+        if g is not None and not (math.isfinite(g) and g > 0.0):
+            raise ValueError(f"nominal_generation must be finite and positive, got {g!r}")
+        split = self.penalty_split
+        if not (len(split) == 2 and abs(sum(split) - 1.0) <= 1e-9):
             raise ValueError("penalty_split must be two shares summing to 1")
 
     def setpoint(self, consumers) -> float:

@@ -7,6 +7,7 @@ from ptgrid.cli import main
 from ptgrid.fixtures import example_game_path
 from ptgrid.dsm import synth_profile
 from ptgrid.formats import read_csv, read_manifest, read_profiles_csv
+from ptgrid.games import FiniteGame, save_game
 
 
 def run(args):
@@ -102,6 +103,26 @@ def test_solve_negative_grid_exits_2(capsys):
     assert "Traceback" not in err
 
 
+def assert_input_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert all(w in err for w in words)
+
+
+@pytest.mark.parametrize("flags", [["--max-iter", "-1"], ["--tol", "nan"], ["--tol", "-1"]])
+def test_solve_bad_solver_limits_exit_2(tmp_path, capsys, flags):
+    path = tmp_path / "g3.game"
+    save_game(FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2))), path)
+    assert run(["solve", str(path), *flags]) == 2
+    assert_input_error(capsys, flags[0].lstrip("-").replace("-", "_"))
+
+
+@pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "nan"])
+def test_solve_alpha_outside_unit_interval_exits_2(capsys, alpha):
+    assert run(["solve", str(example_game_path("matching_pennies")), "--alpha", alpha]) == 2
+    assert_input_error(capsys, "alpha")
+
+
 def test_solve_missing_file_exits_2(capsys):
     assert run(["solve", "no_such.game"]) == 2
     assert "error" in capsys.readouterr().err
@@ -183,6 +204,31 @@ def test_storage_bad_config_exits_2(tmp_path, capsys):
     cfg.write_text("load_1 = x\n")
     assert run(["storage", "--config", str(cfg), "--figure", "4"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("penalty_coeff", "-1"), ("load_1", "-3")])
+def test_storage_out_of_range_config_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "load_1 = 20\nsurplus_1 = 10\nload_2 = 15\nsurplus_2 = 5\n"
+        "penalty_coeff = 0.012\ncompany_price = 0.145\n".replace(f"{key} = ", f"{key} = {value} #")
+    )
+    assert run(["storage", "--config", str(cfg), "--figure", "4", "--out", str(tmp_path)]) == 2
+    assert_input_error(capsys, key.split("_")[0])
+
+
+@pytest.mark.parametrize("flags", [["--max-iter", "-1"], ["--tol", "nan"]])
+def test_dsm_bad_solver_limits_exit_2(tmp_path, capsys, flags):
+    assert run(["dsm", "--figure", "8", *flags, "--out", str(tmp_path)]) == 2
+    assert_input_error(capsys, flags[0].lstrip("-").replace("-", "_"))
+
+
+@pytest.mark.parametrize("line", ["max_iter = -1", "tol = nan", "price_coeff = nan"])
+def test_dsm_bad_config_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(f"n_consumers = 3\nseed = 5\n{line}\n")
+    assert run(["dsm", "--config", str(cfg), "--figure", "8", "--out", str(tmp_path)]) == 2
+    assert_input_error(capsys, line.split()[0])
 
 
 def test_dsm_fig8_fixture_and_reproducibility(tmp_path):

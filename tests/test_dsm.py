@@ -53,6 +53,12 @@ def test_config_validation():
         DsmConfig(shift_span=0)
     with pytest.raises(ValueError):
         DsmConfig(n_consumers=3, alphas=(0.5, 0.5))
+    for bad in (float("nan"), float("inf"), -0.01):
+        with pytest.raises(ValueError, match="price_coeff"):
+            DsmConfig(price_coeff=bad)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="price_exponent"):
+            DsmConfig(price_exponent=bad)
     assert TOY.n_actions == 3
     assert TOY.opt_out_action == 2
 

@@ -16,6 +16,11 @@ from ptgrid.formats import (
     write_profiles_csv,
 )
 
+STORAGE_CFG = (
+    "load_1 = 20\nsurplus_1 = 10\nload_2 = 15\nsurplus_2 = 5\n"
+    "penalty_coeff = 0.012\ncompany_price = 0.145\n"
+)
+
 
 def test_kv_parsing(tmp_path):
     cfg = tmp_path / "a.cfg"
@@ -83,6 +88,19 @@ def test_dsm_config_bad_values(tmp_path):
     cfg.write_text("start_window = 18,26\n")
     with pytest.raises(ConfigError):
         load_dsm_config(cfg)
+    for line in ("max_iter = -1", "tol = -1e-9", "tol = nan", "price_coeff = nan",
+                 "price_exponent = inf"):
+        cfg.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            load_dsm_config(cfg)
+
+
+@pytest.mark.parametrize("key, value", [("penalty_coeff", "-1"), ("load_1", "-3")])
+def test_storage_config_out_of_range_value(tmp_path, key, value):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(STORAGE_CFG.replace(f"{key} = ", f"{key} = {value}  # "))
+    with pytest.raises(ConfigError, match=key.split("_")[0]):
+        load_storage_config(cfg)
 
 
 def test_profiles_csv_round_trip(tmp_path):

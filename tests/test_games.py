@@ -441,16 +441,8 @@ def test_solve_2x2_extreme_gap_ratio():
 # fixed-point solver
 
 
-def test_fixed_point_already_at_pure_equilibrium():
-    init = MixedProfile.pure(PRISONERS_DILEMMA, (1, 1))
-    res = solve_fixed_point(PRISONERS_DILEMMA, init=init)
-    assert res.converged
-    assert res.iterations == 0
-    assert res.residual == 0.0
-
-
 def test_fixed_point_matching_pennies_stays_uniform():
-    res = solve_fixed_point(MATCHING_PENNIES, init=MixedProfile.uniform(MATCHING_PENNIES))
+    res = solve_fixed_point(MATCHING_PENNIES)
     assert res.converged
     assert res.iterations == 0
     np.testing.assert_allclose(res.profile[0], [0.5, 0.5], atol=1e-12)
@@ -465,14 +457,8 @@ def test_fixed_point_finds_dominant_equilibrium():
 
 
 def test_fixed_point_reports_nonconvergence_honestly():
-    res = solve_fixed_point(MATCHING_PENNIES, max_iter=3, tol=1e-12)
-    # from uniform the residual is zero; force a hard start instead
-    res = solve_fixed_point(
-        MATCHING_PENNIES,
-        init=MixedProfile([[0.9, 0.1], [0.2, 0.8]]),
-        max_iter=3,
-        tol=1e-12,
-    )
+    # from uniform, matching pennies is solved at once; the dilemma is not
+    res = solve_fixed_point(PRISONERS_DILEMMA, max_iter=3, tol=1e-12)
     assert not res.converged
     assert res.iterations == 3
     assert res.residual > 1e-12
@@ -517,11 +503,11 @@ def single_solve_values(game, player, mixes, behaviors):
     return (_framed_payoffs(game, player, b.frame) @ w[..., None])[..., 0]
 
 
-def reference_solve(game, behaviors, init=None, step=0.1, tol=1e-9, max_iter=10000,
+def reference_solve(game, behaviors, step=0.1, tol=1e-9, max_iter=10000,
                     temperature=0.2, temp_decay=0.995, temp_floor=1e-3):
     """The single-solve loop as it stood before batching: Python-float
-    residuals and one 1-D mix per player."""
-    mixes = list(init if init is not None else MixedProfile.uniform(game))
+    residuals and one 1-D mix per player, from the uniform profile."""
+    mixes = list(MixedProfile.uniform(game))
     for iteration in range(max_iter + 1):
         values = [single_solve_values(game, i, mixes, behaviors) for i in range(game.n_players)]
         peaks = [v.max() for v in values]
@@ -542,15 +528,14 @@ def reference_solve(game, behaviors, init=None, step=0.1, tol=1e-9, max_iter=100
         mixes = new_mixes
 
 
-def assert_same_as_reference(game, behavior_sets, inits=None, alone=True, **kw):
+def assert_same_as_reference(game, behavior_sets, alone=True, **kw):
     """Each member of one batched solve (and, with `alone`, the same member
     solved by itself) carries the reference loop's iterations, residual,
     converged flag and profile bytes."""
-    inits = inits or [None] * len(behavior_sets)
-    batch = solve_fixed_point_batch(game, behavior_sets, inits, **kw)
-    for behaviors, init, res in zip(behavior_sets, inits, batch):
-        iterations, residual, converged, mixes = reference_solve(game, behaviors, init, **kw)
-        single = [solve_fixed_point(game, behaviors, init, **kw)] if alone else []
+    batch = solve_fixed_point_batch(game, behavior_sets, **kw)
+    for behaviors, res in zip(behavior_sets, batch):
+        iterations, residual, converged, mixes = reference_solve(game, behaviors, **kw)
+        single = [solve_fixed_point(game, behaviors, **kw)] if alone else []
         for r in [res] + single:
             assert (r.iterations, r.residual, r.converged) == (iterations, residual, converged)
             assert [m.tobytes() for m in r.profile] == [m.tobytes() for m in mixes]
@@ -608,16 +593,8 @@ def test_batch_matches_single_solve_loop_in_hardened_phase_with_3_actions():
 def test_batch_members_leave_at_different_iterations():
     rng = np.random.default_rng(12)
     game = FiniteGame(rng.uniform(-5.0, 5.0, size=(2, 3, 3)))
-    behavioral = PtProfile(PrelecWeighting(0.65), FRAMES[1])
-    pure = next(
-        MixedProfile.pure(game, joint)
-        for joint in np.ndindex(*game.action_counts)
-        if equilibrium_residual(game, MixedProfile.pure(game, joint), [behavioral] * 2) == 0.0
-    )
-    sets = [[PtProfile(PrelecWeighting(a), FRAMES[1])] * 2 for a in (0.65, 1.0, 0.5, 0.2)]
-    inits = [pure, None, random_profile(rng, game), None]
-    batch = assert_same_as_reference(game, sets, inits)
-    assert batch[0].iterations == 0
+    sets = [[PtProfile(PrelecWeighting(a), FRAMES[1])] * 2 for a in (0.65, 1.0, 0.5, 0.2, 0.1)]
+    batch = assert_same_as_reference(game, sets)
     assert len({r.iterations for r in batch}) == 4
 
 
@@ -629,6 +606,9 @@ def test_batch_rejects_frames_that_differ():
         solve_fixed_point_batch(MATCHING_PENNIES, [[PtProfile.eut()]])
     with pytest.raises(ValueError):
         solve_fixed_point_batch(MATCHING_PENNIES, [])
+    for name, bad in (("max_iter", -1), ("tol", -1e-9), ("tol", float("nan"))):
+        with pytest.raises(ValueError, match=name):
+            solve_fixed_point_batch(MATCHING_PENNIES, [eut_behaviors(2)], **{name: bad})
 
 
 def test_pure_action_values_takes_one_behavior_per_row():
@@ -653,17 +633,13 @@ def test_pure_action_values_takes_one_behavior_per_row():
         pure_action_values(game, 0, mixes, [rows[:3] + [PtProfile.eut()]] * 3)
 
 
-def test_batch_solves_equal_default_start_sets_once(loop_runs):
+def test_batch_solves_equal_sets_once(loop_runs):
     a, b = [PtProfile.weighting_only(0.6)] * 2, [PtProfile.weighting_only(1.0)] * 2
-    init = MixedProfile([[0.3, 0.7], [0.6, 0.4]])
-    batch = solve_fixed_point_batch(
-        MATCHING_PENNIES, [a, b, list(a), a, b], [None, None, None, init, None]
-    )
-    assert loop_runs == [3]  # a, b, and a from its own start
-    assert batch[2] is batch[0] and batch[4] is batch[1]
-    assert batch[3] is not batch[0]
-    for behaviors, init, res in zip([a, b, a], [None, None, init], [batch[0], batch[1], batch[3]]):
-        alone = solve_fixed_point(MATCHING_PENNIES, behaviors, init)
+    batch = solve_fixed_point_batch(MATCHING_PENNIES, [a, b, list(a), a, b])
+    assert loop_runs == [2]  # a and b
+    assert batch[2] is batch[0] and batch[3] is batch[0] and batch[4] is batch[1]
+    for behaviors, res in zip([a, b], batch):
+        alone = solve_fixed_point(MATCHING_PENNIES, behaviors)
         assert (alone.iterations, alone.residual) == (res.iterations, res.residual)
         assert [m.tobytes() for m in alone.profile] == [m.tobytes() for m in res.profile]
 
@@ -676,13 +652,12 @@ def test_prefetched_solves_serve_matching_default_start_solves_in_the_block(loop
         served = solve_fixed_point(game, [PtProfile.weighting_only(0.5)] * 2, tol=1e-8)
         assert solve_fixed_point(game, sets[1], tol=1e-8) is served
         assert loop_runs == [2]
-        # another tolerance, start or step is another solve
+        # another tolerance or iteration cap is another solve
         assert solve_fixed_point(game, sets[1], tol=1e-9) is not served
-        assert solve_fixed_point(game, sets[1], MixedProfile.uniform(game), tol=1e-8) is not served
-        assert solve_fixed_point(game, sets[1], step=0.2, tol=1e-8) is not served
-        assert loop_runs == [2, 1, 1, 1]
+        assert solve_fixed_point(game, sets[1], tol=1e-8, max_iter=500) is not served
+        assert loop_runs == [2, 1, 1]
     again = solve_fixed_point(game, sets[1], tol=1e-8)
-    assert loop_runs == [2, 1, 1, 1, 1]
+    assert loop_runs == [2, 1, 1, 1]
     assert (again.iterations, again.residual) == (served.iterations, served.residual)
     assert [m.tobytes() for m in again.profile] == [m.tobytes() for m in served.profile]
 

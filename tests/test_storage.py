@@ -136,6 +136,14 @@ def test_consumer_validation():
         StorageConsumer(load=1.0, surplus=float("nan"))
     with pytest.raises(ValueError):
         StorageGridConfig(penalty_coeff=-0.1)
+    nan = float("nan")
+    for name in ("passive_load", "penalty_coeff", "company_price", "selling_price",
+                 "nominal_generation"):
+        for bad in (nan, float("inf")):
+            with pytest.raises(ValueError, match=name):
+                StorageGridConfig(**{name: bad})
+    with pytest.raises(ValueError, match="penalty_split"):
+        StorageGridConfig(penalty_split=(nan, 0.5))
     with pytest.raises(ValueError):
         build_storage_game(CONSUMERS[:1], GRID)
 
