@@ -84,6 +84,8 @@ class DsmConfig:
             raise ValueError("start_window must be non-empty")
         if any(not (0 <= h < HOURS) for h in self.start_window):
             raise ValueError("start_window hours must lie in [0, 23]")
+        if not self.offpeak_hours:
+            raise ValueError("offpeak_hours must be non-empty")
         if any(not (0 <= h < HOURS) for h in self.offpeak_hours):
             raise ValueError("offpeak_hours must lie in [0, 23]")
         if self.shift_span < 1:
@@ -94,8 +96,11 @@ class DsmConfig:
             raise ValueError(f"price_coeff must be finite and non-negative, got {coeff!r}")
         if not math.isfinite(exponent):
             raise ValueError(f"price_exponent must be finite, got {exponent!r}")
-        if self.alphas is not None and len(self.alphas) != self.n_consumers:
-            raise ValueError("alphas must list one value per consumer")
+        if self.alphas is not None:
+            if len(self.alphas) != self.n_consumers:
+                raise ValueError("alphas must list one value per consumer")
+            if not all(0.0 < a <= 1.0 for a in self.alphas):
+                raise ValueError(f"alphas must lie in (0, 1], got {self.alphas!r}")
 
     @property
     def n_actions(self) -> int:

@@ -163,7 +163,10 @@ def load_dsm_config(path) -> dict:
     Keys: n_consumers, seed, profiles_csv (optional; overrides the synthetic
     generator), flexible_low/flexible_high, start_window, include_opt_out,
     price_coeff, price_exponent, shift_span, offpeak_hours, alphas,
-    alpha_grid, hour, tol, max_iter.
+    alpha_grid, hour, tol, max_iter. Raises ConfigError for a value out of
+    its range: alphas and alpha_grid in (0, 1], hour in [0, 23],
+    0 <= flexible_low <= flexible_high <= 1, and the DsmConfig and solver
+    limits.
     """
     cfg = read_kv_config(path)
     n = _get_int(cfg, "n_consumers", 6)
@@ -185,16 +188,26 @@ def load_dsm_config(path) -> dict:
         check_solver_limits(tol, max_iter)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    low, high = _get_float(cfg, "flexible_low", 0.7), _get_float(cfg, "flexible_high", 0.95)
+    # written so that NaN fails
+    if not (0.0 <= low <= high <= 1.0):
+        raise ConfigError(
+            "flexible_low and flexible_high must satisfy 0 <= flexible_low <= "
+            f"flexible_high <= 1, got {low!r} and {high!r}"
+        )
+    alpha_grid = parse_grid(cfg.get("alpha_grid", "0.05:1.0:20"))
+    if not np.all((alpha_grid > 0.0) & (alpha_grid <= 1.0)):
+        raise ConfigError(f"alpha_grid values must lie in (0, 1], got {alpha_grid.tolist()!r}")
+    hour = _get_int(cfg, "hour", 19)
+    if not 0 <= hour < HOURS:
+        raise ConfigError(f"hour must lie in [0, 23], got {hour}")
     return {
         "config": config,
         "seed": _get_int(cfg, "seed", 42),
         "profiles_csv": cfg.get("profiles_csv"),
-        "flexible_range": (
-            _get_float(cfg, "flexible_low", 0.7),
-            _get_float(cfg, "flexible_high", 0.95),
-        ),
-        "alpha_grid": parse_grid(cfg.get("alpha_grid", "0.05:1.0:20")),
-        "hour": _get_int(cfg, "hour", 19),
+        "flexible_range": (low, high),
+        "alpha_grid": alpha_grid,
+        "hour": hour,
         "tol": tol,
         "max_iter": max_iter,
         "raw": cfg,

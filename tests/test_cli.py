@@ -223,7 +223,19 @@ def test_dsm_bad_solver_limits_exit_2(tmp_path, capsys, flags):
     assert_input_error(capsys, flags[0].lstrip("-").replace("-", "_"))
 
 
-@pytest.mark.parametrize("line", ["max_iter = -1", "tol = nan", "price_coeff = nan"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "max_iter = -1",
+        "tol = nan",
+        "price_coeff = nan",
+        "offpeak_hours =",
+        "alphas = nan,0.5,0.5",
+        "alpha_grid = 0:1:3",
+        "hour = 30",
+        "flexible_low = 1.5",
+    ],
+)
 def test_dsm_bad_config_value_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "d.cfg"
     cfg.write_text(f"n_consumers = 3\nseed = 5\n{line}\n")

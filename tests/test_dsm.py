@@ -15,7 +15,10 @@ from ptgrid.dsm import (
     shifted_load,
     solve_dsm,
     synth_profile,
+    _solve_points,
 )
+from ptgrid.fixtures import dsm_config_path, dsm_profiles_path
+from ptgrid.formats import load_dsm_config, read_profiles_csv
 from ptgrid.games import (
     BudgetExceededError,
     MixedProfile,
@@ -53,6 +56,11 @@ def test_config_validation():
         DsmConfig(shift_span=0)
     with pytest.raises(ValueError):
         DsmConfig(n_consumers=3, alphas=(0.5, 0.5))
+    with pytest.raises(ValueError, match="offpeak_hours must be non-empty"):
+        DsmConfig(offpeak_hours=())
+    for bad in (float("nan"), 0.0, 1.5):
+        with pytest.raises(ValueError, match="alphas"):
+            DsmConfig(n_consumers=3, alphas=(0.5, bad, 0.5))
     for bad in (float("nan"), float("inf"), -0.01):
         with pytest.raises(ValueError, match="price_coeff"):
             DsmConfig(price_coeff=bad)
@@ -223,9 +231,6 @@ def test_synth_profile_determinism_and_shape():
 
 
 def test_synth_profile_matches_frozen_golden_file():
-    from ptgrid.fixtures import dsm_profiles_path
-    from ptgrid.formats import read_profiles_csv
-
     frozen = read_profiles_csv(dsm_profiles_path())
     fresh = synth_profile(42, 6)
     assert len(frozen) == 6
@@ -329,6 +334,85 @@ def test_sweep_reads_each_point_through_solve_dsm_after_one_loop(sweep, loop_run
         hourly_load_report(profiles, FIXTURE)
         assert loop_runs == [2]
         assert solves == [[1.0] * 6, None]
+
+
+# The equilibrium each fig 8 and fig 9 point selects under the bundled DSM
+# config: per solve, each consumer's argmax action, the iteration count and
+# the converged flag. fig 8 is (EUT, config.alphas); fig 9 is EUT and then
+# the alpha_grid. Seed 42 is the bundled profile CSV, the others synthetic
+# profiles, as `ptgrid dsm --figure 8/9 [--seed S]` reads them. Every change
+# to arithmetic or selection is measured against these.
+SELECTED = {
+    42: {
+        "fig8": [("003303", 589, True), ("000333", 1202, True)],
+        "fig9": [
+            ("003303", 589, True), ("033303", 1205, True), ("030303", 1259, True),
+            ("000303", 1162, True), ("003303", 1282, True), ("003303", 1139, True),
+            ("003303", 949, True), ("003303", 765, True), ("003303", 618, True),
+            ("003303", 541, True), ("003303", 580, True), ("003303", 586, True),
+            ("003303", 588, True), ("003303", 589, True), ("003303", 589, True),
+            ("003303", 589, True), ("003303", 589, True), ("003303", 589, True),
+            ("003303", 589, True), ("003303", 589, True), ("003303", 589, True),
+        ],
+    },
+    7: {
+        "fig8": [("330030", 592, True), ("003333", 613, True)],
+        "fig9": [
+            ("330030", 592, True), ("333333", 504, True), ("333333", 512, True),
+            ("333333", 528, True), ("333333", 571, True), ("333033", 944, True),
+            ("333030", 807, True), ("330030", 813, True), ("330030", 623, True),
+            ("330030", 545, True), ("330030", 583, True), ("330030", 590, True),
+            ("330030", 591, True), ("330030", 592, True), ("330030", 592, True),
+            ("330030", 592, True), ("330030", 592, True), ("330030", 592, True),
+            ("330030", 592, True), ("330030", 592, True), ("330030", 592, True),
+        ],
+    },
+    11: {
+        "fig8": [("330003", 590, True), ("003033", 961, True)],
+        "fig9": [
+            ("330003", 590, True), ("333033", 884, True), ("333033", 1027, True),
+            ("333003", 1033, True), ("333003", 1091, True), ("333000", 923, True),
+            ("333000", 765, True), ("330003", 714, True), ("330003", 570, True),
+            ("330003", 548, True), ("330003", 581, True), ("330003", 588, True),
+            ("330003", 589, True), ("330003", 590, True), ("330003", 590, True),
+            ("330003", 590, True), ("330003", 590, True), ("330003", 590, True),
+            ("330003", 590, True), ("330003", 590, True), ("330003", 590, True),
+        ],
+    },
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SELECTED))
+def figure_solves(request):
+    """(seed, fig 8 results, fig 9 results): the solves of hourly_load_report
+    and rationality_sweep on one seed's game, each run once per module."""
+    seed = request.param
+    cfg = load_dsm_config(dsm_config_path())
+    config, n = cfg["config"], cfg["config"].n_consumers
+    if seed == 42:
+        profiles = read_profiles_csv(dsm_profiles_path())
+    else:
+        profiles = synth_profile(seed, n, cfg["flexible_range"])
+    game = build_dsm_game(profiles, config)
+    tol, max_iter = cfg["tol"], cfg["max_iter"]
+    fig8 = _solve_points(profiles, config, game, [[1.0] * n, None], tol, max_iter)
+    fig9 = _solve_points(
+        profiles, config, game, [[1.0] * n] + [[a] * n for a in cfg["alpha_grid"]], tol, max_iter
+    )
+    return seed, fig8, fig9
+
+
+def test_selected_profiles_are_pinned(figure_solves):
+    seed, fig8, fig9 = figure_solves
+
+    def selected(results):
+        return [
+            ("".join(str(int(np.argmax(m))) for m in r.profile), r.iterations, r.converged)
+            for r in results
+        ]
+
+    assert selected(fig8) == SELECTED[seed]["fig8"]
+    assert selected(fig9) == SELECTED[seed]["fig9"]
 
 
 def one_shot_build(profiles, config):

@@ -27,6 +27,7 @@ from ptgrid.formats import load_dsm_config
 from ptgrid.games import (
     _framed_payoffs,
     _grid_slack,
+    _joint_prob,
     _local_minima,
     _prefetched_solves,
     _simplex_grid,
@@ -280,6 +281,50 @@ def test_values_equal_reference_kernel_bit_for_bit(n_players, alpha, frame):
                 # first call fills the memo, the second reads it
                 assert np.array_equal(pure_action_values(game, i, batch, behaviors), expected)
                 assert np.array_equal(pure_action_values(game, i, batch, behaviors), expected)
+
+
+def reshape_chain_joint_prob(opponents):
+    """The joint probability as one n-dimensional broadcast per opponent:
+    one trailing axis per opponent, multiplied left to right, flattened."""
+    k = len(opponents)
+    q = opponents[0].reshape(opponents[0].shape[:-1] + (-1,) + (1,) * (k - 1))
+    for pos, m in enumerate(opponents[1:], start=1):
+        q = q * m.reshape(m.shape[:-1] + (1,) * pos + (-1,) + (1,) * (k - 1 - pos))
+    return q.reshape(q.shape[: q.ndim - k] + (-1,))
+
+
+def test_joint_prob_matches_reshape_chain():
+    rng = np.random.default_rng(8)
+
+    def mix(*shape):
+        x = rng.random(shape)
+        x[..., 0][rng.random(shape[:-1]) < 0.2] = 0.0  # exact zeros, as in hardened mixes
+        return x / x.sum(axis=-1, keepdims=True)
+
+    cases = [
+        [mix(2), mix(2)],  # 1-D, 3 players
+        [mix(4) for _ in range(6)],  # 1-D, the last step past the column threshold
+        [mix(5, 2), mix(5, 2)],  # n = 3, 2 actions
+        [mix(20, 4) for _ in range(5)],  # n = 6, K = 20: two column steps
+        [mix(1, 4) for _ in range(7)],  # n = 8, K = 1
+        [mix(3, 2), mix(3, 3), mix(3, 4)],  # unequal action counts
+        [mix(200, 2), mix(200, 3), mix(200, 4)],  # ... past the threshold
+        [mix(4), mix(3, 2), mix(3, 4)],  # a 1-D mix with batched ones
+        [mix(6, 3).reshape(1, 6, 1, 3), mix(7, 2).reshape(1, 1, 7, 2)],  # oracle axes
+        [mix(400, 3).reshape(1, 400, 1, 3), mix(5, 2).reshape(1, 1, 5, 2)],
+        [
+            mix(5, 3).reshape(1, 5, 1, 1, 3),
+            mix(6, 3).reshape(1, 1, 6, 1, 3),
+            mix(7, 3).reshape(1, 1, 1, 7, 3),
+        ],
+        [mix(4)],  # a single opponent
+        [mix(20, 4)],
+    ]
+    for opponents in cases:
+        want = reshape_chain_joint_prob(opponents)
+        got = _joint_prob(opponents)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_framed_payoffs_are_kept_per_player_and_frame():
