@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .dsm import HOURS, DsmConfig, LoadProfile
 from .games import check_solver_limits
-from .prospects import PtProfile
+from .prospects import PrelecWeighting, PtProfile, ValueFrame
 from .storage import StorageConsumer, StorageGridConfig
 
 
@@ -119,10 +120,39 @@ def load_storage_config(path) -> dict:
     Keys: load_1, surplus_1, load_2, surplus_2, passive_load,
     nominal_generation (optional), penalty_coeff, company_price,
     selling_price, alphas, b_grid, rho_grid, ref_grid, gammas, frame_beta.
+    Raises ConfigError for a value out of its range: b_grid and rho_grid
+    must be non-empty and strictly ascending, ref_grid and gammas non-empty,
+    and every value of these grids, of alphas and frame_beta must pass the
+    check of the price, reference, gamma, Prelec alpha or frame exponent it
+    stands for.
     """
     cfg = read_kv_config(path)
     nominal = _get_float(cfg, "nominal_generation", 0.0) if "nominal_generation" in cfg else None
+    b_grid = _sweep_values("b_grid", parse_grid(cfg.get("b_grid", "0.03:0.09:25")), True)
+    rho_grid = _sweep_values("rho_grid", parse_grid(cfg.get("rho_grid", "0.10:0.20:21")), True)
+    ref_grid = _sweep_values("ref_grid", parse_grid(cfg.get("ref_grid", "0.0:2.0:9")))
+    gammas = _sweep_values("gammas", parse_float_list(cfg.get("gammas", "1.0,2.0")))
     try:
+        grid = StorageGridConfig(
+            passive_load=_get_float(cfg, "passive_load", 80.0),
+            nominal_generation=nominal,
+            penalty_coeff=_get_float(cfg, "penalty_coeff"),
+            company_price=_get_float(cfg, "company_price"),
+            selling_price=_get_float(cfg, "selling_price", 0.06),
+        )
+        for b in b_grid:
+            replace(grid, selling_price=float(b))
+        for rho in rho_grid:
+            replace(grid, company_price=float(rho))
+        for ref in ref_grid:
+            ValueFrame(reference=float(ref))
+        for gamma in gammas:
+            ValueFrame(gamma=float(gamma))
+        alphas = parse_float_list(cfg.get("alphas", "0.25,0.65")).tolist()
+        for alpha in alphas:
+            PrelecWeighting(alpha)
+        beta = _get_float(cfg, "frame_beta", 1.0)
+        ValueFrame(beta_gain=beta, beta_loss=beta)
         return {
             "consumers": tuple(
                 StorageConsumer(
@@ -132,25 +162,30 @@ def load_storage_config(path) -> dict:
                 )
                 for i in (1, 2)
             ),
-            "grid": StorageGridConfig(
-                passive_load=_get_float(cfg, "passive_load", 80.0),
-                nominal_generation=nominal,
-                penalty_coeff=_get_float(cfg, "penalty_coeff"),
-                company_price=_get_float(cfg, "company_price"),
-                selling_price=_get_float(cfg, "selling_price", 0.06),
-            ),
-            "alphas": parse_float_list(cfg.get("alphas", "0.25,0.65")).tolist(),
-            "b_grid": parse_grid(cfg.get("b_grid", "0.03:0.09:25")),
-            "rho_grid": parse_grid(cfg.get("rho_grid", "0.10:0.20:21")),
-            "ref_grid": parse_grid(cfg.get("ref_grid", "0.0:2.0:9")),
-            "gammas": parse_float_list(cfg.get("gammas", "1.0,2.0")).tolist(),
-            "frame_beta": _get_float(cfg, "frame_beta", 1.0),
+            "grid": grid,
+            "alphas": alphas,
+            "b_grid": b_grid,
+            "rho_grid": rho_grid,
+            "ref_grid": ref_grid,
+            "gammas": gammas.tolist(),
+            "frame_beta": beta,
             "raw": cfg,
         }
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _sweep_values(key: str, values: np.ndarray, ascending: bool = False) -> np.ndarray:
+    """The values of a sweep key, which must be non-empty and, if ascending,
+    strictly ascending."""
+    if values.size == 0:
+        raise ConfigError(f"{key} must be non-empty")
+    # written so that NaN fails
+    if ascending and not np.all(values[1:] > values[:-1]):
+        raise ConfigError(f"{key} must be strictly ascending, got {values.tolist()!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +199,9 @@ def load_dsm_config(path) -> dict:
     generator), flexible_low/flexible_high, start_window, include_opt_out,
     price_coeff, price_exponent, shift_span, offpeak_hours, alphas,
     alpha_grid, hour, tol, max_iter. Raises ConfigError for a value out of
-    its range: alphas and alpha_grid in (0, 1], hour in [0, 23],
-    0 <= flexible_low <= flexible_high <= 1, and the DsmConfig and solver
-    limits.
+    its range: alphas and alpha_grid in (0, 1] with alpha_grid non-empty,
+    hour in [0, 23], 0 <= flexible_low <= flexible_high <= 1, and the
+    DsmConfig and solver limits.
     """
     cfg = read_kv_config(path)
     n = _get_int(cfg, "n_consumers", 6)
@@ -195,7 +230,7 @@ def load_dsm_config(path) -> dict:
             "flexible_low and flexible_high must satisfy 0 <= flexible_low <= "
             f"flexible_high <= 1, got {low!r} and {high!r}"
         )
-    alpha_grid = parse_grid(cfg.get("alpha_grid", "0.05:1.0:20"))
+    alpha_grid = _sweep_values("alpha_grid", parse_grid(cfg.get("alpha_grid", "0.05:1.0:20")))
     if not np.all((alpha_grid > 0.0) & (alpha_grid <= 1.0)):
         raise ConfigError(f"alpha_grid values must lie in (0, 1], got {alpha_grid.tolist()!r}")
     hour = _get_int(cfg, "hour", 19)

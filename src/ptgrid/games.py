@@ -22,7 +22,11 @@ calls the kernel directly for the rest.
 Each game frames a player's payoffs once per (player, frame) and keeps the
 result, own action axis first and flattened to (A_i, prod A_-i), in a private
 read-only memo that lives and dies with the game; a value call then does only
-the per-call work of weighting the opponents' mixes and one mat-vec.
+the per-call work of weighting the opponents' mixes and one mat-vec. Under
+the identity frame the memo holds the payoffs themselves, not a framed copy:
+the first and the last player's are views of the payoff tensor (C- and
+F-ordered, as a copy would be), and only a middle player's own-axis-first
+reshape copies.
 
 The fixed-point solver follows one stated rule, so that "the equilibrium"
 of a game and a behavior set is always the same profile: every solve starts
@@ -328,11 +332,16 @@ def _row_alphas(alphas: np.ndarray):
 def _framed_payoffs(game: FiniteGame, player: int, frame) -> np.ndarray:
     """The player's framed payoffs, own action axis first, flattened over the
     opponents' joint actions to shape (A_i, prod A_-i). Computed once per
-    (player, frame) and kept, read-only, on the game."""
+    (player, frame) and kept, read-only, on the game. An identity frame reads
+    the payoffs in place: the first player's and the last player's memos are
+    views of game.payoffs, with the layouts a framed copy would have."""
     key = (player, frame)
     framed = game._framed.get(key)
     if framed is None:
-        own_first = np.moveaxis(frame_value(game.payoffs[player], frame), player, 0)
+        values = game.payoffs[player]
+        if not frame.is_identity:
+            values = frame_value(values, frame)
+        own_first = np.moveaxis(values, player, 0)
         framed = own_first.reshape(own_first.shape[0], -1)
         framed.setflags(write=False)
         game._framed[key] = framed

@@ -217,6 +217,34 @@ def test_storage_out_of_range_config_exits_2(tmp_path, capsys, key, value):
     assert_input_error(capsys, key.split("_")[0])
 
 
+@pytest.mark.parametrize(
+    "line, figure, word",
+    [
+        ("b_grid = ,", "4", "b_grid"),
+        ("b_grid = 0.09,0.06,0.03", "4", "b_grid"),
+        ("b_grid = -0.03,0.03", "5", "selling_price"),
+        ("rho_grid = ,", "6", "rho_grid"),
+        ("rho_grid = 0.2,0.1", "6", "rho_grid"),
+        ("ref_grid = ,", "7", "ref_grid"),
+        ("ref_grid = nan", "7", "reference"),
+        ("gammas = ,", "7", "gammas"),
+        ("gammas = 0.5,2", "7", "gamma"),
+        ("alphas = 0.25,nan", "5", "alpha"),
+        ("frame_beta = 1.5", "7", "beta"),
+    ],
+)
+def test_storage_bad_sweep_value_exits_2(tmp_path, capsys, line, figure, word):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "load_1 = 20\nsurplus_1 = 10\nload_2 = 15\nsurplus_2 = 5\n"
+        f"penalty_coeff = 0.012\ncompany_price = 0.145\n{line}\n"
+    )
+    out = tmp_path / "out"
+    assert run(["storage", "--config", str(cfg), "--figure", figure, "--out", str(out)]) == 2
+    assert_input_error(capsys, word)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--max-iter", "-1"], ["--tol", "nan"]])
 def test_dsm_bad_solver_limits_exit_2(tmp_path, capsys, flags):
     assert run(["dsm", "--figure", "8", *flags, "--out", str(tmp_path)]) == 2
@@ -232,6 +260,7 @@ def test_dsm_bad_solver_limits_exit_2(tmp_path, capsys, flags):
         "offpeak_hours =",
         "alphas = nan,0.5,0.5",
         "alpha_grid = 0:1:3",
+        "alpha_grid = ,",
         "hour = 30",
         "flexible_low = 1.5",
     ],

@@ -25,8 +25,9 @@ from ptgrid.games import (
     brute_force_equilibrium,
     equilibrium_residual,
     solve_fixed_point,
+    _framed_payoffs,
 )
-from ptgrid.prospects import PtProfile, frame_value
+from ptgrid.prospects import PtProfile, ValueFrame, frame_value
 
 
 def flat_profile(peak=4.0, ff=0.5):
@@ -277,7 +278,7 @@ def test_fixture_hourly_report_and_alpha_one_reduction():
     np.testing.assert_allclose(report_rational.pt, report_rational.eut, atol=1e-9)
 
 
-def test_one_solve_frames_each_player_once(monkeypatch):
+def count_frame_calls(monkeypatch):
     import ptgrid.games
 
     calls = []
@@ -287,11 +288,33 @@ def test_one_solve_frames_each_player_once(monkeypatch):
         return frame_value(u, frame)
 
     monkeypatch.setattr(ptgrid.games, "frame_value", counting_frame_value)
-    profiles = synth_profile(42, 6)
-    game = build_dsm_game(profiles, FIXTURE)
-    res = solve_fixed_point(game, FIXTURE.behaviors())
+    return calls
+
+
+def test_one_solve_frames_each_player_once(monkeypatch):
+    calls = count_frame_calls(monkeypatch)
+    game = build_dsm_game(synth_profile(42, 6), FIXTURE)
+    frame = ValueFrame(reference=-10.0, gamma=2.25, beta_gain=0.88, beta_loss=0.88)
+    behaviors = [PtProfile(b.weighting, frame) for b in FIXTURE.behaviors()]
+    res = solve_fixed_point(game, behaviors)
     assert res.iterations > 100
     assert len(calls) == 6
+
+
+def test_identity_frames_read_the_payoffs_in_place(monkeypatch):
+    calls = count_frame_calls(monkeypatch)
+    game = build_dsm_game(synth_profile(42, 6), FIXTURE)
+    res = solve_fixed_point(game, FIXTURE.behaviors())
+    assert res.iterations > 100
+    assert calls == []
+    assert len(game._framed) == 6
+    memos = [_framed_payoffs(game, i, ValueFrame()) for i in range(6)]
+    assert all(not m.flags.writeable for m in memos)
+    # the first and last player's memos are views, C- and F-ordered as the
+    # framed copies were; a middle player's own axis first needs a copy
+    assert np.shares_memory(memos[0], game.payoffs) and memos[0].flags.c_contiguous
+    assert np.shares_memory(memos[-1], game.payoffs) and memos[-1].flags.f_contiguous
+    assert not any(np.shares_memory(m, game.payoffs) for m in memos[1:-1])
 
 
 def test_rationality_sweep_small_grid():
@@ -460,11 +483,11 @@ def test_oversized_game_raises_before_allocating():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("n, limit_mb", [(8, 32), (9, 32)])
+@pytest.mark.parametrize("n, limit_mb", [(8, 8), (9, 24)])
 def test_build_memory_stays_bounded(n, limit_mb):
-    # a one-shot build peaks at 224 MB (n = 8) and 996 MB (n = 9); the block
-    # build at 12.5 and 27.3 MB, the n = 9 one 37.8 MB while FiniteGame
-    # copied the 18 MB result
+    # MiB of tracemalloc peak: a one-shot build reaches 224 (n = 8) and 996
+    # (n = 9); 4,096-row blocks 12.5 and 27.3; 1,024-row blocks 6.3 and 20.5,
+    # of which the n = 9 result is 18
     profiles = synth_profile(42, n)
     config = dataclasses.replace(FIXTURE, n_consumers=n, alphas=None)
     tracemalloc.start()

@@ -29,6 +29,7 @@ from ptgrid.games import (
     _grid_slack,
     _joint_prob,
     _local_minima,
+    _perceived,
     _prefetched_solves,
     _simplex_grid,
 )
@@ -346,6 +347,30 @@ def test_framed_payoffs_are_kept_per_player_and_frame():
     assert not identity.flags.writeable
     # a fresh game starts with an empty memo
     assert FiniteGame(game.payoffs)._framed == {}
+
+
+@pytest.mark.parametrize("n_players", [2, 3, 6])
+def test_identity_memo_gives_the_bits_of_a_framed_copy(n_players):
+    # the identity memo reads the payoffs in place; the values must be those
+    # of the frame_value copy it replaced, layout and mat-vec order included
+    rng = np.random.default_rng(40 + n_players)
+    game = random_game(rng, n_players)
+    mixes = mixes_with_endpoints(rng, game, 7)
+    for i in range(n_players):
+        own_first = np.moveaxis(frame_value(game.payoffs[i], ValueFrame()), i, 0)
+        copied = own_first.reshape(own_first.shape[0], -1)
+        memo = _framed_payoffs(game, i, ValueFrame())
+        assert memo.tobytes() == copied.tobytes()
+        assert memo.flags.c_contiguous == copied.flags.c_contiguous
+        assert memo.flags.f_contiguous == copied.flags.f_contiguous
+        for alpha in (1.0, 0.65, 0.1):
+            behaviors = [PtProfile.weighting_only(alpha)] * n_players
+            for batch in (mixes, [m[-1] for m in mixes]):
+                q = _joint_prob([m for j, m in enumerate(batch) if j != i])
+                with np.errstate(divide="ignore"):
+                    want = _perceived(copied, q, alpha)
+                got = pure_action_values(game, i, batch, behaviors)
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("behavior", [PtProfile.eut(), PtProfile.behavioral()])
