@@ -275,6 +275,8 @@ def cmd_dsm(args) -> int:
     config_path = Path(args.config) if args.config else fixtures.dsm_config_path()
     cfg = load_dsm_config(config_path)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
         # an explicit seed means synthetic profiles, even if the config names a CSV
         cfg["seed"] = args.seed
         cfg["profiles_csv"] = None

@@ -94,6 +94,9 @@ class DsmConfig:
             raise ValueError("offpeak_hours must be non-empty")
         if any(not (0 <= h < HOURS) for h in self.offpeak_hours):
             raise ValueError("offpeak_hours must lie in [0, 23]")
+        # shifted_load adds to each off-peak hour once; a repeat would lose energy
+        if len(set(self.offpeak_hours)) != len(self.offpeak_hours):
+            raise ValueError(f"offpeak_hours must not repeat an hour, got {self.offpeak_hours!r}")
         if self.shift_span < 1:
             raise ValueError("shift_span must be at least 1")
         # written so that NaN fails

@@ -200,8 +200,8 @@ def load_dsm_config(path) -> dict:
     price_coeff, price_exponent, shift_span, offpeak_hours, alphas,
     alpha_grid, hour, tol, max_iter. Raises ConfigError for a value out of
     its range: alphas and alpha_grid in (0, 1] with alpha_grid non-empty,
-    hour in [0, 23], 0 <= flexible_low <= flexible_high <= 1, and the
-    DsmConfig and solver limits.
+    hour in [0, 23], 0 <= flexible_low <= flexible_high <= 1, seed >= 0, and
+    the DsmConfig and solver limits.
     """
     cfg = read_kv_config(path)
     n = _get_int(cfg, "n_consumers", 6)
@@ -236,9 +236,12 @@ def load_dsm_config(path) -> dict:
     hour = _get_int(cfg, "hour", 19)
     if not 0 <= hour < HOURS:
         raise ConfigError(f"hour must lie in [0, 23], got {hour}")
+    seed = _get_int(cfg, "seed", 42)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     return {
         "config": config,
-        "seed": _get_int(cfg, "seed", 42),
+        "seed": seed,
         "profiles_csv": cfg.get("profiles_csv"),
         "flexible_range": (low, high),
         "alpha_grid": alpha_grid,

@@ -19,6 +19,13 @@ solver certifies its candidates with it; the fixed-point solver takes its
 first iteration through it, which checks the behaviors once per solve, and
 calls the kernel directly for the rest.
 
+One private function, _residual, computes the residual certificate: each
+player's gap max(v) - v.m between its best pure action value and the value
+of its own mix, maximised over the players and at least 0. Its three
+callers are equilibrium_residual (one profile), the fixed-point solver's
+stopping test (one row per batch member) and brute_force_equilibrium (one
+cell per grid profile).
+
 Each game frames a player's payoffs once per (player, frame) and keeps the
 result, own action axis first and flattened to (A_i, prod A_-i), in a private
 read-only memo that lives and dies with the game; a value call then does only
@@ -372,11 +379,21 @@ def best_response(
 def equilibrium_residual(game: FiniteGame, profile: MixedProfile, behaviors) -> float:
     """Largest unilateral-improvement gap across players; zero certifies a
     perceived-utility equilibrium."""
+    return float(_residual(
+        (pure_action_values(game, i, profile, behaviors), profile[i])
+        for i in range(game.n_players)
+    ))
+
+
+def _residual(pairs):
+    """The residual certificate of the module docstring. pairs yields one
+    (values, mix) per player: its perceived action values and its own mix,
+    each (..., A_i) with leading batch axes that broadcast. Returns the
+    largest gap max(v) - v.m over the players, and at least 0, per batch
+    cell."""
     worst = 0.0
-    for i in range(game.n_players):
-        vals = pure_action_values(game, i, profile, behaviors)
-        gap = float(vals.max() - vals @ profile[i])
-        worst = max(worst, gap)
+    for v, m in pairs:
+        worst = np.maximum(worst, v.max(axis=-1) - (v[..., None, :] @ m[..., None])[..., 0, 0])
     return worst
 
 
@@ -571,13 +588,7 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                     _perceived(framed[i], _joint_prob(mixes[:i] + mixes[i + 1:]), row_alphas[i])
                     for i in range(n)
                 ]
-            peaks = [v.max(axis=1) for v in values]
-            residual = None
-            for v, top, m in zip(values, peaks, mixes):
-                # per row the same dot product as a single solve's v @ m
-                gap = top - (v[:, None, :] @ m[:, :, None])[:, 0, 0]
-                residual = gap if residual is None else np.maximum(residual, gap)
-            residual = np.maximum(residual, 0.0)
+            residual = _residual(zip(values, mixes))
             done = residual <= tol
             if iteration == max_iter:
                 done[:] = True
@@ -595,15 +606,15 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                 members = members[keep]
                 mixes = [m[keep] for m in mixes]
                 values = [v[keep] for v in values]
-                peaks = [top[keep] for top in peaks]
                 alphas = [a[keep] for a in alphas]
                 row_alphas = [_row_alphas(a) for a in alphas]
             temp = _TEMPERATURE * _TEMP_DECAY**iteration
             new_mixes = []
-            for v, top, m, eye in zip(values, peaks, mixes, eyes):
+            for v, m, eye in zip(values, mixes, eyes):
                 if temp < _TEMP_FLOOR:
                     target = eye[v.argmax(axis=1)]
                 else:
+                    top = v.max(axis=1)
                     spread = np.maximum(top - v.min(axis=1), 1e-12)
                     e = np.exp((v - top[:, None]) / (spread * temp)[:, None])
                     target = e / e.sum(axis=1, keepdims=True)
@@ -683,13 +694,11 @@ def brute_force_equilibrium(
         g.reshape((1,) * j + g.shape[:1] + (1,) * (n - 1 - j) + g.shape[1:])
         for j, g in enumerate(grids)
     ]
-    residual = 0.0
-    for i, own in enumerate(mixes):
-        vals = pure_action_values(game, i, mixes, behaviors)
-        # the same dot product per cell as equilibrium_residual takes, so the
-        # surface matches the per-profile certificate bit for bit
-        util = (vals[..., None, :] @ own[..., None])[..., 0, 0]
-        residual = np.maximum(residual, vals.max(axis=-1) - util)
+    # a generator, not a list: no player's value surface is made before
+    # _residual reaches that player
+    residual = _residual(
+        (pure_action_values(game, i, mixes, behaviors), own) for i, own in enumerate(mixes)
+    )
 
     minima = _local_minima(residual)
     # a grid cell adjacent to a true equilibrium has residual of order

@@ -81,9 +81,6 @@ class PrelecWeighting:
     def weight(self, p):
         return prelec_weight(p, self.alpha)
 
-    def inverse(self, w):
-        return prelec_inverse(w, self.alpha)
-
     @property
     def is_rational(self) -> bool:
         return self.alpha == 1.0
@@ -120,9 +117,6 @@ class ValueFrame:
             and self.beta_gain == 1.0
             and self.beta_loss == 1.0
         )
-
-    def apply(self, u):
-        return frame_value(u, self)
 
 
 def frame_value(u, frame: ValueFrame):

@@ -40,8 +40,8 @@ class StorageGridConfig:
 
     nominal_generation is the regulation set-point; when None it defaults to
     passive_load + (total load - total surplus) / 2 so that neither pure
-    joint action is penalty-free. penalty_split fixes how the regulation
-    penalty is allocated between the two active consumers (equal by default).
+    joint action is penalty-free. The two active consumers share the
+    regulation penalty equally.
     """
 
     passive_load: float = 80.0
@@ -49,7 +49,6 @@ class StorageGridConfig:
     penalty_coeff: float = 0.012
     company_price: float = 0.145
     selling_price: float = 0.06
-    penalty_split: tuple = (0.5, 0.5)
 
     def __post_init__(self):
         # every check is written so that NaN fails it
@@ -62,9 +61,6 @@ class StorageGridConfig:
         g = self.nominal_generation
         if g is not None and not (math.isfinite(g) and g > 0.0):
             raise ValueError(f"nominal_generation must be finite and positive, got {g!r}")
-        split = self.penalty_split
-        if not (len(split) == 2 and abs(sum(split) - 1.0) <= 1e-9):
-            raise ValueError("penalty_split must be two shares summing to 1")
 
     def setpoint(self, consumers) -> float:
         if self.nominal_generation is not None:
@@ -95,7 +91,7 @@ def build_storage_game(consumers, grid: StorageGridConfig) -> FiniteGame:
             penalty = grid.penalty_coeff * (gen - g0) ** 2
             for i, (c, a) in enumerate(zip(consumers, acts)):
                 econ = -grid.company_price * c.load if a == CHARGE else grid.selling_price * c.surplus
-                pay[i, a1, a2] = econ - grid.penalty_split[i] * penalty
+                pay[i, a1, a2] = econ - 0.5 * penalty
     return FiniteGame(pay)
 
 
@@ -228,13 +224,12 @@ def framing_sweep(
     grid: StorageGridConfig,
     ref_grid,
     gammas,
-    alpha: float = 1.0,
     beta: float = 1.0,
 ) -> list:
-    """Hold weighting fixed and vary the shared value frame: for each
-    (reference, gamma) both consumers adopt that frame, the game is solved,
-    and the consumers' total perceived utility is recorded next to the total
-    EUT utility at the EUT equilibrium."""
+    """Keep weighting rational (alpha = 1) and vary the shared value frame:
+    for each (reference, gamma) both consumers adopt that frame, the game is
+    solved, and the consumers' total perceived utility is recorded next to
+    the total EUT utility at the EUT equilibrium."""
     consumers = tuple(consumers)
     game_eut = build_storage_game(consumers, grid)
     eut = [PtProfile.eut()] * 2
@@ -247,10 +242,7 @@ def framing_sweep(
             frame = ValueFrame(
                 reference=float(ref), gamma=float(gamma), beta_gain=beta, beta_loss=beta
             )
-            behaviors = [
-                PtProfile(weighting=PrelecWeighting(alpha), frame=frame)
-                for _ in range(2)
-            ]
+            behaviors = [PtProfile(frame=frame)] * 2
             profile, interior = _equilibrium_for(game_eut, consumers, behaviors)
             pt_total = sum(pt_utility(game_eut, i, profile, behaviors) for i in range(2))
             rows.append(

@@ -245,7 +245,7 @@ def test_storage_bad_sweep_value_exits_2(tmp_path, capsys, line, figure, word):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--max-iter", "-1"], ["--tol", "nan"]])
+@pytest.mark.parametrize("flags", [["--max-iter", "-1"], ["--tol", "nan"], ["--seed", "-1"]])
 def test_dsm_bad_solver_limits_exit_2(tmp_path, capsys, flags):
     assert run(["dsm", "--figure", "8", *flags, "--out", str(tmp_path)]) == 2
     assert_input_error(capsys, flags[0].lstrip("-").replace("-", "_"))
@@ -258,6 +258,8 @@ def test_dsm_bad_solver_limits_exit_2(tmp_path, capsys, flags):
         "tol = nan",
         "price_coeff = nan",
         "offpeak_hours =",
+        "offpeak_hours = 1,1,2",
+        "seed = -3",
         "alphas = nan,0.5,0.5",
         "alpha_grid = 0:1:3",
         "alpha_grid = ,",
@@ -266,10 +268,12 @@ def test_dsm_bad_solver_limits_exit_2(tmp_path, capsys, flags):
     ],
 )
 def test_dsm_bad_config_value_exits_2(tmp_path, capsys, line):
+    key = line.split()[0]
+    base = [b for b in ("n_consumers = 3", "seed = 5") if b.split()[0] != key]
     cfg = tmp_path / "d.cfg"
-    cfg.write_text(f"n_consumers = 3\nseed = 5\n{line}\n")
+    cfg.write_text("\n".join(base + [line]) + "\n")
     assert run(["dsm", "--config", str(cfg), "--figure", "8", "--out", str(tmp_path)]) == 2
-    assert_input_error(capsys, line.split()[0])
+    assert_input_error(capsys, key)
 
 
 def test_dsm_fig8_fixture_and_reproducibility(tmp_path):

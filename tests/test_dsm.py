@@ -59,6 +59,9 @@ def test_config_validation():
         DsmConfig(n_consumers=3, alphas=(0.5, 0.5))
     with pytest.raises(ValueError, match="offpeak_hours must be non-empty"):
         DsmConfig(offpeak_hours=())
+    # a repeated hour took its share of the shifted load only once
+    with pytest.raises(ValueError, match="offpeak_hours must not repeat"):
+        DsmConfig(offpeak_hours=(1, 1, 2))
     for bad in (float("nan"), 0.0, 1.5):
         with pytest.raises(ValueError, match="alphas"):
             DsmConfig(n_consumers=3, alphas=(0.5, bad, 0.5))
@@ -101,6 +104,20 @@ def test_energy_conservation_every_action():
             assert shifted_load(p, start, config).sum() == pytest.approx(
                 p.daily_energy(), abs=1e-9
             )
+
+
+@pytest.mark.parametrize(
+    "start_window, offpeak_hours",
+    [((18, 19, 20), (1, 2, 3, 4, 5)), ((0, 21, 23), (2,)), ((5, 18), (19, 20, 3))],
+)
+def test_action_load_table_conserves_daily_energy(start_window, offpeak_hours):
+    # late starts cut the span at midnight; off-peak hours may fall inside it
+    profiles = synth_profile(1, 3)
+    config = DsmConfig(n_consumers=3, start_window=start_window, offpeak_hours=offpeak_hours)
+    table = action_load_table(profiles, config)
+    for p, loads in zip(profiles, table):
+        energy = [p.daily_energy()] * config.n_actions
+        assert loads.sum(axis=1) == pytest.approx(energy, abs=1e-9)
 
 
 def test_payoff_tensor_against_hand_arithmetic():

@@ -535,15 +535,24 @@ def test_fixed_point_reports_nonconvergence_honestly():
 
 
 def test_fixed_point_certificate_matches_recomputed_residual():
+    # the solver's stopping test and equilibrium_residual are one function,
+    # so a result's residual is the recomputed certificate exactly
     rng = np.random.default_rng(8)
     for _ in range(5):
         game = random_game(rng, 2)
         behaviors = [PtProfile.weighting_only(float(rng.uniform(0.3, 1.0)))] * 2
         res = solve_fixed_point(game, behaviors, max_iter=4000, tol=1e-8)
-        recomputed = equilibrium_residual(game, res.profile, behaviors)
-        assert recomputed == pytest.approx(res.residual, abs=1e-12)
+        assert equilibrium_residual(game, res.profile, behaviors) == res.residual
         if res.converged:
             assert res.residual <= 1e-8
+    for n in (2, 3):
+        game = random_game(rng, n)
+        sets = [
+            [PtProfile.weighting_only(float(a)) for a in rng.choice([0.3, 0.5, 0.8, 1.0], size=n)]
+            for _ in range(6)
+        ]
+        for behaviors, res in zip(sets, solve_fixed_point_batch(game, sets, max_iter=4000)):
+            assert equilibrium_residual(game, res.profile, behaviors) == res.residual
 
 
 def test_determinism_bit_identical():

@@ -142,8 +142,6 @@ def test_consumer_validation():
         for bad in (nan, float("inf")):
             with pytest.raises(ValueError, match=name):
                 StorageGridConfig(**{name: bad})
-    with pytest.raises(ValueError, match="penalty_split"):
-        StorageGridConfig(penalty_split=(nan, 0.5))
     with pytest.raises(ValueError):
         build_storage_game(CONSUMERS[:1], GRID)
 
