@@ -5,7 +5,10 @@ file), storage (selling-price / company-price / framing sweeps as CSV), and
 dsm (hourly-load and rationality-sweep CSV). Exit codes: 0 success, 2 input
 or config error (including inputs over a size limit), 3 numerical or solver
 failure. The default output directory comes from --out, falling back to the
-PTGRID_OUT environment variable, then to the working directory.
+PTGRID_OUT environment variable, then to the working directory. A flag is
+written over the config key of its name before the config is checked, and
+every output is written after all computation, so a failed run writes
+nothing.
 """
 from __future__ import annotations
 
@@ -17,15 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fixtures
-from .dsm import build_dsm_game, hourly_load_report, rationality_sweep, synth_profile
+from .dsm import hourly_load_report, rationality_sweep, synth_profile
 from .formats import (
     ConfigError,
-    load_dsm_config,
+    config_errors,
     load_storage_config,
+    profiles_table,
+    read_kv_config,
     read_profiles_csv,
+    resolve_dsm_config,
+    resolve_prospect_config,
     write_csv,
     write_manifest,
-    write_profiles_csv,
 )
 from .games import (
     BudgetExceededError,
@@ -49,53 +55,54 @@ class SolverFailure(RuntimeError):
     pass
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("PTGRID_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _read_config(path, args, flags) -> dict:
+    """The config file's key/value set (empty without a file) with each flag
+    of flags that is set written over its key; repr round-trips a float
+    exactly. An explicit --seed means synthetic profiles, so it drops
+    profiles_csv."""
+    cfg = read_kv_config(path) if path else {}
+    for key in flags:
+        if getattr(args, key) is not None:
+            cfg[key] = repr(getattr(args, key))
+    if getattr(args, "seed", None) is not None:
+        cfg.pop("profiles_csv", None)
+    return cfg
+
+
+def _write(args, config: dict, outputs, seed=None) -> int:
+    """Make the output directory, write each output, (file name, header,
+    rows) as a CSV table or (file name, text) as text, then the run
+    manifest. Commands call it only after every computation has succeeded,
+    so a run that fails writes nothing and makes no directory."""
+    out = Path(args.out or os.environ.get("PTGRID_OUT") or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, *content in outputs:
+        paths.append(out / name)
+        if len(content) == 2:
+            write_csv(paths[-1], *content)
+        else:
+            paths[-1].write_text(*content, encoding="utf-8")
+    stem, command = args.command, args.command
+    if "figure" in args:
+        stem, command = f"fig{args.figure}", f"{command} --figure {args.figure}"
+    write_manifest(out / f"{stem}_manifest.json", command, config, paths, seed=seed)
+    for p in paths:
+        print(f"wrote {p}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # prospect
 
 
-def _prospect_params(args) -> dict:
-    """Behavioral parameters from the config file, overridden by flags."""
-    params = {
-        "alpha": DEFAULT_ALPHA, "gamma": DEFAULT_GAMMA, "beta": DEFAULT_BETA, "reference": 0.0
-    }
-    if args.config:
-        from .formats import read_kv_config
-
-        raw = read_kv_config(args.config)
-        for key in params:
-            if key in raw:
-                try:
-                    params[key] = float(raw[key])
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key!r}: {raw[key]!r}") from exc
-    for key in params:
-        flag = getattr(args, key)
-        if flag is not None:
-            params[key] = flag
-    return params
-
-
 def cmd_prospect(args) -> int:
-    params = _prospect_params(args)
-    try:
-        profile = PtProfile.behavioral(**params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    report = preference_demo(profile)
-    text = report.render()
-    out = _out_dir(args)
-    report_path = out / "prospect_report.txt"
-    report_path.write_text(text + "\n", encoding="utf-8")
-    write_manifest(out / "prospect_manifest.json", "prospect", params, [report_path])
+    params, profile = resolve_prospect_config(
+        _read_config(args.config, args, ("alpha", "gamma", "beta", "reference"))
+    )
+    text = preference_demo(profile).render()
     print(text)
-    return EXIT_OK
+    return _write(args, params, [("prospect_report.txt", text + "\n")])
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +118,9 @@ def _format_profile(profile) -> str:
 def cmd_solve(args) -> int:
     if args.grid < 0:
         raise ConfigError(f"--grid must be non-negative, got {args.grid}")
-    try:
+    with config_errors():
         check_solver_limits(args.tol, args.max_iter)
         behavior = PtProfile.weighting_only(args.alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     game = load_game(args.game)
     if args.grid:
         # before any solve, so an oversized grid prints no equilibrium first
@@ -148,79 +153,47 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # storage
 
+# price figure -> (swept column, SweepRow field, columns per model)
+_PRICE_FIGS = {
+    4: ("selling_price", "buy_probs", ("buy_1", "buy_2")),
+    5: ("selling_price", "revenue", ("revenue",)),
+    6: ("company_price", "load", ("load",)),
+}
 
-def _storage_fig4(cfg, out):
-    rows = sweep_selling_price(cfg["consumers"], cfg["grid"], cfg["b_grid"], cfg["alphas"])
-    header = ["selling_price", "eut_buy_1", "eut_buy_2"]
-    for a in cfg["alphas"]:
-        header += [f"pt_buy_1_alpha{a:g}", f"pt_buy_2_alpha{a:g}"]
+
+def _storage_figure(cfg, figure: int):
+    """The figure's (file name, header, rows). A price figure holds the swept
+    value, then its columns under EUT and under each alpha, empty where no
+    equilibrium was found."""
+    if figure == 7:
+        rows = framing_sweep(
+            cfg["consumers"], cfg["grid"], cfg["ref_grid"], cfg["gammas"], beta=cfg["frame_beta"]
+        )
+        header = ["reference", "gamma", "eut_total", "pt_total"]
+        return "fig7.csv", header, [[r.reference, r.gamma, r.eut_total, r.pt_total] for r in rows]
+    swept, field, columns = _PRICE_FIGS[figure]
+    alphas = cfg["alphas"]
+    if swept == "selling_price":
+        rows = sweep_selling_price(cfg["consumers"], cfg["grid"], cfg["b_grid"], alphas)
+    else:
+        rows = sweep_company_price(cfg["consumers"], cfg["grid"], cfg["rho_grid"], alphas)
+    header = [swept] + [f"eut_{c}" for c in columns]
+    header += [f"pt_{c}_alpha{a:g}" for a in alphas for c in columns]
     table = []
     for r in rows:
-        rec = [r.value, r.buy_probs["eut"][0], r.buy_probs["eut"][1]]
-        for a in cfg["alphas"]:
-            rec += [r.buy_probs[a][0], r.buy_probs[a][1]]
-        table.append(rec)
-    path = out / "fig4.csv"
-    write_csv(path, header, table)
-    return [path]
-
-
-def _storage_fig5(cfg, out):
-    rows = sweep_selling_price(cfg["consumers"], cfg["grid"], cfg["b_grid"], cfg["alphas"])
-    header = ["selling_price", "eut_revenue"] + [
-        f"pt_revenue_alpha{a:g}" for a in cfg["alphas"]
-    ]
-    table = [
-        [r.value, r.revenue["eut"]] + [r.revenue[a] for a in cfg["alphas"]] for r in rows
-    ]
-    path = out / "fig5.csv"
-    write_csv(path, header, table)
-    return [path]
-
-
-def _storage_fig6(cfg, out):
-    rows = sweep_company_price(cfg["consumers"], cfg["grid"], cfg["rho_grid"], cfg["alphas"])
-    header = ["company_price", "eut_load"] + [f"pt_load_alpha{a:g}" for a in cfg["alphas"]]
-    table = [
-        [r.value, r.load["eut"]] + [r.load[a] for a in cfg["alphas"]] for r in rows
-    ]
-    path = out / "fig6.csv"
-    write_csv(path, header, table)
-    return [path]
-
-
-def _storage_fig7(cfg, out):
-    rows = framing_sweep(
-        cfg["consumers"],
-        cfg["grid"],
-        cfg["ref_grid"],
-        cfg["gammas"],
-        beta=cfg["frame_beta"],
-    )
-    header = ["reference", "gamma", "eut_total", "pt_total"]
-    table = [[r.reference, r.gamma, r.eut_total, r.pt_total] for r in rows]
-    path = out / "fig7.csv"
-    write_csv(path, header, table)
-    return [path]
-
-
-_STORAGE_FIGS = {4: _storage_fig4, 5: _storage_fig5, 6: _storage_fig6, 7: _storage_fig7}
+        record = [r.value]
+        for key in ["eut", *alphas]:
+            cells = getattr(r, field)[key]
+            record += list(cells) if isinstance(cells, tuple) else [cells] * len(columns)
+        table.append(record)
+    return f"fig{figure}.csv", header, table
 
 
 def cmd_storage(args) -> int:
     config_path = Path(args.config) if args.config else fixtures.storage_config_path()
     cfg = load_storage_config(config_path)
-    out = _out_dir(args)
-    outputs = _STORAGE_FIGS[args.figure](cfg, out)
-    write_manifest(
-        out / f"fig{args.figure}_manifest.json",
-        f"storage --figure {args.figure}",
-        {"config_file": str(config_path), **cfg["raw"]},
-        outputs,
-    )
-    for p in outputs:
-        print(f"wrote {p}")
-    return EXIT_OK
+    table = _storage_figure(cfg, args.figure)
+    return _write(args, {"config_file": str(config_path), **cfg["raw"]}, [table])
 
 
 # ---------------------------------------------------------------------------
@@ -244,69 +217,33 @@ def _dsm_profiles(cfg, config_dir: Path):
     )
 
 
-def _dsm_fig8(cfg, profiles, out):
-    report = hourly_load_report(
-        profiles, cfg["config"], tol=cfg["tol"], max_iter=cfg["max_iter"]
-    )
-    if not (report.eut_converged and report.pt_converged):
-        raise SolverFailure("equilibrium solve did not converge")
-    path = out / "fig8.csv"
-    write_csv(path, ["hour", "eut_nonparticipating", "pt_nonparticipating"], report.rows())
-    return [path]
-
-
-def _dsm_fig9(cfg, profiles, out):
+def _dsm_figure(cfg, profiles, figure: int):
+    """The figure's (file name, header, rows)."""
+    config, tol, max_iter = cfg["config"], cfg["tol"], cfg["max_iter"]
+    if figure == 8:
+        report = hourly_load_report(profiles, config, tol=tol, max_iter=max_iter)
+        if not (report.eut_converged and report.pt_converged):
+            raise SolverFailure("equilibrium solve did not converge")
+        return "fig8.csv", ["hour", "eut_nonparticipating", "pt_nonparticipating"], report.rows()
     sweep = rationality_sweep(
-        profiles,
-        cfg["config"],
-        cfg["alpha_grid"],
-        cfg["hour"],
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
+        profiles, config, cfg["alpha_grid"], cfg["hour"], tol=tol, max_iter=max_iter
     )
     if not np.all(sweep.converged):
         raise SolverFailure("rationality sweep had non-converged grid points")
-    path = out / "fig9.csv"
-    write_csv(path, ["alpha", "eut_load", "pt_load"], sweep.rows())
-    return [path]
+    return "fig9.csv", ["alpha", "eut_load", "pt_load"], sweep.rows()
 
 
 def cmd_dsm(args) -> int:
     config_path = Path(args.config) if args.config else fixtures.dsm_config_path()
-    cfg = load_dsm_config(config_path)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {args.seed}")
-        # an explicit seed means synthetic profiles, even if the config names a CSV
-        cfg["seed"] = args.seed
-        cfg["profiles_csv"] = None
-    if args.tol is not None:
-        cfg["tol"] = args.tol
-    if args.max_iter is not None:
-        cfg["max_iter"] = args.max_iter
-    try:
-        check_solver_limits(cfg["tol"], cfg["max_iter"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    profiles = _dsm_profiles(cfg, Path(config_path).parent)
-    out = _out_dir(args)
-    if args.figure == 8:
-        outputs = _dsm_fig8(cfg, profiles, out)
-    else:
-        outputs = _dsm_fig9(cfg, profiles, out)
-    profiles_out = out / "profiles.csv"
-    write_profiles_csv(profiles_out, profiles)
-    outputs.append(profiles_out)
-    write_manifest(
-        out / f"fig{args.figure}_manifest.json",
-        f"dsm --figure {args.figure}",
+    cfg = resolve_dsm_config(_read_config(config_path, args, ("seed", "tol", "max_iter")))
+    profiles = _dsm_profiles(cfg, config_path.parent)
+    table = _dsm_figure(cfg, profiles, args.figure)
+    return _write(
+        args,
         {"config_file": str(config_path), **cfg["raw"]},
-        outputs,
+        [table, ("profiles.csv", *profiles_table(profiles))],
         seed=cfg["seed"],
     )
-    for p in outputs:
-        print(f"wrote {p}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("storage", help="storage-scenario sweep CSVs")
     p.add_argument("--config", help="scenario config (bundled fixture when omitted)")
-    p.add_argument("--figure", type=int, choices=sorted(_STORAGE_FIGS), required=True)
+    p.add_argument("--figure", type=int, choices=(4, 5, 6, 7), required=True)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_storage)
 

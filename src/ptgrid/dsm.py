@@ -85,20 +85,20 @@ class DsmConfig:
 
     def __post_init__(self):
         if self.n_consumers < 2:
-            raise ValueError("need at least 2 consumers")
-        if not self.start_window:
-            raise ValueError("start_window must be non-empty")
-        if any(not (0 <= h < HOURS) for h in self.start_window):
-            raise ValueError("start_window hours must lie in [0, 23]")
-        if not self.offpeak_hours:
-            raise ValueError("offpeak_hours must be non-empty")
-        if any(not (0 <= h < HOURS) for h in self.offpeak_hours):
-            raise ValueError("offpeak_hours must lie in [0, 23]")
-        # shifted_load adds to each off-peak hour once; a repeat would lose energy
-        if len(set(self.offpeak_hours)) != len(self.offpeak_hours):
-            raise ValueError(f"offpeak_hours must not repeat an hour, got {self.offpeak_hours!r}")
-        if self.shift_span < 1:
-            raise ValueError("shift_span must be at least 1")
+            raise ValueError(f"n_consumers must be at least 2, got {self.n_consumers!r}")
+        # a repeated start hour is a second copy of one action; shifted_load
+        # adds to each off-peak hour once, so a repeat there would lose energy
+        for name in ("start_window", "offpeak_hours"):
+            hours = getattr(self, name)
+            if not hours:
+                raise ValueError(f"{name} must be non-empty")
+            if any(not (0 <= h < HOURS) for h in hours):
+                raise ValueError(f"{name} hours must lie in [0, 23], got {hours!r}")
+            if len(set(hours)) != len(hours):
+                raise ValueError(f"{name} must not repeat an hour, got {hours!r}")
+        # a span past the day shifts nothing more
+        if not 1 <= self.shift_span <= HOURS:
+            raise ValueError(f"shift_span must lie in [1, 24], got {self.shift_span!r}")
         # written so that NaN fails
         coeff, exponent = self.price_coeff, self.price_exponent
         if not (math.isfinite(coeff) and coeff >= 0.0):
@@ -160,7 +160,8 @@ def build_dsm_game(profiles, config: DsmConfig) -> FiniteGame:
     and 20.5 MiB at n = 9 (18 MiB). The game adopts the result without a
     copy, and under the identity frame its value memos read it in place.
     Raises BudgetExceededError, before allocating, when the tensor would
-    hold more than 2^24 entries (n <= 10 consumers at 4 actions)."""
+    hold more than 2^24 entries (n <= 10 consumers at 4 actions), and after
+    the build when a payoff is not finite."""
     profiles = tuple(profiles)
     if len(profiles) != config.n_consumers:
         raise ValueError(
@@ -177,16 +178,24 @@ def build_dsm_game(profiles, config: DsmConfig) -> FiniteGame:
     shape = (A,) * n
     consumers = np.arange(n)[None, :]
     payoffs = np.empty((n, n_joint))
-    for start in range(0, n_joint, _BLOCK):
-        stop = min(start + _BLOCK, n_joint)
-        joint = np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
-        loads = table[consumers, joint, :]  # (B, n, 24)
-        total = loads.sum(axis=1)  # (B, 24)
-        price = config.price_coeff * total**config.price_exponent
-        loads *= price[:, None, :]  # in place: the gathered block is a copy
-        payoffs[:, start:stop] = -loads.sum(axis=2).T
-        del loads  # freed before the next block is gathered
-    return FiniteGame._adopt(payoffs.reshape((n,) + shape))
+    # a price past the float range is reported below, not warned about here
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, n_joint, _BLOCK):
+            stop = min(start + _BLOCK, n_joint)
+            joint = np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
+            loads = table[consumers, joint, :]  # (B, n, 24)
+            total = loads.sum(axis=1)  # (B, 24)
+            price = config.price_coeff * total**config.price_exponent
+            loads *= price[:, None, :]  # in place: the gathered block is a copy
+            payoffs[:, start:stop] = -loads.sum(axis=2).T
+            del loads  # freed before the next block is gathered
+    try:
+        return FiniteGame._adopt(payoffs.reshape((n,) + shape))
+    except ValueError as exc:
+        raise BudgetExceededError(
+            f"{exc}: price_coeff * (total hourly load) ** price_exponent "
+            "leaves the float range"
+        ) from exc
 
 
 def solve_dsm(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,12 +17,30 @@ import numpy as np
 
 from .dsm import HOURS, DsmConfig, LoadProfile
 from .games import check_solver_limits
-from .prospects import PrelecWeighting, PtProfile, ValueFrame
-from .storage import StorageConsumer, StorageGridConfig
+from .prospects import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    DEFAULT_GAMMA,
+    PrelecWeighting,
+    PtProfile,
+    ValueFrame,
+    frame_value,
+)
+from .storage import StorageConsumer, StorageGridConfig, build_storage_game
 
 
 class ConfigError(ValueError):
     """Raised when a config or data file cannot be parsed."""
+
+
+@contextmanager
+def config_errors(key: str | None = None):
+    """Raise a value check's ValueError as a ConfigError, after the key or
+    keys it concerns when they are given."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
 
 
 def read_kv_config(path) -> dict:
@@ -48,70 +67,56 @@ def read_kv_config(path) -> dict:
 
 def parse_grid(text: str) -> np.ndarray:
     """A grid expression: either 'start:stop:count' or a comma list."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid expression needs start:stop:count, got {text!r}")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigError(f"bad grid expression {text!r}") from exc
-        if count < 1:
-            raise ConfigError("grid count must be positive")
-        return np.linspace(start, stop, count)
-    return parse_float_list(text)
+    if ":" not in text:
+        return parse_float_list(text)
+    with config_errors(f"bad grid expression {text.strip()!r}"):
+        start, stop, count = text.split(":")
+        if int(count) < 1:
+            raise ValueError("the count must be positive")
+        return np.linspace(float(start), float(stop), int(count))
 
 
 def parse_float_list(text: str) -> np.ndarray:
-    try:
+    with config_errors(f"bad number list {text!r}"):
         return np.array([float(t) for t in text.split(",") if t.strip()])
-    except ValueError as exc:
-        raise ConfigError(f"bad number list {text!r}") from exc
 
 
 def parse_int_list(text: str) -> tuple:
-    try:
+    with config_errors(f"bad integer list {text!r}"):
         return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
 
 
-def _get_float(cfg: dict, key: str, default=None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
+def _get(cfg: dict, key: str, default=None, parse=float):
+    """The value of key read by parse, from default when the key is missing;
+    a key without a default is required."""
+    if key not in cfg and default is None:
+        raise ConfigError(f"missing required key {key!r}")
+    with config_errors(key):
+        return parse(cfg.get(key, default))
 
 
-def _get_int(cfg: dict, key: str, default=None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _get_bool(cfg: dict, key: str, default: bool) -> bool:
-    if key not in cfg:
-        return default
-    v = cfg[key].lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"bad boolean for {key!r}: {cfg[key]!r}")
+def _parse_bool(text) -> bool:
+    if str(text).lower() not in _BOOLS:
+        raise ValueError(f"not a boolean: {text!r}")
+    return _BOOLS[str(text).lower()]
 
 
 # ---------------------------------------------------------------------------
-# storage scenario config
+# scenario configs
+
+
+def resolve_prospect_config(cfg: dict) -> tuple:
+    """The prospect demo's parameters from a key/value set (alpha, gamma,
+    beta, reference; the canonical calibration for a missing key) and the
+    behavioral profile they make."""
+    defaults = {"alpha": DEFAULT_ALPHA, "gamma": DEFAULT_GAMMA, "beta": DEFAULT_BETA}
+    params = {key: _get(cfg, key, default) for key, default in defaults.items()}
+    params["reference"] = _get(cfg, "reference", 0.0)
+    with config_errors():
+        return params, PtProfile.behavioral(**params)
 
 
 def load_storage_config(path) -> dict:
@@ -120,61 +125,82 @@ def load_storage_config(path) -> dict:
     Keys: load_1, surplus_1, load_2, surplus_2, passive_load,
     nominal_generation (optional), penalty_coeff, company_price,
     selling_price, alphas, b_grid, rho_grid, ref_grid, gammas, frame_beta.
-    Raises ConfigError for a value out of its range: b_grid and rho_grid
-    must be non-empty and strictly ascending, ref_grid and gammas non-empty,
-    and every value of these grids, of alphas and frame_beta must pass the
-    check of the price, reference, gamma, Prelec alpha or frame exponent it
-    stands for.
+    Raises ConfigError, naming the key, for a value out of its range: b_grid
+    and rho_grid must be non-empty and strictly ascending, ref_grid and
+    gammas non-empty, and every value of these grids, of alphas and
+    frame_beta must pass the check of the price, reference, gamma, Prelec
+    alpha or frame exponent it stands for. The game is built at the
+    configured prices and at every b_grid and rho_grid value, and framed
+    at each (ref_grid, gammas) point, so payoffs past the float range are a
+    ConfigError too.
     """
     cfg = read_kv_config(path)
-    nominal = _get_float(cfg, "nominal_generation", 0.0) if "nominal_generation" in cfg else None
-    b_grid = _sweep_values("b_grid", parse_grid(cfg.get("b_grid", "0.03:0.09:25")), True)
-    rho_grid = _sweep_values("rho_grid", parse_grid(cfg.get("rho_grid", "0.10:0.20:21")), True)
-    ref_grid = _sweep_values("ref_grid", parse_grid(cfg.get("ref_grid", "0.0:2.0:9")))
-    gammas = _sweep_values("gammas", parse_float_list(cfg.get("gammas", "1.0,2.0")))
-    try:
+    b_grid = _sweep_values("b_grid", _get(cfg, "b_grid", "0.03:0.09:25", parse_grid), True)
+    rho_grid = _sweep_values("rho_grid", _get(cfg, "rho_grid", "0.10:0.20:21", parse_grid), True)
+    ref_grid = _sweep_values("ref_grid", _get(cfg, "ref_grid", "0.0:2.0:9", parse_grid))
+    gammas = _sweep_values("gammas", _get(cfg, "gammas", "1.0,2.0", parse_float_list))
+    alphas = _get(cfg, "alphas", "0.25,0.65", parse_float_list).tolist()
+    beta = _get(cfg, "frame_beta", 1.0)
+    nominal = _get(cfg, "nominal_generation") if "nominal_generation" in cfg else None
+    with config_errors():  # the messages name the fields, which are the keys
         grid = StorageGridConfig(
-            passive_load=_get_float(cfg, "passive_load", 80.0),
+            passive_load=_get(cfg, "passive_load", 80.0),
             nominal_generation=nominal,
-            penalty_coeff=_get_float(cfg, "penalty_coeff"),
-            company_price=_get_float(cfg, "company_price"),
-            selling_price=_get_float(cfg, "selling_price", 0.06),
+            penalty_coeff=_get(cfg, "penalty_coeff"),
+            company_price=_get(cfg, "company_price"),
+            selling_price=_get(cfg, "selling_price", 0.06),
         )
-        for b in b_grid:
-            replace(grid, selling_price=float(b))
-        for rho in rho_grid:
-            replace(grid, company_price=float(rho))
-        for ref in ref_grid:
-            ValueFrame(reference=float(ref))
-        for gamma in gammas:
-            ValueFrame(gamma=float(gamma))
-        alphas = parse_float_list(cfg.get("alphas", "0.25,0.65")).tolist()
+    consumers = []
+    for i in (1, 2):
+        load, surplus = _get(cfg, f"load_{i}"), _get(cfg, f"surplus_{i}")
+        with config_errors(f"load_{i}, surplus_{i}"):
+            consumers.append(StorageConsumer(load=load, surplus=surplus))
+    with config_errors("alphas"):
         for alpha in alphas:
             PrelecWeighting(alpha)
-        beta = _get_float(cfg, "frame_beta", 1.0)
-        ValueFrame(beta_gain=beta, beta_loss=beta)
-        return {
-            "consumers": tuple(
-                StorageConsumer(
-                    load=_get_float(cfg, f"load_{i}"),
-                    surplus=_get_float(cfg, f"surplus_{i}"),
-                    behavior=PtProfile.eut(),
-                )
-                for i in (1, 2)
-            ),
-            "grid": grid,
-            "alphas": alphas,
-            "b_grid": b_grid,
-            "rho_grid": rho_grid,
-            "ref_grid": ref_grid,
-            "gammas": gammas.tolist(),
-            "frame_beta": beta,
-            "raw": cfg,
-        }
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with config_errors("ref_grid, gammas, frame_beta"):
+        frames = [
+            ValueFrame(reference=float(ref), gamma=float(gamma), beta_gain=beta, beta_loss=beta)
+            for gamma in gammas
+            for ref in ref_grid
+        ]
+    with config_errors("b_grid"):
+        points = [replace(grid, selling_price=float(b)) for b in b_grid]
+    with config_errors("rho_grid"):
+        points += [replace(grid, company_price=float(rho)) for rho in rho_grid]
+    game = _storage_game(consumers, grid)  # the game framing_sweep frames
+    for point in points:
+        _storage_game(consumers, point)
+    with np.errstate(over="ignore"):
+        bad = [f for f in frames if not np.all(np.isfinite(frame_value(game.payoffs, f)))]
+    if bad:
+        raise ConfigError(
+            f"ref_grid, gammas: the frame at reference {bad[0].reference!r} and gamma "
+            f"{bad[0].gamma!r} takes a payoff past the float range"
+        )
+    return {
+        "consumers": tuple(consumers),
+        "grid": grid,
+        "alphas": alphas,
+        "b_grid": b_grid,
+        "rho_grid": rho_grid,
+        "ref_grid": ref_grid,
+        "gammas": gammas.tolist(),
+        "frame_beta": beta,
+        "raw": cfg,
+    }
+
+
+def _storage_game(consumers, grid):
+    try:
+        return build_storage_game(consumers, grid)
+    except (OverflowError, ValueError) as exc:  # a Python float ** overflows with an error
+        raise ConfigError(
+            f"payoffs past the float range at selling_price {grid.selling_price!r} and "
+            f"company_price {grid.company_price!r}; they depend on load_1, surplus_1, load_2, "
+            "surplus_2, passive_load, nominal_generation, penalty_coeff and the prices "
+            "(company_price, selling_price, b_grid, rho_grid)"
+        ) from exc
 
 
 def _sweep_values(key: str, values: np.ndarray, ascending: bool = False) -> np.ndarray:
@@ -188,55 +214,50 @@ def _sweep_values(key: str, values: np.ndarray, ascending: bool = False) -> np.n
     return values
 
 
-# ---------------------------------------------------------------------------
-# DSM scenario config
-
-
 def load_dsm_config(path) -> dict:
-    """Resolve a DSM scenario config file.
+    """Resolve a DSM scenario config file (see resolve_dsm_config)."""
+    return resolve_dsm_config(read_kv_config(path))
+
+
+def resolve_dsm_config(cfg: dict) -> dict:
+    """Resolve the key/value set of a DSM scenario.
 
     Keys: n_consumers, seed, profiles_csv (optional; overrides the synthetic
     generator), flexible_low/flexible_high, start_window, include_opt_out,
     price_coeff, price_exponent, shift_span, offpeak_hours, alphas,
-    alpha_grid, hour, tol, max_iter. Raises ConfigError for a value out of
-    its range: alphas and alpha_grid in (0, 1] with alpha_grid non-empty,
-    hour in [0, 23], 0 <= flexible_low <= flexible_high <= 1, seed >= 0, and
-    the DsmConfig and solver limits.
+    alpha_grid, hour, tol, max_iter. Raises ConfigError, naming the key, for
+    a value out of its range: alphas and alpha_grid in (0, 1] with
+    alpha_grid non-empty, hour in [0, 23], 0 <= flexible_low <=
+    flexible_high <= 1, seed >= 0, and the DsmConfig and solver limits.
     """
-    cfg = read_kv_config(path)
-    n = _get_int(cfg, "n_consumers", 6)
-    alphas = None
-    if "alphas" in cfg:
-        alphas = tuple(parse_float_list(cfg["alphas"]).tolist())
-    try:
+    alphas = tuple(_get(cfg, "alphas", "", parse_float_list).tolist()) if "alphas" in cfg else None
+    with config_errors():  # the messages name the fields, which are the keys
         config = DsmConfig(
-            n_consumers=n,
-            start_window=parse_int_list(cfg.get("start_window", "18,19,20")),
-            include_opt_out=_get_bool(cfg, "include_opt_out", True),
-            price_coeff=_get_float(cfg, "price_coeff", 0.02),
-            price_exponent=_get_float(cfg, "price_exponent", 1.0),
-            shift_span=_get_int(cfg, "shift_span", 5),
-            offpeak_hours=parse_int_list(cfg.get("offpeak_hours", "1,2,3,4,5")),
+            n_consumers=_get(cfg, "n_consumers", 6, int),
+            start_window=_get(cfg, "start_window", "18,19,20", parse_int_list),
+            include_opt_out=_get(cfg, "include_opt_out", True, _parse_bool),
+            price_coeff=_get(cfg, "price_coeff", 0.02),
+            price_exponent=_get(cfg, "price_exponent", 1.0),
+            shift_span=_get(cfg, "shift_span", 5, int),
+            offpeak_hours=_get(cfg, "offpeak_hours", "1,2,3,4,5", parse_int_list),
             alphas=alphas,
         )
-        tol, max_iter = _get_float(cfg, "tol", 1e-9), _get_int(cfg, "max_iter", 10000)
+        tol, max_iter = _get(cfg, "tol", 1e-9), _get(cfg, "max_iter", 10000, int)
         check_solver_limits(tol, max_iter)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    low, high = _get_float(cfg, "flexible_low", 0.7), _get_float(cfg, "flexible_high", 0.95)
+    low, high = _get(cfg, "flexible_low", 0.7), _get(cfg, "flexible_high", 0.95)
     # written so that NaN fails
     if not (0.0 <= low <= high <= 1.0):
         raise ConfigError(
             "flexible_low and flexible_high must satisfy 0 <= flexible_low <= "
             f"flexible_high <= 1, got {low!r} and {high!r}"
         )
-    alpha_grid = _sweep_values("alpha_grid", parse_grid(cfg.get("alpha_grid", "0.05:1.0:20")))
+    alpha_grid = _sweep_values("alpha_grid", _get(cfg, "alpha_grid", "0.05:1.0:20", parse_grid))
     if not np.all((alpha_grid > 0.0) & (alpha_grid <= 1.0)):
         raise ConfigError(f"alpha_grid values must lie in (0, 1], got {alpha_grid.tolist()!r}")
-    hour = _get_int(cfg, "hour", 19)
+    hour = _get(cfg, "hour", 19, int)
     if not 0 <= hour < HOURS:
         raise ConfigError(f"hour must lie in [0, 23], got {hour}")
-    seed = _get_int(cfg, "seed", 42)
+    seed = _get(cfg, "seed", 42, int)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return {
@@ -256,22 +277,23 @@ def load_dsm_config(path) -> dict:
 # load-profile CSV: header h00..h23 plus flexible_fraction, one row per consumer
 
 
+_PROFILE_HEADER = [f"h{h:02d}" for h in range(HOURS)] + ["flexible_fraction"]
+
+
+def profiles_table(profiles) -> tuple:
+    """(header, rows) of a load-profile CSV, for write_csv."""
+    return _PROFILE_HEADER, [[*p.hourly_demand, p.flexible_fraction] for p in profiles]
+
+
 def write_profiles_csv(path, profiles) -> None:
-    header = [f"h{h:02d}" for h in range(HOURS)] + ["flexible_fraction"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p in profiles:
-            writer.writerow(
-                [f"{v:.17g}" for v in p.hourly_demand] + [f"{p.flexible_fraction:.17g}"]
-            )
+    write_csv(path, *profiles_table(profiles))
 
 
 def read_profiles_csv(path) -> list:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"profile file not found: {path}")
-    expected = [f"h{h:02d}" for h in range(HOURS)] + ["flexible_fraction"]
+    expected = _PROFILE_HEADER
     profiles = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -73,8 +73,9 @@ class GameFormatError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an input would exceed a size budget: the grid oracle's
-    enumeration or the DSM payoff tensor."""
+    """Raised when an input would exceed a budget: the size of the grid
+    oracle's enumeration or of the DSM payoff tensor, or the float range of
+    the DSM payoffs."""
 
 
 class FiniteGame:
@@ -97,7 +98,9 @@ class FiniteGame:
 
     def _own(self, arr: np.ndarray) -> None:
         if arr.ndim < 3:
-            raise ValueError("payoff tensor needs shape (n_players, a_1, ..., a_n)")
+            raise ValueError(
+                "payoff tensor needs shape (n_players, a_1, ..., a_n) with n_players >= 2"
+            )
         n = arr.shape[0]
         if n < 2 or arr.ndim != n + 1:
             raise ValueError(
@@ -190,11 +193,6 @@ class MixedProfile:
             v[a] = 1.0
             vecs.append(v)
         return cls(vecs)
-
-    def replace(self, player: int, mix) -> "MixedProfile":
-        vecs = list(self.mixes)
-        vecs[player] = mix
-        return MixedProfile(vecs)
 
 
 @dataclass(frozen=True)
@@ -774,31 +772,34 @@ def parse_game(text: str) -> FiniteGame:
         raise GameFormatError(f"bad player count {head[1]!r}") from exc
     acts = rows[1].split()
     if not acts or acts[0] != "actions" or len(acts) != n + 1:
-        raise GameFormatError(f"expected 'actions n1 ... n{n}', got {rows[1]!r}")
+        raise GameFormatError(f"players {n} needs 'actions n1 ... n{n}', got {rows[1]!r}")
     try:
         counts = [int(a) for a in acts[1:]]
     except ValueError as exc:
         raise GameFormatError(f"bad action counts in {rows[1]!r}") from exc
-    joints = list(itertools.product(*(range(a) for a in counts)))
+    if any(c < 1 for c in counts):
+        raise GameFormatError(f"action counts must be positive, got {rows[1]!r}")
+    # counted before anything is allocated: the body holds one line per joint action
     body = rows[2:]
-    if len(body) != len(joints):
+    if len(body) != math.prod(counts):
         raise GameFormatError(
-            f"expected {len(joints)} payoff lines, found {len(body)}"
+            f"{rows[1]!r} needs {math.prod(counts)} payoff lines, found {len(body)}"
         )
-    payoffs = np.zeros((n, *counts))
-    for line_no, (joint, line) in enumerate(zip(joints, body), start=3):
+    table = np.empty((len(body), n))
+    for line_no, line in enumerate(body, start=3):
         parts = line.split()
         if len(parts) != n:
             raise GameFormatError(
                 f"line {line_no}: expected {n} payoffs, found {len(parts)}"
             )
         try:
-            vals = [float(p) for p in parts]
+            table[line_no - 3] = [float(p) for p in parts]
         except ValueError as exc:
             raise GameFormatError(f"line {line_no}: bad payoff in {line!r}") from exc
-        for i, v in enumerate(vals):
-            payoffs[(i, *joint)] = v
-    return FiniteGame(payoffs)
+    try:
+        return FiniteGame._adopt(np.ascontiguousarray(table.T).reshape((n, *counts)))
+    except ValueError as exc:
+        raise GameFormatError(str(exc)) from exc
 
 
 def save_game(game: FiniteGame, path) -> None:

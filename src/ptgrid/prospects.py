@@ -78,9 +78,6 @@ class PrelecWeighting:
     def __post_init__(self):
         _check_alpha(self.alpha)
 
-    def weight(self, p):
-        return prelec_weight(p, self.alpha)
-
     @property
     def is_rational(self) -> bool:
         return self.alpha == 1.0

@@ -134,7 +134,7 @@ class SweepRow:
     has_interior: dict
 
 
-def _equilibrium_for(game, consumers, behaviors):
+def _equilibrium_for(game, behaviors):
     """Interior mixed equilibrium when it exists, else the lexicographically
     first pure equilibrium."""
     results = solve_2x2(game, behaviors)
@@ -162,7 +162,7 @@ def _sweep(consumers, grid, values, set_value, alphas):
         eut = [PtProfile.eut()] * 2
         models = [("eut", eut)] + [(float(a), _pt_behaviors(consumers, float(a))) for a in alphas]
         for key, behaviors in models:
-            profile, interior = _equilibrium_for(game, consumers, behaviors)
+            profile, interior = _equilibrium_for(game, behaviors)
             has_int[key] = interior
             if profile is None:
                 buy[key] = rev[key] = load[key] = util[key] = None
@@ -210,13 +210,20 @@ def sweep_company_price(consumers, grid: StorageGridConfig, rho_grid, alphas) ->
 
 @dataclass(frozen=True)
 class FramingRow:
-    """Total expected utility at one (reference, gamma) frame."""
+    """Total expected utility at one (reference, gamma) frame; a total is None
+    where no equilibrium was found."""
 
     reference: float
     gamma: float
-    eut_total: float
-    pt_total: float
+    eut_total: float | None
+    pt_total: float | None
     has_interior: bool
+
+
+def _total_utility(game, profile, behaviors):
+    if profile is None:
+        return None
+    return float(sum(pt_utility(game, i, profile, behaviors) for i in range(2)))
 
 
 def framing_sweep(
@@ -233,8 +240,7 @@ def framing_sweep(
     consumers = tuple(consumers)
     game_eut = build_storage_game(consumers, grid)
     eut = [PtProfile.eut()] * 2
-    profile_eut, _ = _equilibrium_for(game_eut, consumers, eut)
-    eut_total = sum(pt_utility(game_eut, i, profile_eut, eut) for i in range(2))
+    eut_total = _total_utility(game_eut, _equilibrium_for(game_eut, eut)[0], eut)
 
     rows = []
     for gamma in gammas:
@@ -243,14 +249,13 @@ def framing_sweep(
                 reference=float(ref), gamma=float(gamma), beta_gain=beta, beta_loss=beta
             )
             behaviors = [PtProfile(frame=frame)] * 2
-            profile, interior = _equilibrium_for(game_eut, consumers, behaviors)
-            pt_total = sum(pt_utility(game_eut, i, profile, behaviors) for i in range(2))
+            profile, interior = _equilibrium_for(game_eut, behaviors)
             rows.append(
                 FramingRow(
                     reference=float(ref),
                     gamma=float(gamma),
-                    eut_total=float(eut_total),
-                    pt_total=float(pt_total),
+                    eut_total=eut_total,
+                    pt_total=_total_utility(game_eut, profile, behaviors),
                     has_interior=interior,
                 )
             )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ptgrid import storage
 from ptgrid.cli import main
 from ptgrid.fixtures import example_game_path
 from ptgrid.dsm import synth_profile
@@ -301,6 +302,39 @@ def test_dsm_seed_flag_generates_the_profiles(tmp_path):
     assert read_manifest(out / "fig8_manifest.json")["seed"] == 7
 
 
+def test_dsm_manifest_records_the_flags_over_the_config(tmp_path):
+    out = tmp_path / "out"
+    argv = ["dsm", "--figure", "8", "--seed", "7", "--tol", "1e-6", "--max-iter", "5000"]
+    assert run([*argv, "--out", str(out)]) == 0
+    config = read_manifest(out / "fig8_manifest.json")["config"]
+    assert (config["seed"], config["tol"], config["max_iter"]) == ("7", "1e-06", "5000")
+    assert "profiles_csv" not in config
+
+
+def test_prospect_manifest_records_the_flags_over_the_config(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("alpha = 1.0\ngamma = 1.5\n")
+    assert run(["prospect", "--config", str(cfg), "--alpha", "0.5", "--out", str(tmp_path)]) == 0
+    config = read_manifest(tmp_path / "prospect_manifest.json")["config"]
+    assert config == {"alpha": 0.5, "gamma": 1.5, "beta": 0.88, "reference": 0.0}
+
+
+def test_dsm_solver_failure_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["dsm", "--figure", "8", "--max-iter", "0", "--out", str(out)]) == 3
+    assert "solver failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_storage_price_figure_without_equilibrium_has_empty_cells(tmp_path, monkeypatch):
+    # fig 4 used to index the missing buy probabilities: a TypeError
+    monkeypatch.setattr(storage, "solve_2x2", lambda game, behaviors: [])
+    out = tmp_path / "out"
+    assert run(["storage", "--figure", "4", "--out", str(out)]) == 0
+    lines = (out / "fig4.csv").read_text().splitlines()
+    assert lines[1] == "0.029999999999999999" + "," * 6
+
+
 def test_dsm_fig8_rational_alphas_coincide(tmp_path):
     cfg = tmp_path / "d.cfg"
     cfg.write_text(
@@ -332,6 +366,7 @@ def test_dsm_over_size_limit_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error" in err and "payoff entries" in err
     assert "Traceback" not in err
+    assert not out.exists()  # the game is built before anything is written
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch, capsys):

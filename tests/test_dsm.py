@@ -71,6 +71,16 @@ def test_config_validation():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="price_exponent"):
             DsmConfig(price_exponent=bad)
+    with pytest.raises(ValueError, match="n_consumers"):
+        DsmConfig(n_consumers=1)
+    # a span past the day shifts nothing more; shifted_load walked all of it
+    for bad in (0, 25, 10**9):
+        with pytest.raises(ValueError, match="shift_span"):
+            DsmConfig(shift_span=bad)
+    DsmConfig(shift_span=24)
+    # a repeated start hour is a second copy of one action
+    with pytest.raises(ValueError, match="start_window must not repeat"):
+        DsmConfig(start_window=(18, 18))
     assert TOY.n_actions == 3
     assert TOY.opt_out_action == 2
 
@@ -498,6 +508,13 @@ def test_oversized_game_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("field, value", [("price_exponent", 1e308), ("price_coeff", 1e308)])
+def test_payoffs_past_the_float_range_raise(field, value):
+    config = dataclasses.replace(TOY, **{field: value})
+    with pytest.raises(BudgetExceededError, match="price_exponent"):
+        build_dsm_game([flat_profile(), flat_profile()], config)
 
 
 @pytest.mark.parametrize("n, limit_mb", [(8, 8), (9, 24)])

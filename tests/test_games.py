@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -903,6 +904,39 @@ def test_parse_errors():
         parse_game("players 2\nactions 2\n" + "0 0\n" * 4)
     with pytest.raises(GameFormatError):
         parse_game("players 2\nactions 2 2\n" + "0 x\n" * 4)
+
+
+def test_parse_counts_lines_before_allocating():
+    # one payoff line for a million joint actions used to build every joint
+    # action tuple first (3.3 s and 61 MiB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GameFormatError, match="1000000 payoff lines, found 1"):
+            parse_game("players 2\nactions 1000 1000\n1 -1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "text, word",
+    [
+        ("players 2\nactions 2 2\n1 -1\n-1 nan\n-1 1\n1 -1\n", "finite"),
+        ("players 1\nactions 2\n1\n-1\n", "n_players >= 2"),
+        ("players 2\nactions 1 2\n1 -1\n-1 1\n", "at least 2 actions"),
+        ("players 2\nactions -2 -2\n" + "1 -1\n" * 4, "positive"),
+    ],
+)
+def test_parse_maps_game_errors(text, word):
+    with pytest.raises(GameFormatError, match=word):
+        parse_game(text)
+
+
+def test_parsed_payoffs_are_c_contiguous():
+    # the layout of the payoffs picks the BLAS path of the value memos
+    game = parse_game(format_game(random_game(np.random.default_rng(3))))
+    assert game.payoffs.flags.c_contiguous
 
 
 def test_parse_ignores_comments_and_blanks():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ptgrid import storage
 from ptgrid.games import MixedProfile, eut_utility
 from ptgrid.prospects import PtProfile
 from ptgrid.storage import (
@@ -329,6 +330,13 @@ def test_framing_loss_aversion_lowers_total(frame_rows):
     g2 = {r.reference: r.pt_total for r in frame_rows if r.gamma == 2.0}
     for ref in REF_GRID[1:]:
         assert g2[float(ref)] < g1[float(ref)]
+
+
+def test_framing_row_without_equilibrium(monkeypatch):
+    # it used to pass the missing profile on to pt_utility: a TypeError
+    monkeypatch.setattr(storage, "solve_2x2", lambda game, behaviors: [])
+    rows = framing_sweep(CONSUMERS, GRID, [0.0, 1.0], [2.0])
+    assert [(r.eut_total, r.pt_total, r.has_interior) for r in rows] == [(None, None, False)] * 2
 
 
 def test_framing_utilities_against_objective_expectation():
