@@ -205,12 +205,13 @@ def _dsm_profiles(cfg, config_dir: Path):
         csv_path = Path(cfg["profiles_csv"])
         if not csv_path.is_absolute():
             csv_path = config_dir / csv_path
-        profiles = read_profiles_csv(csv_path)
-        if len(profiles) != cfg["config"].n_consumers:
-            raise ConfigError(
-                f"{csv_path}: expected {cfg['config'].n_consumers} profiles, "
-                f"got {len(profiles)}"
-            )
+        with config_errors("profiles_csv"):
+            profiles = read_profiles_csv(csv_path)
+            if len(profiles) != cfg["config"].n_consumers:
+                raise ValueError(
+                    f"{csv_path}: expected {cfg['config'].n_consumers} profiles, "
+                    f"got {len(profiles)}"
+                )
         return profiles
     return synth_profile(
         cfg["seed"], cfg["config"].n_consumers, flexible_range=cfg["flexible_range"]

@@ -127,19 +127,22 @@ def load_storage_config(path) -> dict:
     selling_price, alphas, b_grid, rho_grid, ref_grid, gammas, frame_beta.
     Raises ConfigError, naming the key, for a value out of its range: b_grid
     and rho_grid must be non-empty and strictly ascending, ref_grid and
-    gammas non-empty, and every value of these grids, of alphas and
-    frame_beta must pass the check of the price, reference, gamma, Prelec
-    alpha or frame exponent it stands for. The game is built at the
-    configured prices and at every b_grid and rho_grid value, and framed
-    at each (ref_grid, gammas) point, so payoffs past the float range are a
-    ConfigError too.
+    gammas non-empty, none of these grids nor alphas may repeat a value,
+    and every value of these grids, of alphas and frame_beta must pass the
+    check of the price, reference, gamma, Prelec alpha or frame exponent it
+    stands for. The game is built at the configured prices and at every
+    b_grid and rho_grid value, and framed at each (ref_grid, gammas) point,
+    so payoffs past the float range are a ConfigError too.
     """
     cfg = read_kv_config(path)
     b_grid = _sweep_values("b_grid", _get(cfg, "b_grid", "0.03:0.09:25", parse_grid), True)
     rho_grid = _sweep_values("rho_grid", _get(cfg, "rho_grid", "0.10:0.20:21", parse_grid), True)
     ref_grid = _sweep_values("ref_grid", _get(cfg, "ref_grid", "0.0:2.0:9", parse_grid))
     gammas = _sweep_values("gammas", _get(cfg, "gammas", "1.0,2.0", parse_float_list))
-    alphas = _get(cfg, "alphas", "0.25,0.65", parse_float_list).tolist()
+    alphas = _get(cfg, "alphas", "0.25,0.65", parse_float_list)
+    if alphas.size:  # no alphas is valid: the figures then hold the EUT columns only
+        _sweep_values("alphas", alphas)
+    alphas = alphas.tolist()
     beta = _get(cfg, "frame_beta", 1.0)
     nominal = _get(cfg, "nominal_generation") if "nominal_generation" in cfg else None
     with config_errors():  # the messages name the fields, which are the keys
@@ -204,13 +207,16 @@ def _storage_game(consumers, grid):
 
 
 def _sweep_values(key: str, values: np.ndarray, ascending: bool = False) -> np.ndarray:
-    """The values of a sweep key, which must be non-empty and, if ascending,
-    strictly ascending."""
+    """The values of a sweep key, which must be non-empty, repeat no value
+    and, if ascending, be strictly ascending."""
     if values.size == 0:
         raise ConfigError(f"{key} must be non-empty")
     # written so that NaN fails
     if ascending and not np.all(values[1:] > values[:-1]):
         raise ConfigError(f"{key} must be strictly ascending, got {values.tolist()!r}")
+    # a set, not np.unique, which imports numpy.ma (about 13 ms)
+    if len(set(values.tolist())) < values.size:
+        raise ConfigError(f"{key} must not repeat a value, got {values.tolist()!r}")
     return values
 
 
@@ -227,8 +233,9 @@ def resolve_dsm_config(cfg: dict) -> dict:
     price_coeff, price_exponent, shift_span, offpeak_hours, alphas,
     alpha_grid, hour, tol, max_iter. Raises ConfigError, naming the key, for
     a value out of its range: alphas and alpha_grid in (0, 1] with
-    alpha_grid non-empty, hour in [0, 23], 0 <= flexible_low <=
-    flexible_high <= 1, seed >= 0, and the DsmConfig and solver limits.
+    alpha_grid non-empty and repeating no value, hour in [0, 23],
+    0 <= flexible_low <= flexible_high <= 1, seed >= 0, and the DsmConfig
+    and solver limits.
     """
     alphas = tuple(_get(cfg, "alphas", "", parse_float_list).tolist()) if "alphas" in cfg else None
     with config_errors():  # the messages name the fields, which are the keys

@@ -23,8 +23,8 @@ One private function, _residual, computes the residual certificate: each
 player's gap max(v) - v.m between its best pure action value and the value
 of its own mix, maximised over the players and at least 0. Its three
 callers are equilibrium_residual (one profile), the fixed-point solver's
-stopping test (one row per batch member) and brute_force_equilibrium (one
-cell per grid profile).
+stopping test (one block of players at a time, one row per batch member)
+and brute_force_equilibrium (one cell per grid profile).
 
 Each game frames a player's payoffs once per (player, frame) and keeps the
 result, own action axis first and flattened to (A_i, prod A_-i), in a private
@@ -45,16 +45,22 @@ target is the argmax, lowest index on ties. The solve stops at the first
 iteration whose residual reaches tol, or at max_iter.
 
 The solver runs a batch of behavior sets on one game in a single loop
-(solve_fixed_point_batch; solve_fixed_point is a batch of one). Each
-player's mixes are (K, A_i) arrays and each player has one Prelec alpha per
-row, so every iteration makes one value call per player for all members
-still running. A member leaves the batch at the iteration where its residual
-reaches tol or where max_iter is hit, and its result is exactly the one a
-solve of that member alone returns, bit for bit. Equal behavior sets are
-solved once. Inside a _prefetched_solves block, which runs its behavior sets
-as one batch, solve_fixed_point on that game returns the batch's result for
-a matching solve instead of iterating; the DSM sweeps read each point
-through solve_dsm this way.
+(solve_fixed_point_batch; solve_fixed_point is a batch of one), and steps
+the players a block at a time. A block is the players who face the same
+sequence of opponent action counts; they have one own count too, and they
+are a run of consecutive players of that count. In every DSM and storage
+game all players form one block. A block holds its P players' mixes and
+values as (P, K, A) arrays, so each iteration makes, per block, one
+_joint_prob call for all its players and all members still running, one
+residual call and one damped step. Each player has one Prelec alpha per row
+and weights its opponents and takes its mat-vec on its own, since the
+memo's layout picks the BLAS path. A member leaves the batch at the
+iteration where its residual reaches tol or where max_iter is hit, and its
+result is exactly the one a solve of that member alone returns, bit for
+bit. Equal behavior sets are solved once. Inside a _prefetched_solves
+block, which runs its behavior sets as one batch, solve_fixed_point on that
+game returns the batch's result for a matching solve instead of iterating;
+the DSM sweeps read each point through solve_dsm this way.
 """
 from __future__ import annotations
 
@@ -280,7 +286,9 @@ _COLUMN_FILL = 1024
 def _joint_prob(opponents) -> np.ndarray:
     """Joint probability of the opponents' actions, (..., prod A_-i), in the
     row-major order of their action axes; the opponents' leading batch axes
-    broadcast.
+    broadcast. The fixed-point loop passes a block of P players at once: its
+    k-th opponent is the (P, K, A) stack of each player's k-th opponent's
+    mixes, and the block axis is one more batch axis.
 
     The product runs left to right: q = ((m_0 * m_1) * m_2) * ..., each step
     a flat outer product of the running (..., M) product with the next
@@ -308,20 +316,39 @@ def _perceived(framed: np.ndarray, q: np.ndarray, alpha) -> np.ndarray:
     opponent probabilities q (..., M): Prelec weights, then one mat-vec per
     batch row. alpha is a float for every row, or _row_alphas of a (K, M) q.
     Unchecked: the caller validates q and silences log(0)."""
+    # exp(-(-ln q)^1) is not q bit for bit
     if isinstance(alpha, float):
-        w = q if alpha == 1.0 else np.exp(-((-np.log(q)) ** alpha))
+        w = q if alpha == 1.0 else _prelec_in_place(q, alpha)
     else:
         column, half, rational = alpha
-        nlog = -np.log(q)
-        w = np.exp(-(nlog ** column))
-        # numpy takes x ** 0.5 with a scalar exponent as sqrt, which differs
-        # in the last bit from the general power loop a column exponent uses
-        if half.size:
-            w[half] = np.exp(-np.sqrt(nlog[half]))
-        # exp(-(-ln q)^1) is not q bit for bit
+        w = _prelec_in_place(q, column, half)
         if rational.size:
             w[rational] = q[rational]
     return (framed @ w[..., None])[..., 0]
+
+
+def _prelec_in_place(q: np.ndarray, exponent, half=None) -> np.ndarray:
+    """exp(-(-ln q)^exponent), computed in the one buffer np.log(q) returns.
+    exponent is a float, or a (K, 1) column with `half` its rows at 0.5.
+    numpy takes x ** 0.5 with a scalar exponent as sqrt, which differs in the
+    last bit from the general power loop a column exponent uses, so a float
+    0.5 takes sqrt, and so do the half rows, before the power overwrites
+    them."""
+    w = np.log(q)
+    np.negative(w, out=w)
+    if half is None:
+        if exponent == 0.5:
+            np.sqrt(w, out=w)
+        else:
+            np.power(w, exponent, out=w)
+    else:
+        if half.size:
+            roots = np.sqrt(w[half])
+        np.power(w, exponent, out=w)
+        if half.size:
+            w[half] = roots
+    np.negative(w, out=w)
+    return np.exp(w, out=w)
 
 
 def _row_alphas(alphas: np.ndarray):
@@ -388,7 +415,8 @@ def _residual(pairs):
     (values, mix) per player: its perceived action values and its own mix,
     each (..., A_i) with leading batch axes that broadcast. Returns the
     largest gap max(v) - v.m over the players, and at least 0, per batch
-    cell."""
+    cell. The fixed-point loop passes one block's (P, K, A_i) arrays as one
+    pair, so the block axis is a batch axis here."""
     worst = 0.0
     for v, m in pairs:
         worst = np.maximum(worst, v.max(axis=-1) - (v[..., None, :] @ m[..., None])[..., 0, 0])
@@ -517,7 +545,8 @@ def solve_fixed_point_batch(
 
     Every set must give each player the same frame, since the framed payoffs
     are shared; the Prelec alphas may differ per set and per player. Each
-    iteration makes one value call per player for all members still running.
+    iteration steps every block of players once for all members still
+    running (see the module docstring).
     A member whose residual reaches tol, or which reaches max_iter, is
     recorded at that iteration and leaves the batch. Equal behavior sets are
     solved once and share one result.
@@ -565,35 +594,63 @@ def _prefetched_solves(game: FiniteGame, behavior_sets, tol: float = 1e-9, max_i
 
 def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     """The damped fixed-point loop of solve_fixed_point_batch on checked
-    behavior sets, every member from the uniform profile."""
-    n = game.n_players
-    mixes = [np.full((len(sets), a), 1.0 / a) for a in game.action_counts]
+    behavior sets, every member from the uniform profile, one block of
+    players at a time (see the module docstring)."""
+    n, counts = game.n_players, game.action_counts
+    blocks = {}  # opponents' action counts -> the players who face them
+    for i in range(n):
+        blocks.setdefault(counts[:i] + counts[i + 1:], []).append(i)
+    blocks = list(blocks.values())
+    where = [None] * n  # player -> (block, position in the block)
+    for b, players in enumerate(blocks):
+        for p, i in enumerate(players):
+            where[i] = (b, p)
+    # opponent k of player i is player k + (k >= i); a block's players run
+    # over consecutive players of one count, so for each k every opponent
+    # lies in one block: (that block, the opponents' positions in it)
+    gathers = [
+        [
+            (where[k + (k >= players[0])][0], np.array([where[k + (k >= i)][1] for i in players]))
+            for k in range(n - 1)
+        ]
+        for players in blocks
+    ]
+    uniform = [np.full((len(sets), a), 1.0 / a) for a in counts]
     # iteration 0 goes through pure_action_values, which checks the behaviors
     # (one frame per player) once; the kernel takes the rest, whose mixes are
     # convex combinations of checked ones
     per_row = [[b[i] for b in sets] for i in range(n)]
-    values = [pure_action_values(game, i, mixes, per_row) for i in range(n)]
+    values = [pure_action_values(game, i, uniform, per_row) for i in range(n)]
+    values = [np.stack([values[i] for i in players]) for players in blocks]
+    mixes = [np.stack([uniform[i] for i in players]) for players in blocks]
     framed = [_framed_payoffs(game, i, sets[0][i].frame) for i in range(n)]
     alphas = [np.array([float(b[i].weighting.alpha) for b in sets]) for i in range(n)]
     row_alphas = [_row_alphas(a) for a in alphas]
-    eyes = [np.eye(a) for a in game.action_counts]  # hardened-step targets
+    eyes = [np.eye(counts[players[0]]) for players in blocks]  # hardened-step targets
     members = np.arange(len(sets))  # batch member of each row
     results = [None] * len(sets)
     with np.errstate(divide="ignore"):
         for iteration in range(max_iter + 1):
             if iteration:
-                values = [
-                    _perceived(framed[i], _joint_prob(mixes[:i] + mixes[i + 1:]), row_alphas[i])
-                    for i in range(n)
-                ]
-            residual = _residual(zip(values, mixes))
+                values = []
+                for players, gather in zip(blocks, gathers):
+                    q = _joint_prob([mixes[c][rows] for c, rows in gather])
+                    values.append(np.stack([
+                        _perceived(framed[i], q[p], row_alphas[i]) for p, i in enumerate(players)
+                    ]))
+                    # the iteration's largest array: not kept while the next is built
+                    del q
+            # max over a block's players, then over the blocks: exact
+            residual = np.max(
+                [_residual([(v, m)]).max(axis=0) for v, m in zip(values, mixes)], axis=0
+            )
             done = residual <= tol
             if iteration == max_iter:
                 done[:] = True
             if done.any():
                 for k in np.flatnonzero(done):
                     results[members[k]] = EquilibriumResult(
-                        MixedProfile([m[k] for m in mixes]),
+                        MixedProfile([mixes[b][p, k] for b, p in where]),
                         float(residual[k]),
                         iteration,
                         bool(residual[k] <= tol),
@@ -602,20 +659,20 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                     return results
                 keep = ~done
                 members = members[keep]
-                mixes = [m[keep] for m in mixes]
-                values = [v[keep] for v in values]
+                mixes = [m[:, keep] for m in mixes]
+                values = [v[:, keep] for v in values]
                 alphas = [a[keep] for a in alphas]
                 row_alphas = [_row_alphas(a) for a in alphas]
             temp = _TEMPERATURE * _TEMP_DECAY**iteration
             new_mixes = []
             for v, m, eye in zip(values, mixes, eyes):
                 if temp < _TEMP_FLOOR:
-                    target = eye[v.argmax(axis=1)]
+                    target = eye[v.argmax(axis=-1)]
                 else:
-                    top = v.max(axis=1)
-                    spread = np.maximum(top - v.min(axis=1), 1e-12)
-                    e = np.exp((v - top[:, None]) / (spread * temp)[:, None])
-                    target = e / e.sum(axis=1, keepdims=True)
+                    top = v.max(axis=-1)
+                    spread = np.maximum(top - v.min(axis=-1), 1e-12)
+                    e = np.exp((v - top[..., None]) / (spread * temp)[..., None])
+                    target = e / e.sum(axis=-1, keepdims=True)
                 new_mixes.append((1.0 - _STEP) * m + _STEP * target)
             mixes = new_mixes
     raise AssertionError("unreachable")

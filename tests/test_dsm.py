@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -389,11 +390,23 @@ def test_sweep_reads_each_point_through_solve_dsm_after_one_loop(sweep, loop_run
 # The equilibrium each fig 8 and fig 9 point selects under the bundled DSM
 # config: per solve, each consumer's argmax action, the iteration count and
 # the converged flag. fig 8 is (EUT, config.alphas); fig 9 is EUT and then
-# the alpha_grid. Seed 42 is the bundled profile CSV, the others synthetic
-# profiles, as `ptgrid dsm --figure 8/9 [--seed S]` reads them. Every change
-# to arithmetic or selection is measured against these.
+# the alpha_grid. "sha256" holds solve_digest over the fig 8 and then the
+# fig 9 results, every bit of each profile, residual and iteration count,
+# once per OpenBLAS kernel family: the mat-vec's summation order, and so the
+# last bits of every profile, follows the kernel the CPU selects. In order:
+# the AVX-512 kernels (SkylakeX, Cooperlake, SapphireRapids), Haswell and
+# Zen, Sandybridge and Prescott, and Nehalem, as OPENBLAS_CORETYPE forces
+# them. Seed 42 is the bundled profile CSV, the others synthetic profiles,
+# as `ptgrid dsm --figure 8/9 [--seed S]` reads them. Every change to
+# arithmetic or selection is measured against these.
 SELECTED = {
     42: {
+        "sha256": (
+            "ad27436981b6bfbb48fc30b2bed05704ba00f587c0e4e24d2ea10073324cdffe",
+            "077baf4255a225feb72b803dff2a45d64f157d8dc150df9e0ba3b1b4cb02a034",
+            "0ea47f6fea6ff83bf294636f76779a1dec486bcbb32ab3d69ff9f9f213e4fa93",
+            "f95adcb0250da2291d0dc6f6c12455e4de6736e284ea0779cdf7c1f743270246",
+        ),
         "fig8": [("003303", 589, True), ("000333", 1202, True)],
         "fig9": [
             ("003303", 589, True), ("033303", 1205, True), ("030303", 1259, True),
@@ -406,6 +419,12 @@ SELECTED = {
         ],
     },
     7: {
+        "sha256": (
+            "4e9a1f36345bb8aa4986e4c7b66f2a6e2a1be035f43ae14709c8e080983674e8",
+            "787ee0a721261435869526ac9b79e6ea21e1a8ede1fc940e468427ca6ae27e17",
+            "4f2f42e94c98e2e980d70028f45474d9407504f0322ce2e35f32570bdfa348bc",
+            "eccd52b91d02eb77e5bc8b00e7ab47f0a4cf7f59b6e41c7014ab32e6be867855",
+        ),
         "fig8": [("330030", 592, True), ("003333", 613, True)],
         "fig9": [
             ("330030", 592, True), ("333333", 504, True), ("333333", 512, True),
@@ -418,6 +437,12 @@ SELECTED = {
         ],
     },
     11: {
+        "sha256": (
+            "8c10b5c341e4b9284faedc7a9592396a81abfb78fa72c5719d9b45095c6df9a9",
+            "0a0cca0ef7bdbd1c3443f9e50cb0b24d18ce63c4fc8328bb2c0b7e0d059d9c78",
+            "4b3fb2770bbadb0e7dfc9411ab9ef337a266edf941065177eee4a6677223ee89",
+            "6b421de32a7ec4bab25a85babbdcdc9d5c60d99bf829c72d1923a1154411de35",
+        ),
         "fig8": [("330003", 590, True), ("003033", 961, True)],
         "fig9": [
             ("330003", 590, True), ("333033", 884, True), ("333033", 1027, True),
@@ -463,6 +488,19 @@ def test_selected_profiles_are_pinned(figure_solves):
 
     assert selected(fig8) == SELECTED[seed]["fig8"]
     assert selected(fig9) == SELECTED[seed]["fig9"]
+    assert solve_digest(fig8 + fig9) in SELECTED[seed]["sha256"]
+
+
+def solve_digest(results) -> str:
+    """sha256 over each result's profile bytes, repr(residual) and
+    iteration count, in order."""
+    h = hashlib.sha256()
+    for r in results:
+        for m in r.profile:
+            h.update(m.tobytes())
+        h.update(repr(r.residual).encode())
+        h.update(str(r.iterations).encode())
+    return h.hexdigest()
 
 
 def one_shot_build(profiles, config):

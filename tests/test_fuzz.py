@@ -133,8 +133,9 @@ def test_fuzz_case(tmp_path, capsys, target, key, word):
     _check(tmp_path, capsys, target, key, _value(word, original, " " if target == "game" else ","))
 
 
-# Inputs that ended in a traceback (exit 1) before they were mended, each
-# with the exit code it has now.
+# Inputs that ended in a traceback (exit 1), or exited without naming their
+# key or with output that repeats itself, before they were mended, each with
+# the exit code it has now.
 PROBES = [
     ("storage4", "load_2", "1e308", 2),  # OverflowError in the set-point penalty
     ("storage4", "surplus_2", "1e308", 2),
@@ -148,6 +149,8 @@ PROBES = [
     ("dsm8", "price_exponent", "1e308", 2),
     ("dsm8", "shift_span", "1000000000", 2),  # about 40 s per start hour
     ("dsm8", "start_window", "18,18", 2),  # identical actions
+    ("dsm8", "profiles_csv", "missing.csv", 2),  # _dsm_base deletes the key; this sets it
+    ("storage4", "alphas", "0.25,0.25,0.65", 2),  # a duplicate column, solved twice
     ("game", "payoff 3", "nan", 2),  # FiniteGame's ValueError
 ]
 

@@ -309,6 +309,7 @@ def test_joint_prob_matches_reshape_chain():
         [mix(5, 2), mix(5, 2)],  # n = 3, 2 actions
         [mix(20, 4) for _ in range(5)],  # n = 6, K = 20: two column steps
         [mix(1, 4) for _ in range(7)],  # n = 8, K = 1
+        [mix(6, 20, 4) for _ in range(5)],  # the loop's block of 6 players, K = 20
         [mix(3, 2), mix(3, 3), mix(3, 4)],  # unequal action counts
         [mix(200, 2), mix(200, 3), mix(200, 4)],  # ... past the threshold
         [mix(4), mix(3, 2), mix(3, 4)],  # a 1-D mix with batched ones
@@ -676,6 +677,28 @@ def test_batch_members_leave_at_different_iterations():
     sets = [[PtProfile(PrelecWeighting(a), FRAMES[1])] * 2 for a in (0.65, 1.0, 0.5, 0.2, 0.1)]
     batch = assert_same_as_reference(game, sets)
     assert len({r.iterations for r in batch}) == 4
+
+
+@pytest.mark.parametrize(
+    "seed, counts, iterations",
+    [
+        # every player faces another sequence of opponent counts: three
+        # blocks of one player
+        (7, (2, 3, 2), [1200, 1200, 402, 383, 403, 1096, 403, 1200]),
+        # players 0, 1 and players 2, 3 form two blocks of two
+        (3, (2, 2, 3, 3), [436, 437, 441, 426, 1200, 441, 1200, 422]),
+    ],
+)
+def test_batch_matches_single_solve_loop_with_unequal_action_counts(seed, counts, iterations):
+    n = len(counts)
+    game = FiniteGame(np.random.default_rng(seed).uniform(-5.0, 5.0, size=(n, *counts)))
+    sets = [[PtProfile.weighting_only(a)] * n for a in (1.0, 0.65, 0.5, 0.3)]
+    # each player's rows mix alphas, 0.5 and 1 among them
+    cycle = (0.5, 1.0, 0.3, 0.65)
+    sets += [[PtProfile.weighting_only(cycle[(i + k) % 4]) for i in range(n)] for k in range(4)]
+    # past iteration 1058, so the members still running take argmax steps
+    batch = assert_same_as_reference(game, sets, max_iter=1200)
+    assert [r.iterations for r in batch] == iterations
 
 
 def test_batch_rejects_frames_that_differ():
