@@ -120,9 +120,8 @@ class DsmConfig:
         return len(self.start_window) if self.include_opt_out else None
 
     def behaviors(self) -> list:
-        if self.alphas is None:
-            return [PtProfile.eut()] * self.n_consumers
-        return [PtProfile.weighting_only(float(a)) for a in self.alphas]
+        # weighting_only(1.0) equals PtProfile.eut(), hash included
+        return _weighting_only([1.0] * self.n_consumers if self.alphas is None else self.alphas)
 
 
 def shifted_load(profile: LoadProfile, start_hour: int, config: DsmConfig) -> np.ndarray:

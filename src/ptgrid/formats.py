@@ -46,7 +46,7 @@ def config_errors(key: str | None = None):
 def read_kv_config(path) -> dict:
     """Parse a key = value file into a dict of raw strings."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     out = {}
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -297,40 +297,25 @@ def write_profiles_csv(path, profiles) -> None:
 
 
 def read_profiles_csv(path) -> list:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"profile file not found: {path}")
-    expected = _PROFILE_HEADER
+    """The load profiles of a CSV in write_profiles_csv's layout."""
+    header, rows = read_csv(path)
+    if header != _PROFILE_HEADER:
+        raise ConfigError(
+            f"{path}: bad header; expected {','.join(_PROFILE_HEADER[:3])},...,"
+            f"{_PROFILE_HEADER[-1]}"
+        )
     profiles = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty profile file") from None
-        if header != expected:
+    for row_no, row in enumerate(rows, 2):
+        if len(row) != HOURS + 1:
             raise ConfigError(
-                f"{path}: bad header; expected {','.join(expected[:3])},...,"
-                f"{expected[-1]}"
+                f"{path}: row {row_no}: expected {HOURS + 1} columns, got {len(row)}"
             )
-        for row_no, row in enumerate(reader, 2):
-            if len(row) != HOURS + 1:
-                raise ConfigError(
-                    f"{path}: row {row_no}: expected {HOURS + 1} columns, got {len(row)}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise ConfigError(f"{path}: row {row_no}: non-numeric cell") from exc
-            try:
-                profiles.append(
-                    LoadProfile(
-                        hourly_demand=np.array(values[:HOURS]),
-                        flexible_fraction=values[HOURS],
-                    )
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}: row {row_no}: {exc}") from exc
+        try:
+            profiles.append(
+                LoadProfile(hourly_demand=np.array(row[:HOURS]), flexible_fraction=row[HOURS])
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {row_no}: {exc}") from exc
     if not profiles:
         raise ConfigError(f"{path}: no profile rows")
     return profiles
@@ -354,7 +339,7 @@ def write_csv(path, header, rows) -> None:
 def read_csv(path) -> tuple:
     """Read back a table written by write_csv: (header, list of float rows)."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"csv file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

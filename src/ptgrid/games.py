@@ -330,17 +330,14 @@ def _perceived(framed: np.ndarray, q: np.ndarray, alpha) -> np.ndarray:
 def _prelec_in_place(q: np.ndarray, exponent, half=None) -> np.ndarray:
     """exp(-(-ln q)^exponent), computed in the one buffer np.log(q) returns.
     exponent is a float, or a (K, 1) column with `half` its rows at 0.5.
-    numpy takes x ** 0.5 with a scalar exponent as sqrt, which differs in the
-    last bit from the general power loop a column exponent uses, so a float
-    0.5 takes sqrt, and so do the half rows, before the power overwrites
-    them."""
+    A float takes `**=`: numpy's ** with a float exponent takes 0.5 as sqrt,
+    which differs in the last bit from the general power loop, and
+    prelec_weight's ** follows the same rule. A column exponent gets no such
+    rule, so the half rows take sqrt before the power overwrites them."""
     w = np.log(q)
     np.negative(w, out=w)
     if half is None:
-        if exponent == 0.5:
-            np.sqrt(w, out=w)
-        else:
-            np.power(w, exponent, out=w)
+        w **= exponent
     else:
         if half.size:
             roots = np.sqrt(w[half])
@@ -387,18 +384,15 @@ def pt_utility(game: FiniteGame, player: int, profile: MixedProfile, behaviors) 
     return float(vals @ profile[player])
 
 
-def best_response(
-    game: FiniteGame,
-    player: int,
-    profile: MixedProfile,
-    behaviors,
-    tie_tol: float = 1e-12,
-) -> tuple:
+_TIE_TOL = 1e-12  # best_response reports every action this close to the maximum
+
+
+def best_response(game: FiniteGame, player: int, profile: MixedProfile, behaviors) -> tuple:
     """Indices of the player's pure actions maximizing perceived value,
-    ascending; ties within tie_tol of the maximum are all reported."""
+    ascending; ties within _TIE_TOL of the maximum are all reported."""
     vals = pure_action_values(game, player, profile, behaviors)
     best = vals.max()
-    return tuple(int(i) for i in np.flatnonzero(vals >= best - tie_tol))
+    return tuple(int(i) for i in np.flatnonzero(vals >= best - _TIE_TOL))
 
 
 def equilibrium_residual(game: FiniteGame, profile: MixedProfile, behaviors) -> float:
@@ -710,38 +704,33 @@ def grid_enumeration_size(game: FiniteGame, grid: int) -> int:
     return size
 
 
-GRID_BUDGET = 2_000_000  # default cap on the grid profiles the oracle enumerates
+GRID_BUDGET = 2_000_000  # cap on the grid profiles the oracle enumerates
 
 
-def check_grid_budget(game: FiniteGame, grid: int, budget: int = GRID_BUDGET) -> None:
+def check_grid_budget(game: FiniteGame, grid: int) -> None:
     """Raise BudgetExceededError when the grid oracle at this grid would
-    enumerate more than `budget` profiles."""
+    enumerate more than GRID_BUDGET profiles."""
     total = grid_enumeration_size(game, grid)
-    if total > budget:
+    if total > GRID_BUDGET:
         raise BudgetExceededError(
-            f"{total} grid profiles exceed the budget of {budget}"
+            f"{total} grid profiles exceed the budget of {GRID_BUDGET}"
         )
 
 
-def brute_force_equilibrium(
-    game: FiniteGame,
-    behaviors=None,
-    grid: int = 100,
-    budget: int = GRID_BUDGET,
-) -> list:
+def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -> list:
     """Approximate equilibria by exhaustive search over a uniform simplex
     grid: returns the profiles whose improvement residual is a local minimum
     among axis neighbors and within grid slack of the global minimum.
 
     Meant as an independent oracle for small games (<= 3 players, <= 3
     actions); raises ValueError when grid < 1 and BudgetExceededError when
-    the enumeration would exceed `budget` profiles.
+    the enumeration would exceed GRID_BUDGET profiles.
     """
     if grid < 1:
         raise ValueError(f"grid must be a positive integer, got {grid}")
     if behaviors is None:
         behaviors = _eut_behaviors(game.n_players)
-    check_grid_budget(game, grid, budget)
+    check_grid_budget(game, grid)
     n = game.n_players
     grids = [_simplex_grid(a, grid) for a in game.action_counts]
     # player j's grid on batch axis j: every cell of the surface is one profile
@@ -755,33 +744,21 @@ def brute_force_equilibrium(
         (pure_action_values(game, i, mixes, behaviors), own) for i, own in enumerate(mixes)
     )
 
-    minima = _local_minima(residual)
     # a grid cell adjacent to a true equilibrium has residual of order
     # slope * spacing; anything above that is a flat-valley artifact, not an
     # equilibrium the grid can certify
-    keep = _grid_slack(game, grid)
-    out = []
-    for idx in zip(*np.nonzero(minima)):
-        if residual[idx] <= keep:
-            out.append(MixedProfile([g[i] for g, i in zip(grids, idx)]))
-    return out
+    keep = _local_minima(residual) & (residual <= _grid_slack(game, grid))
+    return [MixedProfile([g[i] for g, i in zip(grids, idx)]) for idx in zip(*np.nonzero(keep))]
 
 
 def _local_minima(residual: np.ndarray) -> np.ndarray:
     """Boolean mask of entries no larger than any axis neighbor."""
     mask = np.ones(residual.shape, dtype=bool)
     for axis in range(residual.ndim):
-        fwd = np.ones_like(mask)
-        bwd = np.ones_like(mask)
-        sl_lo = [slice(None)] * residual.ndim
-        sl_hi = [slice(None)] * residual.ndim
-        sl_lo[axis] = slice(None, -1)
-        sl_hi[axis] = slice(1, None)
-        diff_ok_fwd = residual[tuple(sl_lo)] <= residual[tuple(sl_hi)]
-        diff_ok_bwd = residual[tuple(sl_hi)] <= residual[tuple(sl_lo)]
-        fwd[tuple(sl_lo)] = diff_ok_fwd
-        bwd[tuple(sl_hi)] = diff_ok_bwd
-        mask &= fwd & bwd
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        mask[lo] &= residual[lo] <= residual[hi]
+        mask[hi] &= residual[hi] <= residual[lo]
     return mask
 
 

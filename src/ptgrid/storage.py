@@ -153,10 +153,16 @@ def _pt_behaviors(consumers, alpha: float):
     ]
 
 
-def _sweep(consumers, grid, values, set_value, alphas):
+def _sweep(consumers, grid, field, values, name, alphas):
+    """One SweepRow per value of the grid field, under EUT and under Prelec
+    weighting for each alpha; raises ValueError, naming the grid by name,
+    unless values are non-empty and strictly ascending."""
+    values = list(values)
+    if not values or any(v2 <= v1 for v1, v2 in zip(values, values[1:])):
+        raise ValueError(f"{name} must be non-empty and strictly ascending")
     rows = []
     for value in values:
-        g = set_value(grid, float(value))
+        g = replace(grid, **{field: float(value)})
         game = build_storage_game(consumers, g)
         buy, rev, load, util, has_int = {}, {}, {}, {}, {}
         eut = [PtProfile.eut()] * 2
@@ -189,23 +195,13 @@ def _sweep(consumers, grid, values, set_value, alphas):
 def sweep_selling_price(consumers, grid: StorageGridConfig, b_grid, alphas) -> list:
     """Equilibrium outcomes for each consumer selling price in b_grid, under
     EUT and under Prelec weighting for each alpha."""
-    b_grid = list(b_grid)
-    if not b_grid or any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
-        raise ValueError("b_grid must be non-empty and strictly ascending")
-    return _sweep(
-        consumers, grid, b_grid, lambda g, v: replace(g, selling_price=v), alphas
-    )
+    return _sweep(consumers, grid, "selling_price", b_grid, "b_grid", alphas)
 
 
 def sweep_company_price(consumers, grid: StorageGridConfig, rho_grid, alphas) -> list:
     """Equilibrium outcomes for each company price in rho_grid (the driver
     behind the expected-load comparison)."""
-    rho_grid = list(rho_grid)
-    if not rho_grid or any(r2 <= r1 for r1, r2 in zip(rho_grid, rho_grid[1:])):
-        raise ValueError("rho_grid must be non-empty and strictly ascending")
-    return _sweep(
-        consumers, grid, rho_grid, lambda g, v: replace(g, company_price=v), alphas
-    )
+    return _sweep(consumers, grid, "company_price", rho_grid, "rho_grid", alphas)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from ptgrid.games import (
     MixedProfile,
     brute_force_equilibrium,
     equilibrium_residual,
+    grid_enumeration_size,
     solve_fixed_point,
     _framed_payoffs,
 )
@@ -236,7 +237,8 @@ def test_reduced_two_consumer_game_matches_brute_force():
         behaviors = [PtProfile.weighting_only(a) for a in alphas]
         res = solve_dsm(profiles, config, alphas=alphas, game=game)
         assert res.converged
-        oracle = brute_force_equilibrium(game, behaviors, grid=40, budget=1_500_000)
+        assert grid_enumeration_size(game, 40) <= 1_500_000
+        oracle = brute_force_equilibrium(game, behaviors, grid=40)
         dist = min(
             max(np.max(np.abs(res.profile[i] - cand[i])) for i in range(2))
             for cand in oracle

@@ -126,6 +126,18 @@ def test_profiles_csv_diagnostics(tmp_path):
     path.write_text(header + "\n" + ",".join(["x"] * 25) + "\n")
     with pytest.raises(ConfigError, match="row 2"):
         read_profiles_csv(path)
+    path.write_text(header + "\n" + ",".join(["-1"] + ["1"] * 24) + "\n")
+    with pytest.raises(ConfigError, match="row 2: hourly_demand must be finite and non-negative"):
+        read_profiles_csv(path)
+    path.write_text(header + "\n")
+    with pytest.raises(ConfigError, match="no profile rows"):
+        read_profiles_csv(path)
+    path.write_text("")
+    with pytest.raises(ConfigError, match="empty"):
+        read_profiles_csv(path)
+    for reader in (read_profiles_csv, read_csv):
+        with pytest.raises(ConfigError, match="not found"):
+            reader(tmp_path)
 
 
 def test_csv_read_back_exact(tmp_path):

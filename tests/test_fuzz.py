@@ -150,6 +150,7 @@ PROBES = [
     ("dsm8", "shift_span", "1000000000", 2),  # about 40 s per start hour
     ("dsm8", "start_window", "18,18", 2),  # identical actions
     ("dsm8", "profiles_csv", "missing.csv", 2),  # _dsm_base deletes the key; this sets it
+    ("dsm8", "profiles_csv", ".", 2),  # the config's directory; its error named no key
     ("storage4", "alphas", "0.25,0.25,0.65", 2),  # a duplicate column, solved twice
     ("game", "payoff 3", "nan", 2),  # FiniteGame's ValueError
 ]

@@ -795,7 +795,7 @@ def test_brute_force_budget():
     rng = np.random.default_rng(10)
     game = random_game(rng, 3)
     with pytest.raises(BudgetExceededError):
-        brute_force_equilibrium(game, grid=200, budget=1000)
+        brute_force_equilibrium(game, grid=200)
 
 
 def test_solver_vs_oracle_on_random_2x2():
@@ -873,6 +873,23 @@ def test_brute_force_matches_reference_loop(counts, grid):
         for prof, ref in zip(found, expected):
             for m, r in zip(prof, ref):
                 np.testing.assert_array_equal(m, r)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (5, 6), (1, 6), (4, 1, 5), (3, 4, 5)])
+def test_local_minima_matches_neighbour_loop(shape):
+    # small integers, so that neighbours tie
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        residual = rng.integers(0, 3, size=shape).astype(float)
+        expected = np.ones(shape, dtype=bool)
+        for idx in np.ndindex(*shape):
+            for axis in range(len(shape)):
+                for step in (-1, 1):
+                    k = idx[axis] + step
+                    if 0 <= k < shape[axis]:
+                        other = idx[:axis] + (k,) + idx[axis + 1:]
+                        expected[idx] &= bool(residual[idx] <= residual[other])
+        assert np.array_equal(_local_minima(residual), expected)
 
 
 # ---------------------------------------------------------------------------
