@@ -48,11 +48,12 @@ From iteration 1058 on, a member's next mixes are a fixed function of its
 own mixes. So when its mixes at iteration t repeat, bit for bit, its mixes
 at an earlier hardened iteration s, its states cycle with period t - s,
 none of them reaches tol (it ran through them all), and its state at
-max_iter is its state at t + (max_iter - t) mod (t - s). The solver keeps a snapshot of the running
-members' mixes, retaken every _CYCLE_STRIDE = 512 hardened iterations, and
-compares every hardened iteration's mixes with it; a member that repeats it
-leaves at that finish iteration with iterations = max_iter, converged False
-and the residual of the state it holds, which are the bits of the full run.
+max_iter is its state at t + (max_iter - t) mod (t - s). The solver keeps a
+snapshot of the running members' mixes, retaken every _CYCLE_STRIDE = 512
+hardened iterations, and compares every hardened iteration's mixes with it;
+a member that repeats it leaves at that finish iteration with iterations =
+max_iter, converged False and the residual of the state it holds, which are
+the bits of the full run.
 
 The solver runs a batch of behavior sets on one game in a single loop
 (solve_fixed_point_batch; solve_fixed_point is a batch of one), and steps

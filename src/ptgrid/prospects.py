@@ -121,41 +121,19 @@ def frame_value(u, frame: ValueFrame):
 
     With x = u - reference: x^beta_gain for gains (x >= 0), and
     -gamma * (-x)^beta_loss for losses.
-
-    Framed in the one output buffer; a boolean mask of the losses, and for
-    unequal betas its negation, are the only temporaries. A scalar is framed as a one-element array, since
-    numpy evaluates 0-d operands with scalar math, which can differ from its
-    array loops in the last bit.
     """
     arr, scalar = _as_float_array(u)
-    # min and max, not isfinite: no full-size temporary, and NaN fails too
-    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+    if not np.all(np.isfinite(arr)):
         raise ValueError("values must be finite")
-    if scalar:
-        arr = arr.reshape(-1)
     if frame.is_identity:
         out = arr.copy()
     else:
-        out = np.subtract(arr, frame.reference)
-        losses = out < 0.0
-        np.negative(out, out=out, where=losses)
-        if frame.beta_gain == frame.beta_loss:
-            _power_in_place(out, frame.beta_gain)
-        else:
-            _power_in_place(out, frame.beta_gain, ~losses)
-            _power_in_place(out, frame.beta_loss, losses)
-        np.multiply(out, -frame.gamma, out=out, where=losses)
-    return float(out[0]) if scalar else out
-
-
-def _power_in_place(x, exponent: float, where=True) -> None:
-    """x **= exponent on the entries where `where` holds, by the rule of
-    numpy's ** with a float exponent: 0.5 takes sqrt, which can differ in
-    the last bit from the general power loop, and 1 leaves x as it is."""
-    if exponent == 0.5:
-        np.sqrt(x, out=x, where=where)
-    elif exponent != 1.0:
-        np.power(x, exponent, out=x, where=where)
+        x = arr - frame.reference
+        gains = x >= 0.0
+        out = np.empty_like(x)
+        out[gains] = x[gains] ** frame.beta_gain
+        out[~gains] = -frame.gamma * (-x[~gains]) ** frame.beta_loss
+    return float(out) if scalar else out
 
 
 @dataclass(frozen=True)

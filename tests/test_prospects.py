@@ -165,44 +165,6 @@ def test_frame_monotone_and_loss_dominance():
         assert abs(frame_value(1.0 - d, frame)) >= frame_value(1.0 + d, frame)
 
 
-def frame_by_masks(u, frame):
-    """frame_value as it was written before it framed in one buffer: a
-    gains mask, and each side gathered, raised by ** and scattered back."""
-    arr = np.asarray(u, dtype=float)
-    x = arr - frame.reference
-    gains = x >= 0.0
-    out = np.empty_like(x)
-    out[gains] = x[gains] ** frame.beta_gain
-    out[~gains] = -frame.gamma * (-x[~gains]) ** frame.beta_loss
-    return float(out) if arr.ndim == 0 else out
-
-
-@pytest.mark.parametrize(
-    "frame",
-    [
-        ValueFrame(reference=0.5, gamma=2.25, beta_gain=0.88, beta_loss=0.88),
-        ValueFrame(reference=-1.0, gamma=1.0, beta_gain=0.5, beta_loss=0.5),
-        ValueFrame(reference=0.0, gamma=2.0, beta_gain=0.3, beta_loss=0.88),
-        ValueFrame(reference=0.5, gamma=1.5, beta_gain=1.0, beta_loss=0.5),
-        ValueFrame(reference=0.0, gamma=2.25, beta_gain=0.5, beta_loss=1.0),
-        ValueFrame(reference=0.0, gamma=3.0, beta_gain=1.0, beta_loss=1.0),
-    ],
-)
-def test_frame_value_gives_the_bits_of_the_masked_expression(frame):
-    # numpy takes ** 0.5 as sqrt, so an exponent of 0.5 must keep that rule
-    rng = np.random.default_rng(21)
-    u = rng.uniform(-10.0, 10.0, size=4096)
-    u[::97] = frame.reference  # x = 0 is a gain
-    u[5] = -0.0
-    for values in (u, u.reshape(16, 16, 16)[:, ::2]):
-        assert frame_value(values, frame).tobytes() == frame_by_masks(values, frame).tobytes()
-    for x in u[:64]:
-        for scalar in (float(x), np.array(x)):
-            got = frame_value(scalar, frame)
-            assert isinstance(got, float)
-            assert got.hex() == frame_by_masks(scalar, frame).hex()
-
-
 def test_frame_validation():
     with pytest.raises(ValueError):
         ValueFrame(gamma=0.5)
