@@ -14,17 +14,18 @@ The joint probability is formed first and weighted second, and the weights
 are applied as they are, without renormalization. One private kernel
 (_joint_prob, then _perceived) computes this rule: pure_action_values
 validates its inputs and calls it, and through pure_action_values the
-utilities, the residual certificate and the grid oracle use it; the 2x2
-solver certifies its candidates with it; the fixed-point solver takes its
-first iteration through it, which checks the behaviors once per solve, and
-calls the kernel directly for the rest.
+utilities, the residual certificate and the grid oracle use it, as does the
+2x2 solver, with one call per player for all its candidates; the
+fixed-point solver takes its first iteration through it, which checks the
+behaviors once per solve, and calls the kernel directly for the rest.
 
 One private function, _residual, computes the residual certificate: each
 player's gap max(v) - v.m between its best pure action value and the value
-of its own mix, maximised over the players and at least 0. Its three
-callers are equilibrium_residual (one profile), the fixed-point solver's
-stopping test (one block of players at a time, one row per batch member)
-and brute_force_equilibrium (one cell per grid profile).
+of its own mix, maximised over the players and at least 0. Its four callers
+are equilibrium_residual (one profile), solve_2x2 (one row per candidate),
+the fixed-point solver's stopping test (one block of players at a time, one
+row per batch member) and brute_force_equilibrium (one cell per grid
+profile).
 
 Each game frames a player's payoffs once per (player, frame) and keeps the
 result, own action axis first and flattened to (A_i, prod A_-i), in a private
@@ -243,6 +244,11 @@ def _check_profile(game: FiniteGame, mixes) -> None:
             raise ValueError("profile mix length does not match action count")
 
 
+def _check_behaviors(game: FiniteGame, behaviors) -> None:
+    if len(behaviors) != game.n_players:
+        raise ValueError(f"every behavior set needs {game.n_players} profiles, one per player")
+
+
 def eut_utility(game: FiniteGame, player: int, profile: MixedProfile) -> float:
     """Objective expected payoff: the payoff tensor contracted with the full
     joint action distribution."""
@@ -451,30 +457,38 @@ def _eut_behaviors(n: int):
 
 
 def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
-    """All equilibria of a 2-player, 2-action game: pure ones by
-    best-response checks, plus the interior mixed one when the perceived
-    indifference conditions admit a solution inside (0, 1).
+    """All equilibria of a 2-player, 2-action game: the four pure profiles in
+    itertools.product order, then the interior mixed one when the perceived
+    indifference conditions admit a solution inside (0, 1), each kept when
+    its residual certificate is within tol.
 
     Each player's mixing probability is pinned by the *opponent's*
     indifference condition w(q) * A = w(1-q) * B. With Prelec weights it is
     transcendental and is solved by bisection (the rational case reduces to
-    q = B / (A + B)). Returns [] when no equilibrium certifies within tol; an
-    absent interior solution is reported by omission, never fabricated.
+    q = B / (A + B)). The C candidates are certified as one batch: one
+    (C, 2) stack of mixes per player, one pure_action_values call per player
+    and one _residual call. Each row takes the same elementwise ops, the same
+    mat-vec and the same dot as a single profile, so row c has the bits of
+    equilibrium_residual on candidate c. Returns [] when no equilibrium
+    certifies within tol; an absent interior solution is reported by
+    omission, never fabricated.
     """
     if game.n_players != 2 or game.action_counts != (2, 2):
         raise ValueError("solve_2x2 handles exactly 2 players with 2 actions each")
     if behaviors is None:
         behaviors = _eut_behaviors(2)
-    candidates = [MixedProfile.pure(game, joint) for joint in itertools.product((0, 1), repeat=2)]
+    _check_behaviors(game, behaviors)
+    candidates = list(itertools.product(((1.0, 0.0), (0.0, 1.0)), repeat=2))
     mix = _interior_2x2(game, behaviors)
     if mix is not None:
-        candidates.append(MixedProfile(mix))
-    results = []
-    for prof in candidates:
-        res = equilibrium_residual(game, prof, behaviors)
-        if res <= tol:
-            results.append(EquilibriumResult(prof, res, 0, True))
-    return results
+        candidates.append(mix)
+    mixes = [np.array([c[i] for c in candidates]) for i in (0, 1)]
+    residual = _residual((pure_action_values(game, i, mixes, behaviors), mixes[i]) for i in (0, 1))
+    return [
+        EquilibriumResult(MixedProfile([m[c] for m in mixes]), float(res), 0, True)
+        for c, res in enumerate(residual)
+        if res <= tol
+    ]
 
 
 def _interior_2x2(game, behaviors):
@@ -584,12 +598,11 @@ def solve_fixed_point_batch(
     once and share one result.
     """
     check_solver_limits(tol, max_iter)
-    n = game.n_players
     sets = [tuple(b) for b in behavior_sets]
     if not sets:
         raise ValueError("a batch needs at least one behavior set")
-    if any(len(b) != n for b in sets):
-        raise ValueError(f"every behavior set needs {n} profiles, one per player")
+    for b in sets:
+        _check_behaviors(game, b)
     first = {}  # distinct behavior set -> its index in the loop, in order
     source = [first.setdefault(b, len(first)) for b in sets]
     solved = _fixed_point_loop(game, list(first), tol, max_iter)
@@ -780,13 +793,15 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
     among axis neighbors and within grid slack of the global minimum.
 
     Meant as an independent oracle for small games (<= 3 players, <= 3
-    actions); raises ValueError when grid < 1 and BudgetExceededError when
-    the enumeration would exceed GRID_BUDGET profiles.
+    actions); raises ValueError when grid < 1 or behaviors does not hold one
+    profile per player, and BudgetExceededError when the enumeration would
+    exceed GRID_BUDGET profiles.
     """
     if grid < 1:
         raise ValueError(f"grid must be a positive integer, got {grid}")
     if behaviors is None:
         behaviors = _eut_behaviors(game.n_players)
+    _check_behaviors(game, behaviors)
     check_grid_budget(game, grid)
     n = game.n_players
     grids = [_simplex_grid(a, grid) for a in game.action_counts]

@@ -28,6 +28,7 @@ from ptgrid.formats import load_dsm_config
 from ptgrid.games import (
     _framed_payoffs,
     _grid_slack,
+    _interior_2x2,
     _joint_prob,
     _local_minima,
     _perceived,
@@ -507,6 +508,53 @@ def test_solve_2x2_extreme_gap_ratio():
     results = solve_2x2(game, [PtProfile.weighting_only(0.5)] * 2)
     assert [tuple(int(np.argmax(m)) for m in r.profile) for r in results] == [(0, 1)]
     assert interior(results) == []
+
+
+def per_candidate_solve_2x2(game, behaviors, tol):
+    """solve_2x2 as one profile per certificate: the pure profiles in
+    itertools.product order, then the interior one, each kept when its
+    equilibrium_residual is within tol."""
+    candidates = [MixedProfile.pure(game, joint) for joint in itertools.product((0, 1), repeat=2)]
+    mix = _interior_2x2(game, behaviors)
+    if mix is not None:
+        candidates.append(MixedProfile(mix))
+    results = []
+    for prof in candidates:
+        res = equilibrium_residual(game, prof, behaviors)
+        if res <= tol:
+            results.append((prof, res))
+    return results
+
+
+def test_solve_2x2_matches_per_candidate_certificates_bit_for_bit():
+    rng = np.random.default_rng(1515)
+    several = interiors = 0
+    for g in range(600):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        game = FiniteGame(rng.normal(size=(2, 2, 2)) * scale)
+        alpha = (1.0, 0.5, float(rng.uniform(0.05, 1.0)))[g % 3]
+        behaviors = [PtProfile(PrelecWeighting(alpha), FRAMES[g // 3 % 2])] * 2
+        for tol in (1e-9, 0.0):
+            got = solve_2x2(game, behaviors, tol)
+            want = per_candidate_solve_2x2(game, behaviors, tol)
+            assert len(got) == len(want)
+            for r, (prof, res) in zip(got, want):
+                assert [m.tobytes() for m in r.profile] == [m.tobytes() for m in prof]
+                assert repr(r.residual) == repr(res)
+                assert (r.iterations, r.converged) == (0, True)
+                assert r.residual == equilibrium_residual(game, r.profile, behaviors)
+            several += len(got) > 1
+            interiors += len(interior(got))
+    # the order and the interior row are both tested
+    assert several > 100 and interiors > 100
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_solvers_reject_a_behavior_list_of_the_wrong_length(count):
+    behaviors = [PtProfile.weighting_only(0.5)] * count
+    for solve in (solve_2x2, brute_force_equilibrium, solve_fixed_point):
+        with pytest.raises(ValueError, match="every behavior set needs 2 profiles, one per player"):
+            solve(MATCHING_PENNIES, behaviors)
 
 
 # ---------------------------------------------------------------------------
