@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__, fixtures
 from .dsm import hourly_load_report, rationality_sweep, synth_profile
 from .formats import (
+    PROSPECT_KEYS,
     ConfigError,
     config_errors,
     load_storage_config,
@@ -43,7 +44,7 @@ from .games import (
     solve_2x2,
     solve_fixed_point,
 )
-from .prospects import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_GAMMA, PtProfile, preference_demo
+from .prospects import PtProfile, preference_demo
 from .storage import framing_sweep, sweep_company_price, sweep_selling_price
 
 EXIT_OK = 0
@@ -97,10 +98,12 @@ def _write(args, config: dict, outputs, seed=None) -> int:
 
 
 def cmd_prospect(args) -> int:
-    params, profile = resolve_prospect_config(
-        _read_config(args.config, args, ("alpha", "gamma", "beta", "reference"))
-    )
-    text = preference_demo(profile).render()
+    params, profile = resolve_prospect_config(_read_config(args.config, args, PROSPECT_KEYS))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned about
+        report = preference_demo(profile)
+    if not np.all(np.isfinite(list(report.pt_values.values()))):
+        raise ConfigError("gamma, beta, reference: a demo option's value leaves the float range")
+    text = report.render()
     print(text)
     return _write(args, params, [("prospect_report.txt", text + "\n")])
 
@@ -259,11 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prospect", help="gain/loss preference demo report")
-    p.add_argument("--config", help="key = value file with alpha/gamma/beta/reference")
-    p.add_argument("--alpha", type=float, help=f"Prelec rationality (default {DEFAULT_ALPHA})")
-    p.add_argument("--gamma", type=float, help=f"loss aversion (default {DEFAULT_GAMMA})")
-    p.add_argument("--beta", type=float, help=f"gain/loss curvature (default {DEFAULT_BETA})")
-    p.add_argument("--reference", type=float, help="framing reference point (default 0)")
+    p.add_argument("--config", help=f"key = value file with {'/'.join(PROSPECT_KEYS)}")
+    for key, what in (("alpha", "Prelec rationality"), ("gamma", "loss aversion"),
+                      ("beta", "gain/loss curvature"), ("reference", "framing reference point")):
+        p.add_argument(f"--{key}", type=float, help=f"{what} (default {PROSPECT_KEYS[key][1]:g})")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_prospect)
 

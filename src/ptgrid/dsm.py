@@ -53,8 +53,11 @@ class LoadProfile:
         demand = np.asarray(self.hourly_demand, dtype=float)
         if demand.shape != (HOURS,):
             raise ValueError(f"hourly_demand needs exactly {HOURS} entries")
-        if np.any(demand < 0.0) or not np.all(np.isfinite(demand)):
-            raise ValueError("hourly_demand must be finite and non-negative")
+        # a finite daily total bounds every hour of shifted_load's result;
+        # the sum is NaN or inf when an hour is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.any(demand < 0.0) or not np.isfinite(demand.sum()):
+                raise ValueError("hourly_demand must be finite and non-negative, as must its sum")
         if not (0.0 <= self.flexible_fraction <= 1.0):
             raise ValueError("flexible_fraction must lie in [0, 1]")
         demand = demand.copy()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,15 +86,6 @@ def parse_int_list(text: str) -> tuple:
         return tuple(int(t) for t in text.split(",") if t.strip())
 
 
-def _get(cfg: dict, key: str, default=None, parse=float):
-    """The value of key read by parse, from default when the key is missing;
-    a key without a default is required."""
-    if key not in cfg and default is None:
-        raise ConfigError(f"missing required key {key!r}")
-    with config_errors(key):
-        return parse(cfg.get(key, default))
-
-
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -105,26 +96,95 @@ def _parse_bool(text) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# scenario configs
+# scenario configs: one table per command of key -> (parser, default), where a
+# default is parsed like a value and _REQUIRED marks a key every config sets.
+# An absent key with default None is not resolved, so a DsmConfig or
+# StorageGridConfig field keeps its own default.
+
+_REQUIRED = object()
+
+PROSPECT_KEYS = {
+    "alpha": (float, DEFAULT_ALPHA),
+    "gamma": (float, DEFAULT_GAMMA),
+    "beta": (float, DEFAULT_BETA),
+    "reference": (float, 0.0),
+}
+
+STORAGE_KEYS = {
+    "load_1": (float, _REQUIRED),
+    "surplus_1": (float, _REQUIRED),
+    "load_2": (float, _REQUIRED),
+    "surplus_2": (float, _REQUIRED),
+    "passive_load": (float, None),
+    "nominal_generation": (float, None),
+    "penalty_coeff": (float, _REQUIRED),
+    "company_price": (float, _REQUIRED),
+    "selling_price": (float, None),
+    "alphas": (parse_float_list, "0.25,0.65"),
+    "b_grid": (parse_grid, "0.03:0.09:25"),
+    "rho_grid": (parse_grid, "0.10:0.20:21"),
+    "ref_grid": (parse_grid, "0.0:2.0:9"),
+    "gammas": (parse_float_list, "1.0,2.0"),
+    "frame_beta": (float, 1.0),
+}
+
+DSM_KEYS = {
+    "n_consumers": (int, None),
+    "seed": (int, 42),
+    "profiles_csv": (str, None),  # a path; when absent, the synthetic generator
+    "flexible_low": (float, 0.7),
+    "flexible_high": (float, 0.95),
+    "start_window": (parse_int_list, None),
+    "include_opt_out": (_parse_bool, None),
+    "price_coeff": (float, None),
+    "price_exponent": (float, None),
+    "shift_span": (int, None),
+    "offpeak_hours": (parse_int_list, None),
+    "alphas": (lambda text: tuple(parse_float_list(text).tolist()), None),
+    "alpha_grid": (parse_grid, "0.05:1.0:20"),
+    "hour": (int, 19),
+    "tol": (float, 1e-9),
+    "max_iter": (int, 10000),
+}
+
+
+def _resolve(cfg: dict, table: dict) -> dict:
+    """Each key of cfg read by its table entry's parser, plus each absent key
+    that has a default. Raises ConfigError for a key outside the table,
+    naming the closest known key, and for a missing required key."""
+    for key in cfg:
+        if key not in table:
+            import difflib  # only on this error path, off the start-up time
+
+            close = difflib.get_close_matches(key, table, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(f"unknown key {key!r}{hint}")
+    values = {}
+    for key, (parse, default) in table.items():
+        if key not in cfg and default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        if key in cfg or default is not None:
+            with config_errors(key):
+                values[key] = parse(cfg.get(key, default))
+    return values
+
+
+def _fields_of(cls, values: dict):
+    """cls built from the values of the keys that name its fields."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
 def resolve_prospect_config(cfg: dict) -> tuple:
-    """The prospect demo's parameters from a key/value set (alpha, gamma,
-    beta, reference; the canonical calibration for a missing key) and the
-    behavioral profile they make."""
-    defaults = {"alpha": DEFAULT_ALPHA, "gamma": DEFAULT_GAMMA, "beta": DEFAULT_BETA}
-    params = {key: _get(cfg, key, default) for key, default in defaults.items()}
-    params["reference"] = _get(cfg, "reference", 0.0)
+    """The prospect demo's parameters from a key/value set (PROSPECT_KEYS)
+    and the behavioral profile they make."""
+    params = _resolve(cfg, PROSPECT_KEYS)
     with config_errors():
         return params, PtProfile.behavioral(**params)
 
 
 def load_storage_config(path) -> dict:
-    """Resolve a storage scenario config file.
+    """Resolve a storage scenario config file; its keys are STORAGE_KEYS.
 
-    Keys: load_1, surplus_1, load_2, surplus_2, passive_load,
-    nominal_generation (optional), penalty_coeff, company_price,
-    selling_price, alphas, b_grid, rho_grid, ref_grid, gammas, frame_beta.
     Raises ConfigError, naming the key, for a value out of its range: b_grid
     and rho_grid must be non-empty and strictly ascending, ref_grid and
     gammas non-empty, none of these grids nor alphas may repeat a value,
@@ -135,27 +195,21 @@ def load_storage_config(path) -> dict:
     so payoffs past the float range are a ConfigError too.
     """
     cfg = read_kv_config(path)
-    b_grid = _sweep_values("b_grid", _get(cfg, "b_grid", "0.03:0.09:25", parse_grid), True)
-    rho_grid = _sweep_values("rho_grid", _get(cfg, "rho_grid", "0.10:0.20:21", parse_grid), True)
-    ref_grid = _sweep_values("ref_grid", _get(cfg, "ref_grid", "0.0:2.0:9", parse_grid))
-    gammas = _sweep_values("gammas", _get(cfg, "gammas", "1.0,2.0", parse_float_list))
-    alphas = _get(cfg, "alphas", "0.25,0.65", parse_float_list)
+    values = _resolve(cfg, STORAGE_KEYS)
+    b_grid = _sweep_values("b_grid", values["b_grid"], True)
+    rho_grid = _sweep_values("rho_grid", values["rho_grid"], True)
+    ref_grid = _sweep_values("ref_grid", values["ref_grid"])
+    gammas = _sweep_values("gammas", values["gammas"])
+    alphas = values["alphas"]
     if alphas.size:  # no alphas is valid: the figures then hold the EUT columns only
         _sweep_values("alphas", alphas)
     alphas = alphas.tolist()
-    beta = _get(cfg, "frame_beta", 1.0)
-    nominal = _get(cfg, "nominal_generation") if "nominal_generation" in cfg else None
+    beta = values["frame_beta"]
     with config_errors():  # the messages name the fields, which are the keys
-        grid = StorageGridConfig(
-            passive_load=_get(cfg, "passive_load", 80.0),
-            nominal_generation=nominal,
-            penalty_coeff=_get(cfg, "penalty_coeff"),
-            company_price=_get(cfg, "company_price"),
-            selling_price=_get(cfg, "selling_price", 0.06),
-        )
+        grid = _fields_of(StorageGridConfig, values)
     consumers = []
     for i in (1, 2):
-        load, surplus = _get(cfg, f"load_{i}"), _get(cfg, f"surplus_{i}")
+        load, surplus = values[f"load_{i}"], values[f"surplus_{i}"]
         with config_errors(f"load_{i}, surplus_{i}"):
             consumers.append(StorageConsumer(load=load, surplus=surplus))
     with config_errors("alphas"):
@@ -226,51 +280,38 @@ def load_dsm_config(path) -> dict:
 
 
 def resolve_dsm_config(cfg: dict) -> dict:
-    """Resolve the key/value set of a DSM scenario.
+    """Resolve the key/value set of a DSM scenario; its keys are DSM_KEYS.
 
-    Keys: n_consumers, seed, profiles_csv (optional; overrides the synthetic
-    generator), flexible_low/flexible_high, start_window, include_opt_out,
-    price_coeff, price_exponent, shift_span, offpeak_hours, alphas,
-    alpha_grid, hour, tol, max_iter. Raises ConfigError, naming the key, for
-    a value out of its range: alphas and alpha_grid in (0, 1] with
-    alpha_grid non-empty and repeating no value, hour in [0, 23],
-    0 <= flexible_low <= flexible_high <= 1, seed >= 0, and the DsmConfig
-    and solver limits.
+    Raises ConfigError, naming the key, for a value out of its range: alphas
+    and alpha_grid in (0, 1] with alpha_grid non-empty and repeating no
+    value, hour in [0, 23], 0 <= flexible_low <= flexible_high <= 1,
+    seed >= 0, and the DsmConfig and solver limits.
     """
-    alphas = tuple(_get(cfg, "alphas", "", parse_float_list).tolist()) if "alphas" in cfg else None
+    values = _resolve(cfg, DSM_KEYS)
+    tol, max_iter = values["tol"], values["max_iter"]
     with config_errors():  # the messages name the fields, which are the keys
-        config = DsmConfig(
-            n_consumers=_get(cfg, "n_consumers", 6, int),
-            start_window=_get(cfg, "start_window", "18,19,20", parse_int_list),
-            include_opt_out=_get(cfg, "include_opt_out", True, _parse_bool),
-            price_coeff=_get(cfg, "price_coeff", 0.02),
-            price_exponent=_get(cfg, "price_exponent", 1.0),
-            shift_span=_get(cfg, "shift_span", 5, int),
-            offpeak_hours=_get(cfg, "offpeak_hours", "1,2,3,4,5", parse_int_list),
-            alphas=alphas,
-        )
-        tol, max_iter = _get(cfg, "tol", 1e-9), _get(cfg, "max_iter", 10000, int)
+        config = _fields_of(DsmConfig, values)
         check_solver_limits(tol, max_iter)
-    low, high = _get(cfg, "flexible_low", 0.7), _get(cfg, "flexible_high", 0.95)
+    low, high = values["flexible_low"], values["flexible_high"]
     # written so that NaN fails
     if not (0.0 <= low <= high <= 1.0):
         raise ConfigError(
             "flexible_low and flexible_high must satisfy 0 <= flexible_low <= "
             f"flexible_high <= 1, got {low!r} and {high!r}"
         )
-    alpha_grid = _sweep_values("alpha_grid", _get(cfg, "alpha_grid", "0.05:1.0:20", parse_grid))
+    alpha_grid = _sweep_values("alpha_grid", values["alpha_grid"])
     if not np.all((alpha_grid > 0.0) & (alpha_grid <= 1.0)):
         raise ConfigError(f"alpha_grid values must lie in (0, 1], got {alpha_grid.tolist()!r}")
-    hour = _get(cfg, "hour", 19, int)
+    hour = values["hour"]
     if not 0 <= hour < HOURS:
         raise ConfigError(f"hour must lie in [0, 23], got {hour}")
-    seed = _get(cfg, "seed", 42, int)
+    seed = values["seed"]
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return {
         "config": config,
         "seed": seed,
-        "profiles_csv": cfg.get("profiles_csv"),
+        "profiles_csv": values.get("profiles_csv"),
         "flexible_range": (low, high),
         "alpha_grid": alpha_grid,
         "hour": hour,

@@ -12,7 +12,7 @@ mixing probabilities enter unweighted:
 
 The joint probability is formed first and weighted second, and the weights
 are applied as they are, without renormalization. One private kernel
-(_joint_prob, then _perceived) computes this rule: pure_action_values
+(_joint_prob, _weights, then _mat_vec) computes this rule: pure_action_values
 validates its inputs and calls it, and through pure_action_values the
 utilities, the residual certificate and the grid oracle use it, as does the
 2x2 solver, with one call per player for all its candidates; the
@@ -292,7 +292,7 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
             raise ValueError(f"the behaviors of player {player} must share one frame")
         alpha = _row_alphas(np.array([float(r.weighting.alpha) for r in b]))
     with np.errstate(divide="ignore"):
-        return _perceived(_framed_payoffs(game, player, frame), q, alpha)
+        return _mat_vec(_framed_payoffs(game, player, frame), _weights(q, alpha))
 
 
 # Size of the running product from which _joint_prob fills one action column
@@ -329,14 +329,6 @@ def _joint_prob(opponents) -> np.ndarray:
             q = out
         q = q.reshape(q.shape[:-2] + (-1,))
     return q
-
-
-def _perceived(framed: np.ndarray, q: np.ndarray, alpha) -> np.ndarray:
-    """Perceived action values from the framed payoffs (A_i, M) and the joint
-    opponent probabilities q (..., M): Prelec weights, then one mat-vec per
-    batch row. alpha is a float for every row, or _row_alphas of q's rows.
-    Unchecked: the caller validates q and silences log(0)."""
-    return _mat_vec(framed, _weights(q, alpha))
 
 
 def _mat_vec(framed: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 Each case changes one key of a bundled scenario config (`storage --figure 4`
 and `--figure 7`, `dsm --figure 8` on three consumers) or one field of a
-game file (`solve`), and runs `cli.main` in process. Every case must exit
-0, 2 or 3 without a traceback. An exit 2 must print exactly one `error:`
-line that names the key at fault, and must leave no output directory.
+game file (`solve`), and runs `cli.main` in process. A second sample changes
+one key of `prospect`'s config or of `dsm --figure 9`'s on three consumers,
+drawn from the command's key table. Every case must exit 0, 2 or 3 without a
+traceback. An exit 2 must print exactly one `error:` line that names the key
+at fault, and must leave no output directory.
 
-The case set is fixed by SEED, VOCABULARY and N_CASES: a fixed count, not a
-timer, bounds the run time. The probe cases that once ended in a traceback
-are kept by name in PROBES.
+The case sets are fixed by SEED, VOCABULARY, N_CASES and N_TABLE_CASES: a
+fixed count, not a timer, bounds the run time. The probe cases that once
+ended in a traceback are kept by name in PROBES.
 """
 import random
 
@@ -16,10 +18,11 @@ import pytest
 
 from ptgrid import fixtures
 from ptgrid.cli import main
-from ptgrid.formats import read_kv_config
+from ptgrid.formats import DSM_KEYS, PROSPECT_KEYS, read_kv_config, write_csv
 
 SEED = 20261018
 N_CASES = 60
+N_TABLE_CASES = 40
 
 # "reversed", "one-point" and "repeated" are derived from the value they
 # replace; every other word is written as it stands.
@@ -40,6 +43,10 @@ def _dsm_base():
     return cfg
 
 
+def _prospect_base():
+    return {key: repr(default) for key, (_, default) in PROSPECT_KEYS.items()}
+
+
 # One field per key: the two header lines and each payoff cell of a 2x2 game.
 GAME_BASE = {"players": "2", "actions": "2 2"}
 GAME_BASE.update({f"payoff {k}": v for k, v in enumerate("1 -1 -1 1 -1 1 1 -1".split())})
@@ -49,7 +56,11 @@ TARGETS = {
     "storage7": (_storage_base, ["storage", "--figure", "7"]),
     "dsm8": (_dsm_base, ["dsm", "--figure", "8"]),
     "game": (lambda: dict(GAME_BASE), ["solve"]),
+    "prospect": (_prospect_base, ["prospect"]),
+    "dsm9": (_dsm_base, ["dsm", "--figure", "9"]),
 }
+# the second sample's targets, each with the key table its keys come from
+TABLES = {"prospect": PROSPECT_KEYS, "dsm9": DSM_KEYS}
 
 
 def _value(word: str, original: str, sep: str) -> str:
@@ -71,15 +82,19 @@ def _value(word: str, original: str, sep: str) -> str:
     return derived.get(word, word)
 
 
-def _all_cases():
+def _all_cases(keys_of):
+    """Every (target, key, word) for the targets and keys of keys_of."""
     cases = []
-    for target, (base, _) in TARGETS.items():
-        for key in base():
+    for target, keys in keys_of.items():
+        for key in keys:
             cases += [(target, key, word) for word in VOCABULARY]
     return cases
 
 
-CASES = random.Random(SEED).sample(_all_cases(), N_CASES)
+# the first sample's targets, each with its base fields as its keys
+FIRST = {t: TARGETS[t][0]() for t in ("storage4", "storage7", "dsm8", "game")}
+CASES = random.Random(SEED).sample(_all_cases(FIRST), N_CASES)
+TABLE_CASES = random.Random(SEED).sample(_all_cases(TABLES), N_TABLE_CASES)
 
 
 def _game_text(fields: dict) -> str:
@@ -88,11 +103,16 @@ def _game_text(fields: dict) -> str:
     return "\n".join([f"players {fields['players']}", f"actions {fields['actions']}", *rows]) + "\n"
 
 
-def _run(tmp_path, capsys, target, key, value):
-    """Run one case; returns (exit code, stderr, output directory)."""
-    base, argv = TARGETS[target]
-    fields = base()
+def _fields(target: str, key: str, value: str) -> dict:
+    """The target's base fields with key set to value."""
+    fields = TARGETS[target][0]()
     fields[key] = value
+    return fields
+
+
+def _run(tmp_path, capsys, target, fields):
+    """Run the target on fields; returns (exit code, stderr, output directory)."""
+    argv = TARGETS[target][1]
     out = tmp_path / "out"
     if target == "game":
         path = tmp_path / "case.game"
@@ -113,24 +133,29 @@ def _named(target: str, key: str) -> str:
     return {"players": "player", "actions": "action"}.get(key, "payoff")
 
 
-def _check(tmp_path, capsys, target, key, value):
-    code, err, out = _run(tmp_path, capsys, target, key, value)
+def _check(tmp_path, capsys, target, fields, words):
+    """Run one case; an exit 2 must name each of words."""
+    code, err, out = _run(tmp_path, capsys, target, fields)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     if code == 2:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
-        assert _named(target, key) in err
+        assert all(word in err for word in words), err
         assert not out.exists()
     return code
 
 
 @pytest.mark.parametrize(
-    "target, key, word", CASES, ids=[f"{t}-{k}-{w or 'empty'}" for t, k, w in CASES]
+    "target, key, word",
+    CASES + TABLE_CASES,
+    ids=[f"{t}-{k}-{w or 'empty'}" for t, k, w in CASES + TABLE_CASES],
 )
 def test_fuzz_case(tmp_path, capsys, target, key, word):
-    original = TARGETS[target][0]()[key]
-    _check(tmp_path, capsys, target, key, _value(word, original, " " if target == "game" else ","))
+    # profiles_csv is in DSM_KEYS but not in _dsm_base, so it replaces nothing
+    original = TARGETS[target][0]().get(key, "")
+    value = _value(word, original, " " if target == "game" else ",")
+    _check(tmp_path, capsys, target, _fields(target, key, value), [_named(target, key)])
 
 
 # Inputs that ended in a traceback (exit 1), or exited without naming their
@@ -153,6 +178,7 @@ PROBES = [
     ("dsm8", "profiles_csv", ".", 2),  # the config's directory; its error named no key
     ("storage4", "alphas", "0.25,0.25,0.65", 2),  # a duplicate column, solved twice
     ("game", "payoff 3", "nan", 2),  # FiniteGame's ValueError
+    ("prospect", "gamma", "1e308", 2),  # RuntimeWarning: loss values past the float range
 ]
 
 
@@ -160,7 +186,33 @@ PROBES = [
     "target, key, value, code", PROBES, ids=[f"{t}-{k}-{v}" for t, k, v, _ in PROBES]
 )
 def test_probe_case(tmp_path, capsys, target, key, value, code):
-    assert _check(tmp_path, capsys, target, key, value) == code
+    fields = _fields(target, key, value)
+    assert _check(tmp_path, capsys, target, fields, [_named(target, key)]) == code
+
+
+# A misspelled key of each command, with the key its error must suggest.
+MISSPELLED = [
+    ("dsm8", "alpah_grid", "alpha_grid"),
+    ("storage4", "alpha", "alphas"),
+    ("prospect", "alpah", "alpha"),
+]
+
+
+@pytest.mark.parametrize("target, typo, key", MISSPELLED, ids=[t for t, _, _ in MISSPELLED])
+def test_misspelled_key(tmp_path, capsys, target, typo, key):
+    fields = TARGETS[target][0]()
+    fields[typo] = fields.pop(key)
+    assert _check(tmp_path, capsys, target, fields, [repr(typo), repr(key)]) == 2
+
+
+def test_overflowing_profiles_csv(tmp_path, capsys):
+    # every hour at 1e308: each daily total, and so the load that shifting
+    # moves, is past the float range
+    path = tmp_path / "profiles.csv"
+    header = [f"h{h:02d}" for h in range(24)] + ["flexible_fraction"]
+    write_csv(path, header, [[1e308] * 24 + [0.5]] * 3)
+    fields = _fields("dsm8", "profiles_csv", str(path))
+    assert _check(tmp_path, capsys, "dsm8", fields, ["profiles_csv"]) == 2
 
 
 # Game files that FiniteGame rejected with a ValueError, and one whose four

@@ -31,9 +31,10 @@ from ptgrid.games import (
     _interior_2x2,
     _joint_prob,
     _local_minima,
-    _perceived,
+    _mat_vec,
     _prefetched_solves,
     _simplex_grid,
+    _weights,
 )
 from ptgrid.prospects import PrelecWeighting, PtProfile, ValueFrame, frame_value, prelec_weight
 
@@ -371,7 +372,7 @@ def test_identity_memo_gives_the_bits_of_a_framed_copy(n_players):
             for batch in (mixes, [m[-1] for m in mixes]):
                 q = _joint_prob([m for j, m in enumerate(batch) if j != i])
                 with np.errstate(divide="ignore"):
-                    want = _perceived(copied, q, alpha)
+                    want = _mat_vec(copied, _weights(q, alpha))
                 got = pure_action_values(game, i, batch, behaviors)
                 assert got.tobytes() == want.tobytes()
 
