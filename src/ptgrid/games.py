@@ -12,12 +12,14 @@ mixing probabilities enter unweighted:
 
 The joint probability is formed first and weighted second, and the weights
 are applied as they are, without renormalization. One private kernel
-(_joint_prob, _weights, then _mat_vec) computes this rule: pure_action_values
-validates its inputs and calls it, and through pure_action_values the
-utilities, the residual certificate and the grid oracle use it, as does the
-2x2 solver, with one call per player for all its candidates; the
-fixed-point solver takes its first iteration through it, which checks the
-behaviors once per solve, and calls the kernel directly for the rest.
+(_joint_prob, prospects._weights, then _mat_vec) computes this rule; its
+_weights is the package's one Prelec evaluation, which prelec_weight calls
+too. pure_action_values validates its inputs, one PtProfile per player, and
+calls the kernel, and through pure_action_values the utilities, the
+residual certificate and the grid oracle use it, as does the 2x2 solver,
+with one call per player for all its candidates. The fixed-point solver
+takes its first iteration through it, one call per player and batch member
+on the uniform profile, and calls the kernel directly for the rest.
 
 One private function, _residual, computes the residual certificate: each
 player's gap max(v) - v.m between its best pure action value and the value
@@ -86,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prospects import PROB_TOL, PtProfile, _unit_interval_array, frame_value
+from .prospects import PROB_TOL, PtProfile, _unit_interval_array, _weights, frame_value
 
 
 class GameFormatError(ValueError):
@@ -267,11 +269,8 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
     `mixes` is a MixedProfile or any sequence of one probability vector per
     player; the player's own entry is not read. A mix may carry leading
     batch axes: the result has the opponents' batch shapes, broadcast,
-    followed by the player's action axis.
-
-    behaviors[player] is one PtProfile, or, when the opponents' mixes share
-    one leading batch axis of K rows, a sequence of K PtProfiles with one
-    frame: one Prelec alpha per row.
+    followed by the player's action axis. behaviors[player] is the player's
+    PtProfile.
     """
     _check_player(game, player)
     mixes = [np.asarray(m, dtype=float) for m in mixes]
@@ -279,20 +278,9 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
     q = _joint_prob([m for j, m in enumerate(mixes) if j != player])
     _unit_interval_array(q, "probability")
     b = behaviors[player]
-    if not isinstance(b, (list, tuple)):
-        frame, alpha = b.frame, float(b.weighting.alpha)
-    else:
-        if q.ndim != 2 or q.shape[0] != len(b):
-            raise ValueError(
-                f"{len(b)} behaviors for player {player} need mixes with one "
-                f"batch axis of {len(b)} rows"
-            )
-        frame = b[0].frame
-        if any(r.frame != frame for r in b):
-            raise ValueError(f"the behaviors of player {player} must share one frame")
-        alpha = _row_alphas(np.array([float(r.weighting.alpha) for r in b]))
+    framed = _framed_payoffs(game, player, b.frame)
     with np.errstate(divide="ignore"):
-        return _mat_vec(_framed_payoffs(game, player, frame), _weights(q, alpha))
+        return _mat_vec(framed, _weights(q, float(b.weighting.alpha)))
 
 
 # Size of the running product from which _joint_prob fills one action column
@@ -337,43 +325,12 @@ def _mat_vec(framed: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (framed @ w[..., None])[..., 0]
 
 
-def _weights(q: np.ndarray, alpha, out=None) -> np.ndarray:
-    """Prelec weights exp(-(-ln q)^alpha) of q (..., M), computed in one
-    buffer: a new one, or q itself when out is q. alpha is a float for every
-    row of q, or _row_alphas of q's rows. A float takes `**=`: numpy's **
-    with a float exponent takes 0.5 as sqrt, which differs in the last bit
-    from the general power loop, and prelec_weight's ** follows the same
-    rule. An exponent column gets no such rule, so its entries at 0.5 take
-    sqrt before the power overwrites them, and its entries at 1 keep q."""
-    # exp(-(-ln q)^1) is not q bit for bit
-    if isinstance(alpha, float):
-        if alpha == 1.0:
-            return q
-        exponent, half, rational = alpha, None, None
-    else:
-        exponent, half, rational = alpha
-    if rational is not None:
-        kept = q[rational]  # before out, which may be q, is written
-    w = np.log(q, out=out)
-    np.negative(w, out=w)
-    if half is not None:
-        roots = np.sqrt(w[half])
-    w **= exponent
-    if half is not None:
-        w[half] = roots
-    np.negative(w, out=w)
-    np.exp(w, out=w)
-    if rational is not None:
-        w[rational] = kept
-    return w
-
-
 def _row_alphas(alphas: np.ndarray):
     """Prelec alphas, one per row of a q of shape alphas.shape + (M,), as
-    _weights takes them: a float when they are all equal, else the exponent
-    column alphas[..., None] with boolean masks of the entries at 0.5 and at
-    1 (None where there is no such entry). A block of the fixed-point loop
-    passes its (P, K) alphas; pure_action_values passes (K,)."""
+    prospects._weights takes them: a float when they are all equal, else the
+    exponent column alphas[..., None] with boolean masks of the entries at
+    0.5 and at 1 (None where there is no such entry). Its one caller is the
+    fixed-point loop, with a block's (P, K) alphas."""
     first = float(alphas.flat[0])
     if np.all(alphas == first):
         return first
@@ -463,10 +420,11 @@ def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
     mat-vec and the same dot as a single profile, so row c has the bits of
     equilibrium_residual on candidate c. Returns [] when no equilibrium
     certifies within tol; an absent interior solution is reported by
-    omission, never fabricated.
+    omission, never fabricated. tol is checked as check_solver_limits does.
     """
     if game.n_players != 2 or game.action_counts != (2, 2):
         raise ValueError("solve_2x2 handles exactly 2 players with 2 actions each")
+    check_solver_limits(tol, 0)
     if behaviors is None:
         behaviors = _eut_behaviors(2)
     _check_behaviors(game, behaviors)
@@ -595,6 +553,8 @@ def solve_fixed_point_batch(
         raise ValueError("a batch needs at least one behavior set")
     for b in sets:
         _check_behaviors(game, b)
+        if any(r.frame != f.frame for r, f in zip(b, sets[0])):
+            raise ValueError("every behavior set must give each player the same frame")
     first = {}  # distinct behavior set -> its index in the loop, in order
     source = [first.setdefault(b, len(first)) for b in sets]
     solved = _fixed_point_loop(game, list(first), tol, max_iter)
@@ -602,9 +562,10 @@ def solve_fixed_point_batch(
 
 
 def check_solver_limits(tol: float, max_iter: int) -> None:
-    """Raise ValueError for a negative or NaN tol and a negative max_iter."""
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    """Raise ValueError for a tol that is negative, infinite or NaN (an
+    infinite tol would certify any profile) and for a negative max_iter."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
 
@@ -652,14 +613,13 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
         ]
         for players in blocks
     ]
-    uniform = [np.full((len(sets), a), 1.0 / a) for a in counts]
-    # iteration 0 goes through pure_action_values, which checks the behaviors
-    # (one frame per player) once; the kernel takes the rest, whose mixes are
-    # convex combinations of checked ones
-    per_row = [[b[i] for b in sets] for i in range(n)]
-    values = [pure_action_values(game, i, uniform, per_row) for i in range(n)]
-    values = [np.stack([values[i] for i in players]) for players in blocks]
-    mixes = [np.stack([uniform[i] for i in players]) for players in blocks]
+    # iteration 0: one pure_action_values call per player and member on the
+    # uniform profile, whose calls the benchmark's tracer counts on the DSM
+    # sweeps; the kernel takes the rest
+    start = [np.full(a, 1.0 / a) for a in counts]
+    values = [np.stack([[pure_action_values(game, i, start, b) for b in sets] for i in players])
+              for players in blocks]
+    mixes = [np.stack([np.tile(start[i], (len(sets), 1)) for i in players]) for players in blocks]
     framed = [[_framed_payoffs(game, i, sets[0][i].frame) for i in players] for players in blocks]
     # (P, K) per block: one alpha per player and batch member
     alphas = [np.array([[float(b[i].weighting.alpha) for b in sets] for i in players])

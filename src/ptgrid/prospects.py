@@ -42,14 +42,45 @@ def prelec_inverse(w, alpha: float):
 
 
 def _prelec(x, exponent: float, what: str):
-    """exp(-(-ln x)^exponent) elementwise; exponent 1 returns x unchanged."""
+    """_weights of a checked copy of x; exponent 1 returns the copy."""
     arr, scalar = _unit_interval_array(x, what)
-    if exponent == 1.0:
-        out = arr.copy()
-    else:
-        with np.errstate(divide="ignore"):
-            out = np.exp(-((-np.log(arr)) ** exponent))
+    out = arr.copy()
+    with np.errstate(divide="ignore"):
+        # float: an int or a numpy scalar would be read as a _row_alphas tuple
+        _weights(out, float(exponent), out=out)
     return float(out[0]) if scalar else out
+
+
+def _weights(q: np.ndarray, alpha, out=None) -> np.ndarray:
+    """The package's one Prelec evaluation: exp(-(-ln q)^alpha) of q
+    (..., M), computed in one buffer, a new one or q itself when out is q.
+    alpha is a float for every entry of q, or games._row_alphas of q's rows.
+    A float takes `**=`: numpy's ** with a float exponent takes 0.5 as sqrt
+    and 2 as a square, which differ in the last bit from the general power
+    loop. An exponent column gets no such rule, so its entries at 0.5 take
+    sqrt before the power overwrites them, and its entries at 1 keep q. The
+    caller sets errstate: ln 0 divides by zero."""
+    # exp(-(-ln q)^1) is not q bit for bit
+    if isinstance(alpha, float):
+        if alpha == 1.0:
+            return q
+        exponent, half, rational = alpha, None, None
+    else:
+        exponent, half, rational = alpha
+    if rational is not None:
+        kept = q[rational]  # before out, which may be q, is written
+    w = np.log(q, out=out)
+    np.negative(w, out=w)
+    if half is not None:
+        roots = np.sqrt(w[half])
+    w **= exponent
+    if half is not None:
+        w[half] = roots
+    np.negative(w, out=w)
+    np.exp(w, out=w)
+    if rational is not None:
+        w[rational] = kept
+    return w
 
 
 def _unit_interval_array(x, what: str):

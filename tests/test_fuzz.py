@@ -179,6 +179,7 @@ PROBES = [
     ("storage4", "alphas", "0.25,0.25,0.65", 2),  # a duplicate column, solved twice
     ("game", "payoff 3", "nan", 2),  # FiniteGame's ValueError
     ("prospect", "gamma", "1e308", 2),  # RuntimeWarning: loss values past the float range
+    ("dsm9", "tol", "inf", 2),  # every starting point passed as converged
 ]
 
 

@@ -34,9 +34,15 @@ from ptgrid.games import (
     _mat_vec,
     _prefetched_solves,
     _simplex_grid,
-    _weights,
 )
-from ptgrid.prospects import PrelecWeighting, PtProfile, ValueFrame, frame_value, prelec_weight
+from ptgrid.prospects import (
+    PrelecWeighting,
+    PtProfile,
+    ValueFrame,
+    _weights,
+    frame_value,
+    prelec_weight,
+)
 
 MATCHING_PENNIES = FiniteGame.from_bimatrix(
     [[1.0, -1.0], [-1.0, 1.0]],
@@ -466,6 +472,13 @@ def test_solve_2x2_no_interior_reported_by_omission():
     assert interior(results) == []
 
 
+def test_solve_2x2_rejects_a_tol_that_is_not_finite_and_non_negative():
+    # an infinite tol once certified every candidate
+    for bad in (float("inf"), float("nan"), -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            solve_2x2(PRISONERS_DILEMMA, tol=bad)
+
+
 def test_solve_2x2_rejects_wrong_shape():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError):
@@ -777,31 +790,10 @@ def test_batch_rejects_frames_that_differ():
         solve_fixed_point_batch(MATCHING_PENNIES, [[PtProfile.eut()]])
     with pytest.raises(ValueError):
         solve_fixed_point_batch(MATCHING_PENNIES, [])
-    for name, bad in (("max_iter", -1), ("tol", -1e-9), ("tol", float("nan"))):
+    bad_limits = (("max_iter", -1), ("tol", -1e-9), ("tol", float("nan")), ("tol", float("inf")))
+    for name, bad in bad_limits:
         with pytest.raises(ValueError, match=name):
             solve_fixed_point_batch(MATCHING_PENNIES, [eut_behaviors(2)], **{name: bad})
-
-
-def test_pure_action_values_takes_one_behavior_per_row():
-    rng = np.random.default_rng(3)
-    game = random_game(rng, 3)
-    frame = FRAMES[1]
-    rows = [PtProfile(PrelecWeighting(a), frame) for a in (0.5, 1.0, 0.3, 0.5)]
-    profiles = [random_profile(rng, game) for _ in rows]
-    mixes = [np.array([p[j] for p in profiles]) for j in range(3)]
-    for i in range(3):
-        per_row = [None] * 3
-        per_row[i] = rows
-        batch = pure_action_values(game, i, mixes, per_row)
-        for k, (b, p) in enumerate(zip(rows, profiles)):
-            alone = pure_action_values(game, i, p, [b] * 3)
-            assert batch[k].tobytes() == alone.tobytes()
-    with pytest.raises(ValueError, match="rows"):
-        pure_action_values(game, 0, mixes, [rows[:3]] * 3)
-    with pytest.raises(ValueError, match="rows"):
-        pure_action_values(game, 0, profiles[0], [rows[:1]] * 3)
-    with pytest.raises(ValueError, match="frame"):
-        pure_action_values(game, 0, mixes, [rows[:3] + [PtProfile.eut()]] * 3)
 
 
 def test_batch_solves_equal_sets_once(loop_runs):

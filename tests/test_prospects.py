@@ -106,6 +106,19 @@ def test_prelec_scalar_matches_array_bit_for_bit(fn):
         assert [fn(float(x), alpha) for x in p] == arr.tolist()
 
 
+@pytest.mark.parametrize("fn, inverse", [(prelec_weight, False), (prelec_inverse, True)])
+def test_prelec_matches_the_closed_form_bit_for_bit(fn, inverse):
+    # the closed form, evaluated here independently of the package; alpha 1
+    # returns p itself, and the inverse of 0.5 has exponent 2
+    p = np.concatenate([[0.0, 5e-324, 1.0], np.random.default_rng(5).uniform(0.0, 1.0, 300)])
+    for alpha in (0.1, 0.5, 0.65, 1.0, 1, np.float32(0.5)):
+        e = 1.0 / alpha if inverse else alpha
+        with np.errstate(divide="ignore"):
+            want = p if e == 1 else np.exp(-((-np.log(p)) ** e))
+        assert fn(p, alpha).tobytes() == want.tobytes()
+        assert fn(float(p[-1]), alpha) == want[-1]
+
+
 def test_prelec_inverse_fixed_point_and_endpoints():
     assert abs(prelec_inverse(INV_E, 0.3) - INV_E) < 1e-12
     for alpha in (0.2, 0.7, 1.0):
