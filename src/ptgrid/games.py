@@ -27,7 +27,11 @@ of its own mix, maximised over the players and at least 0. Its four callers
 are equilibrium_residual (one profile), solve_2x2 (one row per candidate),
 the fixed-point solver's stopping test (one block of players at a time, one
 row per batch member) and brute_force_equilibrium (one cell per grid
-profile).
+profile). v.m is summed over the actions in ascending order,
+((v_0*m_0 + v_1*m_1) + v_2*m_2) + ..., from separately rounded numpy
+multiplies and adds; no BLAS call computes the certificate, so no CPU
+dispatch sets its summation order. The action values it reads still come
+from a BLAS mat-vec (_mat_vec), whose order the CPU's OpenBLAS kernel picks.
 
 Each game frames a player's payoffs once per (player, frame) and keeps the
 result, own action axis first and flattened to (A_i, prod A_-i), in a private
@@ -387,13 +391,24 @@ def equilibrium_residual(game: FiniteGame, profile: MixedProfile, behaviors) -> 
 def _residual(pairs):
     """The residual certificate of the module docstring. pairs yields one
     (values, mix) per player: its perceived action values and its own mix,
-    each (..., A_i) with leading batch axes that broadcast. Returns the
-    largest gap max(v) - v.m over the players, and at least 0, per batch
-    cell. The fixed-point loop passes one block's (P, K, A_i) arrays as one
-    pair, so the block axis is a batch axis here."""
+    each (..., A_i), whose leading batch axes broadcast to one shape shared
+    by all players. Returns the largest gap max(v) - v.m over the players,
+    and at least 0, per batch cell. The fixed-point loop passes one block's
+    (P, K, A_i) arrays as one pair, so the block axis is a batch axis here.
+
+    v.m is the left fold ((v_0*m_0 + v_1*m_1) + v_2*m_2) + ... in ascending
+    action order, from separately rounded numpy multiplies and adds: no BLAS
+    call, einsum or reduction along the action axis, whose order a CPU
+    dispatch could change. The gap and the running maximum are written over
+    each player's fold buffer."""
     worst = 0.0
     for v, m in pairs:
-        worst = np.maximum(worst, v.max(axis=-1) - (v[..., None, :] @ m[..., None])[..., 0, 0])
+        # an array even for one profile, so that the gap can be written over it
+        own = np.asarray(v[..., 0] * m[..., 0])
+        for a in range(1, v.shape[-1]):
+            own += v[..., a] * m[..., a]
+        gap = np.subtract(v.max(axis=-1), own, out=own)
+        worst = np.maximum(worst, gap, out=gap)
     return worst
 
 
@@ -417,7 +432,7 @@ def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
     q = B / (A + B)). The C candidates are certified as one batch: one
     (C, 2) stack of mixes per player, one pure_action_values call per player
     and one _residual call. Each row takes the same elementwise ops, the same
-    mat-vec and the same dot as a single profile, so row c has the bits of
+    mat-vec and the same fold as a single profile, so row c has the bits of
     equilibrium_residual on candidate c. Returns [] when no equilibrium
     certifies within tol; an absent interior solution is reported by
     omission, never fabricated. tol is checked as check_solver_limits does.
@@ -756,7 +771,9 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
     _check_behaviors(game, behaviors)
     check_grid_budget(game, grid)
     n = game.n_players
-    grids = [_simplex_grid(a, grid) for a in game.action_counts]
+    # one grid per distinct action count, shared by the players who have it
+    built = {a: _simplex_grid(a, grid) for a in set(game.action_counts)}
+    grids = [built[a] for a in game.action_counts]
     # player j's grid on batch axis j: every cell of the surface is one profile
     mixes = [
         g.reshape((1,) * j + g.shape[:1] + (1,) * (n - 1 - j) + g.shape[1:])

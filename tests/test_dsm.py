@@ -412,15 +412,15 @@ def test_sweep_reads_each_point_through_solve_dsm_after_one_loop(sweep, loop_run
 SELECTED = {
     42: {
         "sha256": (
-            "ad27436981b6bfbb48fc30b2bed05704ba00f587c0e4e24d2ea10073324cdffe",
+            "1914269656b25be27dd201dadb78dc9f9dafee2cecbcbf895278f705977b7f2b",
             "077baf4255a225feb72b803dff2a45d64f157d8dc150df9e0ba3b1b4cb02a034",
             "0ea47f6fea6ff83bf294636f76779a1dec486bcbb32ab3d69ff9f9f213e4fa93",
             "f95adcb0250da2291d0dc6f6c12455e4de6736e284ea0779cdf7c1f743270246",
-            "469f7af8f9ee175de5bf292e8d9516ac9b2799a423745329b559f404164d2be9",
+            "adace300d4d251cdb5e4d6d4bd92da1ca7ae869ad2e6aad4b31b568681c43d0f",
             "f34e444a3fd3d3e283eb6d89e22f846b8e528a3f1a123d53498a72d3cbef6bc6",
             "1625c164d0700951d1f62ce6e7068d1824dab8d610513ce4e1ccc45f72f1c997",
             "9d43670c1448fd3dfc71c5e4c8481b2f1907f0917e5e2a9d82c0413ca83d9cbe",
-            "b8e63b70469b647c25085f2ec777d343023f367f38ea158b2601e527b59562b3",
+            "85d94c01eac2765803a4dee97b13875c1b9982db52c768eff5b74394e2e8fb30",
             "f743bc5520b7e2e939fc87887dc6a3bc5e0bb6f6397556e0cf2224fc1bcff13d",
             "0a7a6f09c0bbcaf4a0d5a32e1d624751e357bc85fd081228cc51b727db6c0cd1",
             "38eaed8e76031aaeb62fab629eabd45615d336c0c2a87b9009828aa8feaa5f32",
@@ -464,15 +464,15 @@ SELECTED = {
     },
     11: {
         "sha256": (
-            "8c10b5c341e4b9284faedc7a9592396a81abfb78fa72c5719d9b45095c6df9a9",
+            "4ab9e0029a91df49fdc3c8141b72dce00697f4ec176a7a406d92c53eea97f505",
             "0a0cca0ef7bdbd1c3443f9e50cb0b24d18ce63c4fc8328bb2c0b7e0d059d9c78",
             "4b3fb2770bbadb0e7dfc9411ab9ef337a266edf941065177eee4a6677223ee89",
             "6b421de32a7ec4bab25a85babbdcdc9d5c60d99bf829c72d1923a1154411de35",
-            "79eae4667d49c62cd0899f8db4d9049eaca5150fb1cb5029b2d3eb16c213b35a",
+            "019b685d37cb1e11220d35b3f72af919cdec81eaf07b86df0ea5169ffdcf3465",
             "762e5ecb8220948d54a355689afb13aedb627e229c258669571f8a674e4c69a2",
             "92146f90bba2300c30fb5f9ca6e412dc6367486232c451b0710b625bab4de3d8",
             "77c9308ae5fef14b5ca44a3ad623e973a5da952fdce087fbe0212aabc537683f",
-            "3883c71b2eab4793bdb2d81828771970bbb70bac1e26fb348352e9a4e914b9d6",
+            "683ad79f5623dcfe9771920a54b671b78d99bcfc2f65e9f5e7278a20ab21a6c9",
             "234cfc731c2ae23300d216390f5b02a14dfddc8e1e6d2d8d54d948d669c2becc",
             "66645fd88c59f010629f10e40a51cdbcb6e14b97f79008ff3bcb4a20ab7587c1",
             "1c1f8dff266d06e2721766ea9677be1ab14246ca3fabd4853e1a3e41b2c14582",

@@ -33,6 +33,7 @@ from ptgrid.games import (
     _local_minima,
     _mat_vec,
     _prefetched_solves,
+    _residual,
     _simplex_grid,
 )
 from ptgrid.prospects import (
@@ -619,6 +620,70 @@ def test_fixed_point_certificate_matches_recomputed_residual():
             assert equilibrium_residual(game, res.profile, behaviors) == res.residual
 
 
+def cellwise_residual(pairs):
+    """The certificate one cell at a time: each player's gap
+    max(v) - fold_dot(v, m), the largest over the players and at least 0."""
+    shape = np.broadcast_shapes(*(a.shape[:-1] for pair in pairs for a in pair))
+    out = np.empty(shape)
+    for idx in np.ndindex(*shape):
+        worst = 0.0
+        for v, m in pairs:
+            v, m = np.broadcast_to(v, shape + v.shape[-1:]), np.broadcast_to(m, shape + m.shape[-1:])
+            worst = max(worst, float(v[idx].max() - fold_dot(v[idx], m[idx])))
+        out[idx] = worst
+    return out
+
+
+def residual_cases(rng, a, scale):
+    """(values, mix) pairs in the shapes _residual's callers pass: one
+    profile, a (C, A) batch of candidates, a (P, K, A) block and the 2- and
+    3-player oracle surfaces, with some values and probabilities exactly 0."""
+
+    def values(shape):
+        v = rng.uniform(-5.0, 5.0, size=shape) * scale
+        v[rng.random(shape) < 0.2] = 0.0
+        return v
+
+    def mixes(shape):
+        m = rng.dirichlet(np.ones(a), size=shape[:-1])
+        m[rng.random(shape) < 0.2] = 0.0
+        return m
+
+    def surface(n, g):
+        # player j's mix varies along batch axis j only, its values along the others
+        pairs = []
+        for j in range(n):
+            along, across = [1] * n, [g] * n
+            along[j], across[j] = g, 1
+            pairs.append((values(tuple(across) + (a,)), mixes(tuple(along) + (a,))))
+        return pairs
+
+    return [
+        [(values((a,)), mixes((a,))) for _ in range(3)],
+        [(values((5, a)), mixes((5, a))) for _ in range(2)],
+        [(values((3, 4, a)), mixes((3, 4, a)))],
+        surface(2, 6),
+        surface(3, 4),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+@pytest.mark.parametrize("a", [2, 3, 4])
+def test_residual_is_the_stated_fold_bit_for_bit(a, scale):
+    rng = np.random.default_rng(17 + a)
+    for pairs in residual_cases(rng, a, scale):
+        got = np.asarray(_residual(iter(pairs)))
+        expected = cellwise_residual(pairs)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_equilibrium_residual_returns_a_python_float():
+    for profile in (MixedProfile.uniform(MATCHING_PENNIES), MixedProfile.pure(MATCHING_PENNIES, (0, 0))):
+        residual = equilibrium_residual(MATCHING_PENNIES, profile, eut_behaviors(2))
+        assert type(residual) is float
+
+
 def test_determinism_bit_identical():
     rng = np.random.default_rng(9)
     game = random_game(rng, 2)
@@ -646,6 +711,15 @@ def single_solve_values(game, player, mixes, behaviors):
     return (_framed_payoffs(game, player, b.frame) @ w[..., None])[..., 0]
 
 
+def fold_dot(v, m):
+    """v.m as the certificate states it: ((v_0*m_0 + v_1*m_1) + v_2*m_2) + ...
+    over the last axis, each product and each sum rounded on its own."""
+    own = v[..., 0] * m[..., 0]
+    for a in range(1, v.shape[-1]):
+        own = own + v[..., a] * m[..., a]
+    return own
+
+
 def reference_solve(game, behaviors, step=0.1, tol=1e-9, max_iter=10000,
                     temperature=0.2, temp_decay=0.995, temp_floor=1e-3):
     """The single-solve loop as it stood before batching: Python-float
@@ -654,7 +728,7 @@ def reference_solve(game, behaviors, step=0.1, tol=1e-9, max_iter=10000,
     for iteration in range(max_iter + 1):
         values = [single_solve_values(game, i, mixes, behaviors) for i in range(game.n_players)]
         peaks = [v.max() for v in values]
-        residual = max(float(top - v @ m) for v, top, m in zip(values, peaks, mixes))
+        residual = max(float(top - fold_dot(v, m)) for v, top, m in zip(values, peaks, mixes))
         residual = max(residual, 0.0)
         if residual <= tol or iteration == max_iter:
             return iteration, residual, residual <= tol, mixes
