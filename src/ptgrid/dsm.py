@@ -237,10 +237,15 @@ def nonparticipating_load(
     result: EquilibriumResult | MixedProfile, profiles, config: DsmConfig
 ) -> np.ndarray:
     """Expected hourly load of consumers who opt out: per hour, the sum of
-    each consumer's raw demand weighted by its opt-out probability."""
+    each consumer's raw demand weighted by its opt-out probability. Raises
+    ValueError unless the profile has one player per load profile."""
+    profile = result.profile if isinstance(result, EquilibriumResult) else result
+    if len(profile) != len(profiles):
+        raise ValueError(
+            f"the profile has {len(profile)} players but there are {len(profiles)} load profiles"
+        )
     if config.opt_out_action is None:
         return np.zeros(HOURS)
-    profile = result.profile if isinstance(result, EquilibriumResult) else result
     out = np.zeros(HOURS)
     for mix, p in zip(profile, profiles):
         out += mix[config.opt_out_action] * p.hourly_demand
@@ -346,12 +351,15 @@ _MORNING_HOUR = 8.0
 _MORNING_WIDTH = 2.0
 _TROUGH_HOUR = 3.5
 _TROUGH_WIDTH = 2.0
+# the flexible fractions' range, as calibrated in the bundled fixture; it is
+# also the default of a DSM config's flexible_low and flexible_high
+FLEXIBLE_RANGE = (0.72, 0.92)
 
 
 def synth_profile(
     seed: int,
     n_consumers: int,
-    flexible_range: tuple = (0.72, 0.92),
+    flexible_range: tuple = FLEXIBLE_RANGE,
 ) -> list:
     """Deterministic evening-peaked household profiles, reproducible from the
     seed: a base level plus evening and morning bumps, a shallow overnight

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsm import HOURS, DsmConfig, LoadProfile
+from .dsm import FLEXIBLE_RANGE, HOURS, DsmConfig, LoadProfile
 from .games import check_solver_limits
 from .prospects import (
     DEFAULT_ALPHA,
@@ -132,8 +132,8 @@ DSM_KEYS = {
     "n_consumers": (int, None),
     "seed": (int, 42),
     "profiles_csv": (str, None),  # a path; when absent, the synthetic generator
-    "flexible_low": (float, 0.7),
-    "flexible_high": (float, 0.95),
+    "flexible_low": (float, FLEXIBLE_RANGE[0]),
+    "flexible_high": (float, FLEXIBLE_RANGE[1]),
     "start_window": (parse_int_list, None),
     "include_opt_out": (_parse_bool, None),
     "price_coeff": (float, None),

@@ -71,16 +71,18 @@ game all players form one block. A block holds its P players' mixes and
 values as (P, K, A) arrays, so each iteration makes, per block, one
 _joint_prob call for all its players and all members still running, one
 Prelec weighting of that joint probability in its own buffer, one residual
-call and one damped step. Each player has one Prelec alpha per row. The
-weights are computed once per block, the mat-vec once per player, since
-the memo's layout picks the BLAS path. A member leaves the batch at the
-iteration where its residual reaches tol, where max_iter is hit or where
-its cycle reaches its finish iteration, and its result is exactly the one
-a solve of that member alone returns, bit for bit. Equal behavior sets are
-solved once. Inside a _prefetched_solves block, which runs its behavior
-sets as one batch, solve_fixed_point on that game returns the batch's
-result for a matching solve instead of iterating; the DSM sweeps read each
-point through solve_dsm this way.
+call and one damped step. Each player has one Prelec alpha per batch
+member, so the block's alphas form a (P, K) array, one per row of the joint
+probability; _weights takes that array, or its one number when every row
+shares it. The weights are computed once per block, the mat-vec once per
+player, since the memo's layout picks the BLAS path. A member leaves the
+batch at the iteration where its residual reaches tol, where max_iter is
+hit or where its cycle reaches its finish iteration, and its result is
+exactly the one a solve of that member alone returns, bit for bit. Equal
+behavior sets are solved once. Inside a _prefetched_solves block, which
+runs its behavior sets as one batch, solve_fixed_point on that game returns
+the batch's result for a matching solve instead of iterating; the DSM
+sweeps read each point through solve_dsm this way.
 """
 from __future__ import annotations
 
@@ -284,7 +286,7 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
     b = behaviors[player]
     framed = _framed_payoffs(game, player, b.frame)
     with np.errstate(divide="ignore"):
-        return _mat_vec(framed, _weights(q, float(b.weighting.alpha)))
+        return _mat_vec(framed, _weights(q, b.weighting.alpha))
 
 
 # Size of the running product from which _joint_prob fills one action column
@@ -327,19 +329,6 @@ def _mat_vec(framed: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Action values from the framed payoffs (A_i, M) and the weights
     (..., M): one mat-vec per batch row, whose BLAS path the layouts pick."""
     return (framed @ w[..., None])[..., 0]
-
-
-def _row_alphas(alphas: np.ndarray):
-    """Prelec alphas, one per row of a q of shape alphas.shape + (M,), as
-    prospects._weights takes them: a float when they are all equal, else the
-    exponent column alphas[..., None] with boolean masks of the entries at
-    0.5 and at 1 (None where there is no such entry). Its one caller is the
-    fixed-point loop, with a block's (P, K) alphas."""
-    first = float(alphas.flat[0])
-    if np.all(alphas == first):
-        return first
-    half, rational = alphas == 0.5, alphas == 1.0
-    return alphas[..., None], half if half.any() else None, rational if rational.any() else None
 
 
 def _framed_payoffs(game: FiniteGame, player: int, frame) -> np.ndarray:
@@ -428,11 +417,13 @@ def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
 
     Each player's mixing probability is pinned by the *opponent's*
     indifference condition w(q) * A = w(1-q) * B. With Prelec weights it is
-    transcendental and is solved by bisection (the rational case reduces to
-    q = B / (A + B)). The C candidates are certified as one batch: one
-    (C, 2) stack of mixes per player, one pure_action_values call per player
-    and one _residual call. Each row takes the same elementwise ops, the same
-    mat-vec and the same fold as a single profile, so row c has the bits of
+    transcendental and _indifference_prob solves it by bisection (the
+    rational case reduces to q = B / (A + B)). When player 0's condition has
+    no root there is no interior candidate, and player 1's is not solved.
+    The C candidates are certified as one batch: one (C, 2) stack of mixes
+    per player, one pure_action_values call per player and one _residual
+    call. Each row takes the same elementwise ops, the same mat-vec and the
+    same fold as a single profile, so row c has the bits of
     equilibrium_residual on candidate c. Returns [] when no equilibrium
     certifies within tol; an absent interior solution is reported by
     omission, never fabricated. tol is checked as check_solver_limits does.
@@ -444,9 +435,11 @@ def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
         behaviors = _eut_behaviors(2)
     _check_behaviors(game, behaviors)
     candidates = list(itertools.product(((1.0, 0.0), (0.0, 1.0)), repeat=2))
-    mix = _interior_2x2(game, behaviors)
-    if mix is not None:
-        candidates.append(mix)
+    # player i's indifference fixes the other player's mix
+    q0 = _indifference_prob(game, 0, behaviors[0])
+    q1 = None if q0 is None else _indifference_prob(game, 1, behaviors[1])
+    if q1 is not None:
+        candidates.append(((q1, 1.0 - q1), (q0, 1.0 - q0)))
     mixes = [np.array([c[i] for c in candidates]) for i in (0, 1)]
     residual = _residual((pure_action_values(game, i, mixes, behaviors), mixes[i]) for i in (0, 1))
     return [
@@ -454,18 +447,6 @@ def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
         for c, res in enumerate(residual)
         if res <= tol
     ]
-
-
-def _interior_2x2(game, behaviors):
-    """Interior mixed equilibrium of a 2x2 game, or None."""
-    probs = [None, None]
-    for i in (0, 1):
-        # player i's indifference fixes the *other* player's mix
-        q = _indifference_prob(game, i, behaviors[i])
-        if q is None:
-            return None
-        probs[1 - i] = np.array([q, 1.0 - q])
-    return probs
 
 
 def _indifference_prob(game, player, behavior):
@@ -636,10 +617,11 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
               for players in blocks]
     mixes = [np.stack([np.tile(start[i], (len(sets), 1)) for i in players]) for players in blocks]
     framed = [[_framed_payoffs(game, i, sets[0][i].frame) for i in players] for players in blocks]
-    # (P, K) per block: one alpha per player and batch member
-    alphas = [np.array([[float(b[i].weighting.alpha) for b in sets] for i in players])
+    # (P, K) per block: one alpha per player and batch member; _weights
+    # takes a block whose rows all share one alpha as that one number
+    alphas = [np.array([[b[i].weighting.alpha for b in sets] for i in players], dtype=float)
               for players in blocks]
-    block_alphas = [_row_alphas(a) for a in alphas]
+    block_alphas = [a.item(0) if (a == a.item(0)).all() else a for a in alphas]
     eyes = [np.eye(counts[players[0]]) for players in blocks]  # hardened-step targets
     members = np.arange(len(sets))  # batch member of each row
     finish = np.full(len(sets), max_iter)  # the iteration each row leaves at, at the latest
@@ -694,7 +676,7 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                 if snapshot is not None:
                     snapshot = [m[:, keep] for m in snapshot]
                 alphas = [a[:, keep] for a in alphas]
-                block_alphas = [_row_alphas(a) for a in alphas]
+                block_alphas = [a.item(0) if (a == a.item(0)).all() else a for a in alphas]
             new_mixes = []
             for v, m, eye in zip(values, mixes, eyes):
                 if temp < _TEMP_FLOOR:
@@ -811,16 +793,6 @@ def _grid_slack(game: FiniteGame, grid: int) -> float:
 # ---------------------------------------------------------------------------
 # plain-text game format
 
-FORMAT_DOC = """\
-Plain-text game format:
-  players K
-  actions n1 n2 ... nK
-  then one line per joint action, in lexicographic order of the action tuple
-  (last player's action varying fastest), each listing the K players' payoffs.
-Blank lines and lines starting with '#' are ignored.
-"""
-
-
 def format_game(game: FiniteGame) -> str:
     lines = [f"players {game.n_players}"]
     lines.append("actions " + " ".join(str(a) for a in game.action_counts))
@@ -831,6 +803,7 @@ def format_game(game: FiniteGame) -> str:
 
 
 def parse_game(text: str) -> FiniteGame:
+    """The game in text, in the plain-text format of README's "Game files"."""
     rows = [
         line.strip()
         for line in text.splitlines()

@@ -46,39 +46,37 @@ def _prelec(x, exponent: float, what: str):
     arr, scalar = _unit_interval_array(x, what)
     out = arr.copy()
     with np.errstate(divide="ignore"):
-        # float: an int or a numpy scalar would be read as a _row_alphas tuple
-        _weights(out, float(exponent), out=out)
+        _weights(out, exponent, out=out)
     return float(out[0]) if scalar else out
 
 
 def _weights(q: np.ndarray, alpha, out=None) -> np.ndarray:
     """The package's one Prelec evaluation: exp(-(-ln q)^alpha) of q
     (..., M), computed in one buffer, a new one or q itself when out is q.
-    alpha is a float for every entry of q, or games._row_alphas of q's rows.
-    A float takes `**=`: numpy's ** with a float exponent takes 0.5 as sqrt
-    and 2 as a square, which differ in the last bit from the general power
-    loop. An exponent column gets no such rule, so its entries at 0.5 take
-    sqrt before the power overwrites them, and its entries at 1 keep q. The
-    caller sets errstate: ln 0 divides by zero."""
-    # exp(-(-ln q)^1) is not q bit for bit
-    if isinstance(alpha, float):
-        if alpha == 1.0:
-            return q
-        exponent, half, rational = alpha, None, None
-    else:
-        exponent, half, rational = alpha
-    if rational is not None:
+    alpha is one number for every entry of q, or an ndarray of one alpha per
+    row, shaped q.shape[:-1]. A number takes `**=`: numpy's ** with a scalar
+    exponent takes 0.5 as sqrt and 2 as a square, which differ in the last
+    bit from the general power loop, and 1 returns q. Rows get the same
+    bits: a row at exactly 0.5 takes sqrt before the power overwrites it,
+    and a row at exactly 1 keeps q. The caller sets errstate: ln 0 divides
+    by zero."""
+    rows = isinstance(alpha, np.ndarray)
+    if rows:
+        half, rational = alpha == 0.5, alpha == 1.0
         kept = q[rational]  # before out, which may be q, is written
+        alpha = alpha[..., None]
+    elif alpha == 1.0:
+        return q  # exp(-(-ln q)^1) is not q bit for bit
     w = np.log(q, out=out)
     np.negative(w, out=w)
-    if half is not None:
+    if rows:
         roots = np.sqrt(w[half])
-    w **= exponent
-    if half is not None:
+    w **= alpha
+    if rows:
         w[half] = roots
     np.negative(w, out=w)
     np.exp(w, out=w)
-    if rational is not None:
+    if rows:
         w[rational] = kept
     return w
 

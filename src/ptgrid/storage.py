@@ -146,13 +146,6 @@ def _equilibrium_for(game, behaviors):
     return results[0].profile, False
 
 
-def _pt_behaviors(consumers, alpha: float):
-    return [
-        PtProfile(weighting=PrelecWeighting(alpha), frame=c.behavior.frame)
-        for c in consumers
-    ]
-
-
 def _sweep(consumers, grid, field, values, name, alphas):
     """One SweepRow per value of the grid field, under EUT and under Prelec
     weighting for each alpha; raises ValueError, naming the grid by name,
@@ -160,13 +153,15 @@ def _sweep(consumers, grid, field, values, name, alphas):
     values = list(values)
     if not values or any(v2 <= v1 for v1, v2 in zip(values, values[1:])):
         raise ValueError(f"{name} must be non-empty and strictly ascending")
+    models = [("eut", [PtProfile.eut()] * 2)] + [
+        (float(a), [PtProfile(PrelecWeighting(float(a)), c.behavior.frame) for c in consumers])
+        for a in alphas
+    ]
     rows = []
     for value in values:
         g = replace(grid, **{field: float(value)})
         game = build_storage_game(consumers, g)
         buy, rev, load, util, has_int = {}, {}, {}, {}, {}
-        eut = [PtProfile.eut()] * 2
-        models = [("eut", eut)] + [(float(a), _pt_behaviors(consumers, float(a))) for a in alphas]
         for key, behaviors in models:
             profile, interior = _equilibrium_for(game, behaviors)
             has_int[key] = interior

@@ -313,6 +313,19 @@ def test_dsm_seed_flag_generates_the_profiles(tmp_path):
     assert read_manifest(out / "fig8_manifest.json")["seed"] == 7
 
 
+def test_dsm_config_without_a_flexible_range_takes_the_generator_default(tmp_path):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("n_consumers = 3\nalpha_grid = 0.5,1.0\n")
+    out = tmp_path / "out"
+    assert run(["dsm", "--config", str(cfg), "--figure", "9", "--out", str(out)]) == 0
+    written = read_profiles_csv(out / "profiles.csv")
+    expected = synth_profile(42, 3)
+    assert len(written) == len(expected)
+    for got, want in zip(written, expected):
+        assert got.hourly_demand.tobytes() == want.hourly_demand.tobytes()
+        assert repr(got.flexible_fraction) == repr(want.flexible_fraction)
+
+
 def test_dsm_manifest_records_the_flags_over_the_config(tmp_path):
     out = tmp_path / "out"
     argv = ["dsm", "--figure", "8", "--seed", "7", "--tol", "1e-6", "--max-iter", "5000"]

@@ -204,6 +204,16 @@ def test_nonparticipating_load_endpoints():
     )
 
 
+def test_nonparticipating_load_rejects_a_count_mismatch():
+    # one opt-out mix per load profile: zip would drop the extra ones
+    two = [flat_profile(4.0), flat_profile(2.0)]
+    three_out = MixedProfile([[0.0, 0.0, 1.0]] * 3)
+    with pytest.raises(ValueError, match="3 players but there are 2 load profiles"):
+        nonparticipating_load(three_out, two, TOY)
+    with pytest.raises(ValueError, match="2 players but there are 3 load profiles"):
+        nonparticipating_load(MixedProfile([[0.0, 0.0, 1.0]] * 2), [*two, two[0]], TOY)
+
+
 def test_report_bounded_by_total_demand():
     profiles = synth_profile(5, 3)
     config = DsmConfig(n_consumers=3, shift_span=4)

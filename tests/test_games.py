@@ -28,7 +28,7 @@ from ptgrid.formats import load_dsm_config
 from ptgrid.games import (
     _framed_payoffs,
     _grid_slack,
-    _interior_2x2,
+    _indifference_prob,
     _joint_prob,
     _local_minima,
     _mat_vec,
@@ -530,9 +530,10 @@ def per_candidate_solve_2x2(game, behaviors, tol):
     itertools.product order, then the interior one, each kept when its
     equilibrium_residual is within tol."""
     candidates = [MixedProfile.pure(game, joint) for joint in itertools.product((0, 1), repeat=2)]
-    mix = _interior_2x2(game, behaviors)
-    if mix is not None:
-        candidates.append(MixedProfile(mix))
+    # player i's indifference fixes the other player's mix
+    q = [_indifference_prob(game, i, behaviors[i]) for i in (0, 1)]
+    if None not in q:
+        candidates.append(MixedProfile([[q[1], 1.0 - q[1]], [q[0], 1.0 - q[0]]]))
     results = []
     for prof in candidates:
         res = equilibrium_residual(game, prof, behaviors)

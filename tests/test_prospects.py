@@ -10,6 +10,7 @@ from ptgrid.prospects import (
     Prospect,
     PtProfile,
     ValueFrame,
+    _weights,
     evaluate_prospect,
     frame_value,
     preference_demo,
@@ -117,6 +118,33 @@ def test_prelec_matches_the_closed_form_bit_for_bit(fn, inverse):
             want = p if e == 1 else np.exp(-((-np.log(p)) ** e))
         assert fn(p, alpha).tobytes() == want.tobytes()
         assert fn(float(p[-1]), alpha) == want[-1]
+
+
+def test_weights_of_row_alphas_are_the_bits_of_each_row():
+    # one alpha per row gives each row the bits of that row weighted with
+    # its alpha as one number: sqrt at exactly 0.5, q itself at exactly 1
+    rng = np.random.default_rng(19)
+    q = rng.uniform(0.0, 1.0, (3, 5, 40))
+    q[..., :3] = [0.0, 5e-324, 1.0]
+    mixed = rng.choice([0.1, 0.5, 0.65, 1.0], size=(3, 5))
+    mixed[0, :4] = [0.1, 0.5, 0.65, 1.0]
+    with np.errstate(divide="ignore"):
+        for alphas in (mixed, np.full((3, 5), 0.5), np.full((3, 5), 1.0)):
+            fresh = _weights(q, alphas)
+            w = q.copy()
+            assert _weights(w, alphas, out=w) is w
+            assert fresh.tobytes() == w.tobytes()
+            for row, got, alpha in zip(q.reshape(-1, 40), w.reshape(-1, 40), alphas.flat):
+                assert got.tobytes() == _weights(row, float(alpha)).tobytes()
+        # the rows were read, not written
+        assert q[..., :3].tolist() == [[[0.0, 5e-324, 1.0]] * 5] * 3
+
+
+def test_weights_of_a_number_are_the_bits_of_its_float():
+    q = np.concatenate([[0.0, 5e-324, 1.0], np.random.default_rng(20).uniform(0.0, 1.0, 100)])
+    with np.errstate(divide="ignore"):
+        for number, as_float in ((1, 1.0), (np.float32(0.5), 0.5), (np.float64(0.65), 0.65)):
+            assert _weights(q, number).tobytes() == _weights(q, as_float).tobytes()
 
 
 def test_prelec_inverse_fixed_point_and_endpoints():
