@@ -238,12 +238,16 @@ def nonparticipating_load(
 ) -> np.ndarray:
     """Expected hourly load of consumers who opt out: per hour, the sum of
     each consumer's raw demand weighted by its opt-out probability. Raises
-    ValueError unless the profile has one player per load profile."""
+    ValueError unless the profile has one player per load profile and each
+    mix has the config's action count."""
     profile = result.profile if isinstance(result, EquilibriumResult) else result
     if len(profile) != len(profiles):
         raise ValueError(
             f"the profile has {len(profile)} players but there are {len(profiles)} load profiles"
         )
+    for mix in profile:
+        if len(mix) != config.n_actions:
+            raise ValueError(f"a mix has {len(mix)} actions but the config has {config.n_actions}")
     if config.opt_out_action is None:
         return np.zeros(HOURS)
     out = np.zeros(HOURS)
@@ -363,12 +367,15 @@ def synth_profile(
 ) -> list:
     """Deterministic evening-peaked household profiles, reproducible from the
     seed: a base level plus evening and morning bumps, a shallow overnight
-    trough, and mild noise; flexible fractions drawn from flexible_range."""
+    trough, and mild noise; flexible fractions drawn from flexible_range,
+    a (low, high) pair with 0 <= low <= high <= 1."""
     if n_consumers < 1:
         raise ValueError("need at least one consumer")
+    lo, hi = flexible_range
+    if not 0.0 <= lo <= hi <= 1.0:  # NaN fails too
+        raise ValueError(f"flexible_range must satisfy 0 <= low <= high <= 1, got {flexible_range!r}")
     rng = np.random.default_rng(seed)
     hours = np.arange(HOURS, dtype=float)
-    lo, hi = flexible_range
     profiles = []
     for _ in range(n_consumers):
         base = 0.6 + 0.3 * rng.random()

@@ -7,16 +7,13 @@ frozen seed-42 synthetic profiles and the matching game parameters.
 """
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
-
-_PKG = "ptgrid.fixtures"
 
 
 def fixture_path(name: str) -> Path:
-    """Filesystem path of a bundled fixture file."""
-    ref = resources.files(_PKG).joinpath(name)
-    path = Path(str(ref))
+    """Filesystem path of a bundled fixture file, which lies beside this
+    module."""
+    path = Path(__file__).parent / name
     if not path.exists():
         raise FileNotFoundError(f"no bundled fixture named {name!r}")
     return path

@@ -89,6 +89,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -147,7 +148,7 @@ class FiniteGame:
         object.__setattr__(self, "action_counts", tuple(arr.shape[1:]))
         # (player, frame) -> framed payoffs, filled by _framed_payoffs
         object.__setattr__(self, "_framed", {})
-        # _solve_key -> result, filled only inside a _prefetched_solves block
+        # (behaviors, tol, max_iter) -> result, filled only in _prefetched_solves
         object.__setattr__(self, "_prefetched", {})
 
     def __setattr__(self, name, value):
@@ -164,7 +165,7 @@ class FiniteGame:
         b = np.asarray(b, dtype=float)
         if a.shape != b.shape or a.ndim != 2:
             raise ValueError("bimatrix payoffs must be two equal-shape matrices")
-        return cls(np.stack([a, b]))
+        return cls._adopt(np.stack([a, b]))
 
 
 class MixedProfile:
@@ -175,14 +176,13 @@ class MixedProfile:
     def __init__(self, mixes):
         vecs = []
         for m in mixes:
-            v = np.asarray(m, dtype=float)
+            v = np.array(m, dtype=float)
             if v.ndim != 1 or v.size < 2:
                 raise ValueError("each mix must be a probability vector over >= 2 actions")
             if not np.all(v >= 0.0):
                 raise ValueError(f"mixing probabilities must be non-negative numbers: {v!r}")
             if abs(v.sum() - 1.0) > PROB_TOL:
                 raise ValueError(f"mixing probabilities sum to {v.sum()!r}, not 1")
-            v = v.copy()
             v.setflags(write=False)
             vecs.append(v)
         if len(vecs) < 2:
@@ -401,10 +401,6 @@ def _residual(pairs):
     return worst
 
 
-def _eut_behaviors(n: int):
-    return [PtProfile.eut()] * n
-
-
 # ---------------------------------------------------------------------------
 # 2x2 solver
 
@@ -432,7 +428,7 @@ def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
         raise ValueError("solve_2x2 handles exactly 2 players with 2 actions each")
     check_solver_limits(tol, 0)
     if behaviors is None:
-        behaviors = _eut_behaviors(2)
+        behaviors = [PtProfile.eut()] * 2
     _check_behaviors(game, behaviors)
     candidates = list(itertools.product(((1.0, 0.0), (0.0, 1.0)), repeat=2))
     # player i's indifference fixes the other player's mix
@@ -521,8 +517,8 @@ def solve_fixed_point(
     returns the block's result without iterating.
     """
     if behaviors is None:
-        behaviors = _eut_behaviors(game.n_players)
-    hit = game._prefetched.get(_solve_key(behaviors, tol, max_iter))
+        behaviors = [PtProfile.eut()] * game.n_players
+    hit = game._prefetched.get((tuple(behaviors), tol, max_iter))
     if hit is not None:
         return hit
     return solve_fixed_point_batch(game, [behaviors], tol, max_iter)[0]
@@ -559,16 +555,13 @@ def solve_fixed_point_batch(
 
 def check_solver_limits(tol: float, max_iter: int) -> None:
     """Raise ValueError for a tol that is negative, infinite or NaN (an
-    infinite tol would certify any profile) and for a negative max_iter."""
+    infinite tol would certify any profile) and for a max_iter that is not a
+    non-negative integer."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
-
-
-def _solve_key(behaviors, tol, max_iter) -> tuple:
-    """Identity of a solve: the behavior set, tol and max_iter."""
-    return tuple(behaviors), tol, max_iter
+    # numpy integers are Integral; a float would fail in range() instead
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
 
 
 @contextmanager
@@ -576,10 +569,10 @@ def _prefetched_solves(game: FiniteGame, behavior_sets, tol: float = 1e-9, max_i
     """Run the solves of behavior_sets as one batch and, until the block
     ends, let solve_fixed_point on this game with the same tol and max_iter
     return their results. Blocks on one game do not nest."""
-    sets = [list(b) for b in behavior_sets]
+    sets = [tuple(b) for b in behavior_sets]
     results = solve_fixed_point_batch(game, sets, tol, max_iter)
     for behaviors, result in zip(sets, results):
-        game._prefetched[_solve_key(behaviors, tol, max_iter)] = result
+        game._prefetched[behaviors, tol, max_iter] = result
     try:
         yield
     finally:
@@ -746,10 +739,10 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
     profile per player, and BudgetExceededError when the enumeration would
     exceed GRID_BUDGET profiles.
     """
-    if grid < 1:
-        raise ValueError(f"grid must be a positive integer, got {grid}")
+    if not (isinstance(grid, numbers.Integral) and grid >= 1):
+        raise ValueError(f"grid must be a positive integer, got {grid!r}")
     if behaviors is None:
-        behaviors = _eut_behaviors(game.n_players)
+        behaviors = [PtProfile.eut()] * game.n_players
     _check_behaviors(game, behaviors)
     check_grid_budget(game, grid)
     n = game.n_players
@@ -796,8 +789,8 @@ def _grid_slack(game: FiniteGame, grid: int) -> float:
 def format_game(game: FiniteGame) -> str:
     lines = [f"players {game.n_players}"]
     lines.append("actions " + " ".join(str(a) for a in game.action_counts))
-    for joint in itertools.product(*(range(a) for a in game.action_counts)):
-        pays = (game.payoffs[(i, *joint)] for i in range(game.n_players))
+    # one line per joint action in row-major order, as parse_game reads them
+    for pays in game.payoffs.reshape(game.n_players, -1).T:
         lines.append(" ".join(f"{p:.17g}" for p in pays))
     return "\n".join(lines) + "\n"
 

@@ -19,11 +19,6 @@ DEFAULT_GAMMA = 2.25
 DEFAULT_BETA = 0.88
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def prelec_weight(p, alpha: float):
     """Prelec probability weight w(p) = exp(-(-ln p)^alpha).
 
@@ -87,7 +82,8 @@ def _unit_interval_array(x, what: str):
     A scalar comes back as a one-element array: numpy evaluates 0-d operands
     with scalar math, which can differ from its array loops in the last bit.
     """
-    arr, scalar = _as_float_array(x)
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValueError(f"{what} outside [0, 1]: {x!r}")
     return arr.reshape(-1) if scalar else arr, scalar
@@ -149,20 +145,18 @@ def frame_value(u, frame: ValueFrame):
     """Map an objective value to its framed subjective value.
 
     With x = u - reference: x^beta_gain for gains (x >= 0), and
-    -gamma * (-x)^beta_loss for losses.
+    -gamma * (-x)^beta_loss for losses. The identity frame returns u's
+    bits: x - 0.0 keeps -0.0, and x**1.0 and -1.0 * (-x)**1.0 are exact.
     """
-    arr, scalar = _as_float_array(u)
+    arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("values must be finite")
-    if frame.is_identity:
-        out = arr.copy()
-    else:
-        x = arr - frame.reference
-        gains = x >= 0.0
-        out = np.empty_like(x)
-        out[gains] = x[gains] ** frame.beta_gain
-        out[~gains] = -frame.gamma * (-x[~gains]) ** frame.beta_loss
-    return float(out) if scalar else out
+    x = arr - frame.reference
+    gains = x >= 0.0
+    out = np.empty_like(x)
+    out[gains] = x[gains] ** frame.beta_gain
+    out[~gains] = -frame.gamma * (-x[~gains]) ** frame.beta_loss
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

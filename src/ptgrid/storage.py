@@ -92,7 +92,7 @@ def build_storage_game(consumers, grid: StorageGridConfig) -> FiniteGame:
             for i, (c, a) in enumerate(zip(consumers, acts)):
                 econ = -grid.company_price * c.load if a == CHARGE else grid.selling_price * c.surplus
                 pay[i, a1, a2] = econ - 0.5 * penalty
-    return FiniteGame(pay)
+    return FiniteGame._adopt(pay)
 
 
 def company_revenue(profile: MixedProfile, consumers, grid: StorageGridConfig) -> float:

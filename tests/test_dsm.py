@@ -212,6 +212,11 @@ def test_nonparticipating_load_rejects_a_count_mismatch():
         nonparticipating_load(three_out, two, TOY)
     with pytest.raises(ValueError, match="2 players but there are 3 load profiles"):
         nonparticipating_load(MixedProfile([[0.0, 0.0, 1.0]] * 2), [*two, two[0]], TOY)
+    # TOY has 3 actions: unchecked, a 5-action mix would have its action 2
+    # read as opting out, and a 2-action mix would raise IndexError
+    for mix in ([0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match=f"a mix has {len(mix)} actions but the config has 3"):
+            nonparticipating_load(MixedProfile([mix] * 2), two, TOY)
 
 
 def test_report_bounded_by_total_demand():
@@ -270,6 +275,18 @@ def test_synth_profile_determinism_and_shape():
     assert not np.array_equal(
         synth_profile(1, 2)[0].hourly_demand, synth_profile(2, 2)[0].hourly_demand
     )
+
+
+@pytest.mark.parametrize(
+    "flexible_range",
+    [(0.9, 0.2), (0.5, 1.5), (-0.1, 0.5), (float("nan"), 0.5), (0.2, float("nan"))],
+    ids=["reversed", "above-one", "below-zero", "nan-low", "nan-high"],
+)
+def test_synth_profile_rejects_a_flexible_range_outside_0_low_high_1(flexible_range):
+    # unchecked, (0.9, 0.2) would draw from (0.2, 0.9], and (0.5, 1.5) would
+    # fail only when a draw passed 1, which seed 1 at 3 consumers never does
+    with pytest.raises(ValueError, match="flexible_range"):
+        synth_profile(1, 3, flexible_range)
 
 
 def test_synth_profile_matches_frozen_golden_file():

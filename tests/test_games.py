@@ -926,6 +926,20 @@ def test_brute_force_rejects_grid_below_one(grid):
         brute_force_equilibrium(MATCHING_PENNIES, grid=grid)
 
 
+def test_solver_counts_must_be_integers():
+    # a float count would pass a bound check alone, then raise TypeError
+    # from range() or math.comb
+    with pytest.raises(ValueError, match="max_iter must be a non-negative integer"):
+        solve_fixed_point(MATCHING_PENNIES, max_iter=10.5)
+    with pytest.raises(ValueError, match="grid must be a positive integer"):
+        brute_force_equilibrium(MATCHING_PENNIES, grid=2.5)
+    # numpy integers are counts
+    assert solve_fixed_point(PRISONERS_DILEMMA, max_iter=np.int64(3), tol=1e-12).iterations == 3
+    by_int = brute_force_equilibrium(MATCHING_PENNIES, grid=4)
+    by_numpy = brute_force_equilibrium(MATCHING_PENNIES, grid=np.int64(4))
+    assert [[m.tolist() for m in p] for p in by_numpy] == [[m.tolist() for m in p] for p in by_int]
+
+
 def test_brute_force_budget():
     rng = np.random.default_rng(10)
     game = random_game(rng, 3)

@@ -175,11 +175,20 @@ def test_weighting_type_validation():
 
 
 def test_frame_identity():
+    # the identity frame goes through the general formula and must return
+    # the input's bits: -0.0 stays -0.0, and no power rounds
     frame = ValueFrame()
     assert frame.is_identity
-    x = np.array([-3.0, 0.0, 7.0])
-    np.testing.assert_array_equal(frame_value(x, frame), x)
-    assert frame_value(7.0, frame) == 7.0
+    rng = np.random.default_rng(0)
+    drawn = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 301, size=200)
+    x = np.concatenate([[-3.0, 0.0, -0.0, 7.0, 5e-324, -5e-324, 1e308, -1e308], drawn])
+    out = frame_value(x, frame)
+    assert out is not x
+    assert out.view(np.int64).tolist() == x.view(np.int64).tolist()
+    for value in x[:40]:
+        framed = frame_value(float(value), frame)
+        assert type(framed) is float
+        assert np.float64(framed).tobytes() == value.tobytes()
 
 
 def test_frame_zero_at_reference():
