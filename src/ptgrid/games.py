@@ -179,7 +179,8 @@ class MixedProfile:
             v = np.array(m, dtype=float)
             if v.ndim != 1 or v.size < 2:
                 raise ValueError("each mix must be a probability vector over >= 2 actions")
-            if not np.all(v >= 0.0):
+            # the minimum propagates NaN, so NaN fails too
+            if not v.min() >= 0.0:
                 raise ValueError(f"mixing probabilities must be non-negative numbers: {v!r}")
             if abs(v.sum() - 1.0) > PROB_TOL:
                 raise ValueError(f"mixing probabilities sum to {v.sum()!r}, not 1")
@@ -413,9 +414,10 @@ def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
 
     Each player's mixing probability is pinned by the *opponent's*
     indifference condition w(q) * A = w(1-q) * B. With Prelec weights it is
-    transcendental and _indifference_prob solves it by bisection (the
-    rational case reduces to q = B / (A + B)). When player 0's condition has
-    no root there is no interior candidate, and player 1's is not solved.
+    transcendental, and _indifference_prob solves it by bisection for every
+    alpha, alpha = 1 included, although there the root is q = B / (A + B)
+    in closed form. When player 0's condition has no root there is no
+    interior candidate, and player 1's is not solved.
     The C candidates are certified as one batch: one (C, 2) stack of mixes
     per player, one pure_action_values call per player and one _residual
     call. Each row takes the same elementwise ops, the same mat-vec and the
@@ -455,7 +457,10 @@ def _indifference_prob(game, player, behavior):
     exactly when A and B have the same sign, and it is unique. Bisection
     narrows it to two adjacent floats and returns the one that satisfies the
     condition more closely: near 0 or 1 one step of q can move the residual
-    certificate by more than its tolerance.
+    certificate by more than its tolerance. Each step evaluates the excess
+    (left side minus ln(B / A)) once and keeps it with the end it moves, so
+    the final pick compares the stored excesses of lo and hi; an end that
+    never moved from 0 or 1 is not a candidate, and a tie keeps lo.
     """
     framed = _framed_payoffs(game, player, behavior.frame)
     # A: perceived advantage of own action 0 against opponent action 0,
@@ -468,17 +473,20 @@ def _indifference_prob(game, player, behavior):
     # two logs, not log(B / A): the ratio of extreme gaps can underflow to 0
     target = math.log(abs(b_gap)) - math.log(abs(a_gap))
 
-    def excess(q):
-        return (-math.log1p(-q)) ** alpha - (-math.log(q)) ** alpha - target
-
     lo, hi, mid = 0.0, 1.0, 0.5
+    lo_excess = hi_excess = 0.0
     while lo < mid < hi:
-        if excess(mid) < 0.0:
-            lo = mid
+        excess = (-math.log1p(-mid)) ** alpha - (-math.log(mid)) ** alpha - target
+        if excess < 0.0:
+            lo, lo_excess = mid, excess
         else:
-            hi = mid
+            hi, hi_excess = mid, excess
         mid = 0.5 * (lo + hi)
-    return min((q for q in (lo, hi) if 0.0 < q < 1.0), key=lambda q: abs(excess(q)))
+    if lo == 0.0:
+        return hi
+    if hi == 1.0:
+        return lo
+    return hi if abs(hi_excess) < abs(lo_excess) else lo
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,8 @@ def frame_value(u, frame: ValueFrame):
     bits: x - 0.0 keeps -0.0, and x**1.0 and -1.0 * (-x)**1.0 are exact.
     """
     arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    # min and max, not isfinite: no full-size temporary, and NaN fails too
+    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise ValueError("values must be finite")
     x = arr - frame.reference
     gains = x >= 0.0

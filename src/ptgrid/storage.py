@@ -138,7 +138,8 @@ def _equilibrium_for(game, behaviors):
     """Interior mixed equilibrium when it exists, else the lexicographically
     first pure equilibrium."""
     results = solve_2x2(game, behaviors)
-    interior = [r for r in results if all(np.all(m < 1.0) and np.all(m > 0.0) for m in r.profile)]
+    # plain floats: numpy's per-call cost dwarfs a test on two elements
+    interior = [r for r in results if all(0.0 < p < 1.0 for m in r.profile for p in m.tolist())]
     if interior:
         return interior[0].profile, True
     if not results:

@@ -101,6 +101,10 @@ def test_profile_validation():
         MixedProfile([[np.nan, np.nan], [0.5, 0.5]])
     with pytest.raises(ValueError):
         MixedProfile([[np.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(ValueError):
+        MixedProfile([[-5e-324, 1.0], [0.5, 0.5]])
+    # -0.0 is not negative
+    MixedProfile([[-0.0, 1.0], [0.5, 0.5]])
     uniform = MixedProfile.uniform(game)
     np.testing.assert_array_equal(uniform[0], [0.5, 0.5])
     pure = MixedProfile.pure(game, (1, 0))

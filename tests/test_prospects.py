@@ -189,6 +189,7 @@ def test_frame_identity():
         framed = frame_value(float(value), frame)
         assert type(framed) is float
         assert np.float64(framed).tobytes() == value.tobytes()
+    assert frame_value(np.array([]), frame).shape == (0,)
 
 
 def test_frame_zero_at_reference():
@@ -226,8 +227,9 @@ def test_frame_validation():
         ValueFrame(beta_gain=0.0)
     with pytest.raises(ValueError):
         ValueFrame(beta_loss=1.5)
-    with pytest.raises(ValueError):
-        frame_value(float("nan"), ValueFrame(gamma=2.0))
+    for u in (float("nan"), np.array([1.0, np.inf]), -np.inf):
+        with pytest.raises(ValueError):
+            frame_value(u, ValueFrame(gamma=2.0))
 
 
 def test_prospect_validation():

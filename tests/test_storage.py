@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ptgrid import storage
-from ptgrid.games import MixedProfile, eut_utility
+from ptgrid.games import FiniteGame, MixedProfile, eut_utility, solve_2x2
 from ptgrid.prospects import PtProfile
 from ptgrid.storage import (
     CHARGE,
@@ -302,6 +302,22 @@ def test_sweep_requires_ascending_grid():
         sweep_company_price(CONSUMERS, GRID, [], ALPHAS)
 
 
+def test_equilibrium_for_a_certified_mix_whose_mass_rounds_to_one():
+    # solve_2x2 certifies a mixed candidate of about (1e-20, 1.0) for both
+    # players; its second mass is 1.0, so it is not interior and the first pure
+    # equilibrium is returned
+    a = np.array([[1.0, 0.0], [0.0, 1e-20]])
+    game = FiniteGame.from_bimatrix(a, a.T)
+    eut = [PtProfile.eut()] * 2
+    results = solve_2x2(game, eut)
+    assert len(results) == 3
+    for m in results[-1].profile:
+        assert m[0] == pytest.approx(1e-20, rel=1e-9) and m[1] == 1.0
+    profile, interior = storage._equilibrium_for(game, eut)
+    assert interior is False
+    assert [m.tolist() for m in profile] == [[1.0, 0.0]] * 2
+
+
 # ---------------------------------------------------------------------------
 # framing
 
@@ -343,8 +359,6 @@ def test_framing_utilities_against_objective_expectation():
     # with the identity frame the recorded totals are objective expectations
     rows = framing_sweep(CONSUMERS, GRID, [0.0], [1.0])
     game = build_storage_game(CONSUMERS, GRID)
-    from ptgrid.games import solve_2x2
-
     results = solve_2x2(game)
     inner = [
         r for r in results
