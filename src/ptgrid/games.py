@@ -68,21 +68,29 @@ the players a block at a time. A block is the players who face the same
 sequence of opponent action counts; they have one own count too, and they
 are a run of consecutive players of that count. In every DSM and storage
 game all players form one block. A block holds its P players' mixes and
-values as (P, K, A) arrays, so each iteration makes, per block, one
-_joint_prob call for all its players and all members still running, one
-Prelec weighting of that joint probability in its own buffer, one residual
-call and one damped step. Each player has one Prelec alpha per batch
-member, so the block's alphas form a (P, K) array, one per row of the joint
-probability; _weights takes that array, or its one number when every row
-shares it. The weights are computed once per block, the mat-vec once per
-player, since the memo's layout picks the BLAS path. A member leaves the
+values as (P, K, A) arrays. One iteration makes, per block:
+
+- one gather of the opponents' mixes, a take per block they come from;
+- one _joint_prob call for all its players and all members still running;
+- one Prelec weighting of that joint probability in its own buffer;
+- one mat-vec per player, since the memo's layout picks the BLAS path;
+- one residual call;
+- one damped step: (1 - _STEP) * m, to which _STEP * target is added in
+  place; once hardened, that term is the argmax row of a precomputed
+  _STEP * identity, whose entries are the bits _STEP * target has.
+
+Each player has one Prelec alpha per batch member, so the block's alphas
+form a (P, K) array, one per row of the joint probability; _weights takes
+that array, or its one number when every row shares it. A member leaves the
 batch at the iteration where its residual reaches tol, where max_iter is
-hit or where its cycle reaches its finish iteration, and its result is
-exactly the one a solve of that member alone returns, bit for bit. Equal
-behavior sets are solved once. Inside a _prefetched_solves block, which
-runs its behavior sets as one batch, solve_fixed_point on that game returns
-the batch's result for a matching solve instead of iterating; the DSM
-sweeps read each point through solve_dsm this way.
+hit or where its cycle reaches its finish iteration; the finish iterations
+are compared only at the earliest of them, which the loop keeps as an int.
+A member's result is exactly the one a solve of that member alone returns,
+bit for bit. Equal behavior sets are solved once. Inside a
+_prefetched_solves block, which runs its behavior sets as one batch,
+solve_fixed_point on that game returns the batch's result for a matching
+solve instead of iterating; the DSM sweeps read each point through
+solve_dsm this way.
 """
 from __future__ import annotations
 
@@ -397,7 +405,7 @@ def _residual(pairs):
         own = np.asarray(v[..., 0] * m[..., 0])
         for a in range(1, v.shape[-1]):
             own += v[..., a] * m[..., a]
-        gap = np.subtract(v.max(axis=-1), own, out=own)
+        gap = np.subtract(np.maximum.reduce(v, axis=-1), own, out=own)
         worst = np.maximum(worst, gap, out=gap)
     return worst
 
@@ -600,16 +608,17 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     for b, players in enumerate(blocks):
         for p, i in enumerate(players):
             where[i] = (b, p)
-    # opponent k of player i is player k + (k >= i); a block's players run
+    # opponent k of player i is player k + (k >= i). A block's players run
     # over consecutive players of one count, so for each k every opponent
-    # lies in one block: (that block, the opponents' positions in it)
-    gathers = [
-        [
-            (where[k + (k >= players[0])][0], np.array([where[k + (k >= i)][1] for i in players]))
-            for k in range(n - 1)
-        ]
-        for players in blocks
-    ]
+    # lies in one block, and those blocks ascend with k: per source block,
+    # one (opponent positions, P) index into its mixes, in k order
+    gathers = []
+    for players in blocks:
+        sources = {}
+        for k in range(n - 1):
+            rows = [where[k + (k >= i)] for i in players]
+            sources.setdefault(rows[0][0], []).append([p for _, p in rows])
+        gathers.append([(c, np.array(idx)) for c, idx in sources.items()])
     # iteration 0: one pure_action_values call per player and member on the
     # uniform profile, whose calls the benchmark's tracer counts on the DSM
     # sweeps; the kernel takes the rest
@@ -623,9 +632,12 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     alphas = [np.array([[b[i].weighting.alpha for b in sets] for i in players], dtype=float)
               for players in blocks]
     block_alphas = [a.item(0) if (a == a.item(0)).all() else a for a in alphas]
-    eyes = [np.eye(counts[players[0]]) for players in blocks]  # hardened-step targets
+    # the hardened step's _STEP * target, one row per argmax: _STEP * 1 and
+    # _STEP * 0 are exact, so a row holds the bits the product would
+    step_eyes = [_STEP * np.eye(counts[players[0]]) for players in blocks]
     members = np.arange(len(sets))  # batch member of each row
     finish = np.full(len(sets), max_iter)  # the iteration each row leaves at, at the latest
+    due = max_iter  # the earliest finish, the one iteration where finish is compared
     snapshot = since = None  # the hardened mixes the cycle test compares with, and their iteration
     results = [None] * len(sets)
     with np.errstate(divide="ignore"):
@@ -633,31 +645,36 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
             if iteration:
                 for b, (gather, block_framed) in enumerate(zip(gathers, framed)):
                     # the iteration's largest array, weighted in place
-                    q = _joint_prob([mixes[c][rows] for c, rows in gather])
+                    q = _joint_prob([o for c, idx in gather for o in mixes[c].take(idx, axis=0)])
                     _weights(q, block_alphas[b], out=q)
                     v = values[b]  # overwritten: the last step has read it
                     for p, f in enumerate(block_framed):
                         v[p] = _mat_vec(f, q[p])
                     del q
             temp = _TEMPERATURE * _TEMP_DECAY**iteration
-            if temp < _TEMP_FLOOR:
+            hardened = temp < _TEMP_FLOOR
+            if hardened:
                 # the cycle test of the module docstring: a row that repeats
                 # the snapshot has period iteration - since
                 if snapshot is not None:
                     repeat = functools.reduce(np.logical_and, (
-                        (m.view(np.int64) == s).all(axis=(0, 2)) for m, s in zip(mixes, snapshot)
+                        np.logical_and.reduce(m.view(np.int64) == s, axis=(0, 2))
+                        for m, s in zip(mixes, snapshot)
                     ))
                     if np.count_nonzero(repeat):
                         finish[repeat] = iteration + (max_iter - iteration) % (iteration - since)
+                        due = int(np.minimum.reduce(finish))
                 if snapshot is None or iteration - since == _CYCLE_STRIDE:
                     # the bits, so that neither -0 == 0 nor nan != nan can
                     # decide; mixes are never written in place
                     snapshot, since = [m.view(np.int64) for m in mixes], iteration
             # max over a block's players, then over the blocks: exact
             residual = functools.reduce(np.maximum, (
-                _residual([(v, m)]).max(axis=0) for v, m in zip(values, mixes)
+                np.maximum.reduce(_residual([(v, m)])) for v, m in zip(values, mixes)
             ))
-            done = (residual <= tol) | (finish == iteration)
+            done = residual <= tol
+            if iteration == due:
+                done |= finish == iteration
             leaving = np.count_nonzero(done)  # cheaper than done.any() on a few rows
             if leaving:
                 for k in np.flatnonzero(done):
@@ -672,6 +689,7 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                     return results
                 keep = ~done
                 members, finish = members[keep], finish[keep]
+                due = int(np.minimum.reduce(finish))
                 mixes = [m[:, keep] for m in mixes]
                 values = [v[:, keep] for v in values]
                 if snapshot is not None:
@@ -679,15 +697,16 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                 alphas = [a[:, keep] for a in alphas]
                 block_alphas = [a.item(0) if (a == a.item(0)).all() else a for a in alphas]
             new_mixes = []
-            for v, m, eye in zip(values, mixes, eyes):
-                if temp < _TEMP_FLOOR:
-                    target = eye[v.argmax(axis=-1)]
+            for v, m, step_eye in zip(values, mixes, step_eyes):
+                new = (1.0 - _STEP) * m
+                if hardened:
+                    new += step_eye[v.argmax(axis=-1)]
                 else:
-                    top = v.max(axis=-1)
-                    spread = np.maximum(top - v.min(axis=-1), 1e-12)
+                    top = np.maximum.reduce(v, axis=-1)
+                    spread = np.maximum(top - np.minimum.reduce(v, axis=-1), 1e-12)
                     e = np.exp((v - top[..., None]) / (spread * temp)[..., None])
-                    target = e / e.sum(axis=-1, keepdims=True)
-                new_mixes.append((1.0 - _STEP) * m + _STEP * target)
+                    new += _STEP * (e / np.add.reduce(e, axis=-1, keepdims=True))
+                new_mixes.append(new)
             mixes = new_mixes
     raise AssertionError("unreachable")
 
@@ -701,8 +720,9 @@ def _simplex_grid(n_actions: int, grid: int) -> np.ndarray:
     row, with the count vectors in descending lexicographic order: the order
     of itertools.combinations_with_replacement(range(n_actions), grid).
 
-    _local_minima compares each row with the next along a player's axis, so
-    this order is part of the oracle's result and must not change.
+    _slack_minima compares each row with its neighbours along a player's
+    axis and returns the kept cells in row-major order, so this order is
+    part of the oracle's result and must not change.
 
     Built in closed form by stars and bars: the bar positions of
     combinations(range(grid + n_actions - 1), n_actions - 1), reversed to
@@ -739,8 +759,11 @@ def check_grid_budget(game: FiniteGame, grid: int) -> None:
 
 def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -> list:
     """Approximate equilibria by exhaustive search over a uniform simplex
-    grid: returns the profiles whose improvement residual is a local minimum
-    among axis neighbors and within grid slack of the global minimum.
+    grid: returns the profiles whose improvement residual is within the grid
+    slack (_grid_slack, 2 / grid times the payoff span, at least 2 / grid)
+    and no larger than that of any axis neighbor, in row-major order of the
+    players' grids. Only the cells within slack are candidates, and only
+    they are compared with their neighbors; a NaN neighbor rules a cell out.
 
     Meant as an independent oracle for small games (<= 3 players, <= 3
     actions); raises ValueError when grid < 1 or behaviors does not hold one
@@ -771,19 +794,32 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
     # a grid cell adjacent to a true equilibrium has residual of order
     # slope * spacing; anything above that is a flat-valley artifact, not an
     # equilibrium the grid can certify
-    keep = _local_minima(residual) & (residual <= _grid_slack(game, grid))
-    return [MixedProfile([g[i] for g, i in zip(grids, idx)]) for idx in zip(*np.nonzero(keep))]
+    at = _slack_minima(residual, _grid_slack(game, grid))
+    return [MixedProfile([g[i] for g, i in zip(grids, idx)]) for idx in zip(*at)]
 
 
-def _local_minima(residual: np.ndarray) -> np.ndarray:
-    """Boolean mask of entries no larger than any axis neighbor."""
-    mask = np.ones(residual.shape, dtype=bool)
-    for axis in range(residual.ndim):
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        hi = (slice(None),) * axis + (slice(1, None),)
-        mask[lo] &= residual[lo] <= residual[hi]
-        mask[hi] &= residual[hi] <= residual[lo]
-    return mask
+def _slack_minima(residual: np.ndarray, slack: float) -> tuple:
+    """Index arrays, one per axis, of the cells whose residual is within
+    slack and no larger than any axis neighbour's, in row-major order.
+
+    The cells within slack are taken first, and only they are compared
+    with their neighbours, each with `<=`: a NaN neighbour fails the cell,
+    a tie keeps it, and a NaN cell is never within slack. Only the
+    survivors are unravelled, which keeps few small temporaries alive at
+    once: numpy caches freed buffers under 1 KB per size, and peak RSS
+    counts that cache."""
+    flat = residual.ravel()
+    cells = np.flatnonzero(flat <= slack)  # row-major, as np.nonzero
+    mine = flat[cells]
+    keep = np.ones(cells.size, dtype=bool)
+    stride = 1  # between axis neighbours in flat, last axis first
+    for size in reversed(residual.shape):
+        pos = cells // stride % size
+        # a cell on an edge compares with itself instead, which holds
+        keep &= mine <= flat[np.where(pos > 0, cells - stride, cells)]
+        keep &= mine <= flat[np.where(pos < size - 1, cells + stride, cells)]
+        stride *= size
+    return np.unravel_index(cells[keep], residual.shape)
 
 
 def _grid_slack(game: FiniteGame, grid: int) -> float:

@@ -30,11 +30,11 @@ from ptgrid.games import (
     _grid_slack,
     _indifference_prob,
     _joint_prob,
-    _local_minima,
     _mat_vec,
     _prefetched_solves,
     _residual,
     _simplex_grid,
+    _slack_minima,
 )
 from ptgrid.prospects import (
     PrelecWeighting,
@@ -821,6 +821,20 @@ def test_batch_matches_single_solve_loop_past_a_cycle(joint_prob_calls):
     assert len(joint_prob_calls) < 8000
 
 
+def test_custom_games_bank_solves_like_reference_loop():
+    # the benchmark's 3-player bank as its workload draws it, payoffs then
+    # alpha from one default_rng(0); the first solve cycles and leaves early
+    # with its max_iter-th state
+    bank = np.random.default_rng(0)
+    cases = [(bank.uniform(-5.0, 5.0, size=(3, 2, 2, 2)), bank.uniform(0.3, 1.0)) for _ in range(3)]
+    solved = [
+        assert_same_as_reference(FiniteGame(payoffs), [[PtProfile.weighting_only(float(alpha))] * 3])[0]
+        for payoffs, alpha in cases
+    ]
+    assert [r.iterations for r in solved] == [10_000, 316, 325]
+    assert [r.converged for r in solved] == [False, True, True]
+
+
 def test_batch_matches_single_solve_loop_in_hardened_phase_with_3_actions():
     # the schedule's temperature falls below temp_floor after iteration 1057;
     # from there each player's target is a row of its own 3x3 identity
@@ -999,6 +1013,21 @@ def test_simplex_grid_matches_enumeration(n_actions, grids):
         assert built.tobytes() == expected.tobytes()  # same bytes in the same row order
 
 
+def neighbour_minima(residual):
+    """Mask of the cells no larger than any axis neighbour, one cell and one
+    neighbour at a time: the full-surface rule the oracle's filter keeps."""
+    shape = residual.shape
+    mask = np.ones(shape, dtype=bool)
+    for idx in np.ndindex(*shape):
+        for axis in range(len(shape)):
+            for step in (-1, 1):
+                k = idx[axis] + step
+                if 0 <= k < shape[axis]:
+                    other = idx[:axis] + (k,) + idx[axis + 1:]
+                    mask[idx] &= bool(residual[idx] <= residual[other])
+    return mask
+
+
 def reference_oracle(game, behaviors, grid):
     """The oracle's search written as a plain loop: the residual of every
     grid profile, then the same local-minimum and slack filter."""
@@ -1007,7 +1036,7 @@ def reference_oracle(game, behaviors, grid):
     for idx in np.ndindex(*residual.shape):
         prof = MixedProfile([g[i] for g, i in zip(grids, idx)])
         residual[idx] = equilibrium_residual(game, prof, behaviors)
-    keep = _local_minima(residual) & (residual <= _grid_slack(game, grid))
+    keep = neighbour_minima(residual) & (residual <= _grid_slack(game, grid))
     return [[g[i] for g, i in zip(grids, idx)] for idx in zip(*np.nonzero(keep))]
 
 
@@ -1028,21 +1057,28 @@ def test_brute_force_matches_reference_loop(counts, grid):
                 np.testing.assert_array_equal(m, r)
 
 
+def assert_same_cells(found, mask):
+    expected = np.nonzero(mask)  # row-major
+    assert len(found) == len(expected)
+    for f, e in zip(found, expected):
+        assert f.dtype == e.dtype and np.array_equal(f, e)
+
+
 @pytest.mark.parametrize("shape", [(1,), (7,), (5, 6), (1, 6), (4, 1, 5), (3, 4, 5)])
 def test_local_minima_matches_neighbour_loop(shape):
-    # small integers, so that neighbours tie
+    # the oracle's filter against the full-surface rule: small integers, so
+    # that neighbours tie, NaN cells and neighbours, and slacks that keep no
+    # cell, some cells or all of them
     rng = np.random.default_rng(16)
-    for _ in range(5):
-        residual = rng.integers(0, 3, size=shape).astype(float)
-        expected = np.ones(shape, dtype=bool)
-        for idx in np.ndindex(*shape):
-            for axis in range(len(shape)):
-                for step in (-1, 1):
-                    k = idx[axis] + step
-                    if 0 <= k < shape[axis]:
-                        other = idx[:axis] + (k,) + idx[axis + 1:]
-                        expected[idx] &= bool(residual[idx] <= residual[other])
-        assert np.array_equal(_local_minima(residual), expected)
+    for nan_share in (0.0, 0.0, 0.15, 0.15, 0.3):
+        residual = rng.integers(0, 4, size=shape).astype(float)
+        residual[rng.random(shape) < nan_share] = np.nan
+        minima = neighbour_minima(residual)
+        for slack in (-1.0, 0.0, 1.0, 2.5, 3.0, math.inf):
+            assert_same_cells(_slack_minima(residual, slack), minima & (residual <= slack))
+    # a transposed surface is read in its own row-major order
+    residual = residual.T
+    assert_same_cells(_slack_minima(residual, 3.0), neighbour_minima(residual) & (residual <= 3.0))
 
 
 # ---------------------------------------------------------------------------
