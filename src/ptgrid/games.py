@@ -62,35 +62,55 @@ a member that repeats it leaves at that finish iteration with iterations =
 max_iter, converged False and the residual of the state it holds, which are
 the bits of the full run.
 
+Once hardened, a member's step adds the _STEP * identity row of its argmax,
+so its argmax rows decide its path. The solver keeps each running member's
+hardened argmax rows and its argmax period, the smallest p <=
+_CYCLE_STRIDE with which its last 2p rows repeat, found by a search every
+_PERIOD_SEARCH rows and kept while its rows repeat it (_ArgmaxPeriods).
+While every member has a period, one kernel pass evaluates a window of W
+iterations, W the smallest period: row 0 is the state the loop reached, and
+row j + 1 takes the hardened step from row j toward each member's argmax of
+one period before, an iteration already checked. The rows are extra batch
+rows, so each has the bits of a one-row evaluation. The loop accepts the
+rows up to the first whose argmax differs from its guess, whose mixes
+repeat the snapshot or whose residual reaches tol; that row then takes the
+steps of any iteration: the cycle test, the snapshot, the finish check, the
+members who leave and the step from its own argmax. A window also ends at
+the next snapshot and at the earliest finish, and it takes fewer rows when
+its joint probability would hold more than _WINDOW_ENTRIES entries. While a
+member has no period, W is 1 and a pass is one iteration.
+
 The solver runs a batch of behavior sets on one game in a single loop
 (solve_fixed_point_batch; solve_fixed_point is a batch of one), and steps
 the players a block at a time. A block is the players who face the same
 sequence of opponent action counts; they have one own count too, and they
 are a run of consecutive players of that count. In every DSM and storage
 game all players form one block. A block holds its P players' mixes and
-values as (P, K, A) arrays. One iteration makes, per block:
+values as (P, W * K, A) arrays, K the members still running. One kernel
+pass makes, per block:
 
 - one gather of the opponents' mixes, a take per block they come from;
-- one _joint_prob call for all its players and all members still running;
+- one _joint_prob call for all its players and all rows;
 - one Prelec weighting of that joint probability in its own buffer;
 - one mat-vec per player, since the memo's layout picks the BLAS path;
-- one residual call;
+- one residual call and, once hardened, one argmax;
 - one damped step: (1 - _STEP) * m, to which _STEP * target is added in
   place; once hardened, that term is the argmax row of a precomputed
-  _STEP * identity, whose entries are the bits _STEP * target has.
+  _STEP * identity, whose entries are the bits _STEP * target has. A
+  window's rows 1 to W - 1 take the same two operations, one row at a time.
 
 Each player has one Prelec alpha per batch member, so the block's alphas
-form a (P, K) array, one per row of the joint probability; _weights takes
-that array, or its one number when every row shares it. A member leaves the
-batch at the iteration where its residual reaches tol, where max_iter is
-hit or where its cycle reaches its finish iteration; the finish iterations
-are compared only at the earliest of them, which the loop keeps as an int.
-A member's result is exactly the one a solve of that member alone returns,
-bit for bit. Equal behavior sets are solved once. Inside a
-_prefetched_solves block, which runs its behavior sets as one batch,
-solve_fixed_point on that game returns the batch's result for a matching
-solve instead of iterating; the DSM sweeps read each point through
-solve_dsm this way.
+form a (P, K) array, tiled over a window's rows, one per row of the joint
+probability; _weights takes that array, or its one number when every row
+shares it. A member leaves the batch at the iteration where its residual
+reaches tol, where max_iter is hit or where its cycle reaches its finish
+iteration; the finish iterations are compared only at the earliest of them,
+which the loop keeps as an int. A member's result is exactly the one a
+solve of that member alone returns, bit for bit. Equal behavior sets are
+solved once. Inside a _prefetched_solves block, which runs its behavior
+sets as one batch, solve_fixed_point on that game returns the batch's
+result for a matching solve instead of iterating; the DSM sweeps read each
+point through solve_dsm this way.
 """
 from __future__ import annotations
 
@@ -102,6 +122,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .prospects import PROB_TOL, PtProfile, _unit_interval_array, _weights, frame_value
 
@@ -514,6 +535,10 @@ _TEMP_FLOOR = 1e-3
 # not converge entered an exact cycle, between iterations 1058 and 8625,
 # with periods from 14 to 626. Strides of 128, 256, 512 and 1024 caught 56,
 # 61, 62 and 63 of them, after 7379, 7153, 7120 and 7374 iterations on mean.
+# The stride also bounds the argmax periods that set a window's length. With
+# windows, those 63 solves took 10.7, 9.0, 8.4 and 8.2 s at these strides
+# (one iteration per kernel pass: 18.0, 17.7, 18.8 and 19.4 s), best of 3
+# rounds on a 2-vCPU Xeon VM.
 _CYCLE_STRIDE = 512
 
 
@@ -598,7 +623,13 @@ def _prefetched_solves(game: FiniteGame, behavior_sets, tol: float = 1e-9, max_i
 def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     """The damped fixed-point loop of solve_fixed_point_batch on checked
     behavior sets, every member from the uniform profile, one block of
-    players at a time (see the module docstring)."""
+    players at a time and, once hardened, one window of iterations per
+    kernel pass (see the module docstring).
+
+    A pass evaluates `rows` iterations of `size` members each: a block's
+    mixes and values are (P, rows * size, A), row-major over (rows, size),
+    and the residual is (rows * size,). After a window, the loop goes on
+    with its last accepted row as if that row were the pass's only one."""
     n, counts = game.n_players, game.action_counts
     blocks = {}  # opponents' action counts -> the players who face them
     for i in range(n):
@@ -635,43 +666,85 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     # the hardened step's _STEP * target, one row per argmax: _STEP * 1 and
     # _STEP * 0 are exact, so a row holds the bits the product would
     step_eyes = [_STEP * np.eye(counts[players[0]]) for players in blocks]
+    # joint-probability entries of one member in one row of a pass
+    joint = sum(len(players) * math.prod(counts) // counts[players[0]] for players in blocks)
     members = np.arange(len(sets))  # batch member of each row
     finish = np.full(len(sets), max_iter)  # the iteration each row leaves at, at the latest
     due = max_iter  # the earliest finish, the one iteration where finish is compared
     snapshot = since = None  # the hardened mixes the cycle test compares with, and their iteration
+    periods = None  # the hardened argmax rows, from the first hardened iteration on
     results = [None] * len(sets)
+    iteration = 0
     with np.errstate(divide="ignore"):
-        for iteration in range(max_iter + 1):
+        while True:
+            temp = _TEMPERATURE * _TEMP_DECAY**iteration
+            hardened = temp < _TEMP_FLOOR
+            rows, size = 1, len(members)  # the window's rows, and the members in each
+            if hardened:
+                if periods is None:
+                    periods = _ArgmaxPeriods([(len(p), counts[p[0]]) for p in blocks], size)
+                elif periods.window > 1:
+                    rows = min(periods.window, due - iteration + 1, since + _CYCLE_STRIDE - iteration + 1,
+                               max(1, _WINDOW_ENTRIES // (joint * size)))
+                if rows > 1:
+                    guesses = periods.guesses(rows)
+                    mixes = [_damped_rows(m, eye[g[:, :-1].transpose(1, 0, 2)])
+                             for m, g, eye in zip(mixes, guesses, step_eyes)]
             if iteration:
                 for b, (gather, block_framed) in enumerate(zip(gathers, framed)):
                     # the iteration's largest array, weighted in place
                     q = _joint_prob([o for c, idx in gather for o in mixes[c].take(idx, axis=0)])
-                    _weights(q, block_alphas[b], out=q)
-                    v = values[b]  # overwritten: the last step has read it
+                    alpha = block_alphas[b]
+                    if rows > 1 and isinstance(alpha, np.ndarray):
+                        alpha = np.tile(alpha, rows)
+                    _weights(q, alpha, out=q)
+                    # overwritten: the last step has read it
+                    v = values[b] if rows == 1 else np.empty(mixes[b].shape)
                     for p, f in enumerate(block_framed):
                         v[p] = _mat_vec(f, q[p])
+                    values[b] = v
                     del q
-            temp = _TEMPERATURE * _TEMP_DECAY**iteration
-            hardened = temp < _TEMP_FLOOR
-            if hardened:
-                # the cycle test of the module docstring: a row that repeats
-                # the snapshot has period iteration - since
-                if snapshot is not None:
-                    repeat = functools.reduce(np.logical_and, (
-                        np.logical_and.reduce(m.view(np.int64) == s, axis=(0, 2))
-                        for m, s in zip(mixes, snapshot)
-                    ))
-                    if np.count_nonzero(repeat):
-                        finish[repeat] = iteration + (max_iter - iteration) % (iteration - since)
-                        due = int(np.minimum.reduce(finish))
-                if snapshot is None or iteration - since == _CYCLE_STRIDE:
-                    # the bits, so that neither -0 == 0 nor nan != nan can
-                    # decide; mixes are never written in place
-                    snapshot, since = [m.view(np.int64) for m in mixes], iteration
             # max over a block's players, then over the blocks: exact
             residual = functools.reduce(np.maximum, (
                 np.maximum.reduce(_residual([(v, m)])) for v, m in zip(values, mixes)
             ))
+            if hardened:
+                tops = [v.argmax(axis=-1) for v in values]  # (P, rows * K) per block
+                # the cycle test of the module docstring: a row that repeats
+                # the snapshot has period iteration - since
+                if snapshot is not None:
+                    repeat = functools.reduce(np.logical_and, (
+                        np.logical_and.reduce(
+                            m.reshape(s.shape[:1] + (rows,) + s.shape[2:]).view(np.int64) == s, axis=(0, 3)
+                        )
+                        for m, s in zip(mixes, snapshot)
+                    ))  # (rows, K)
+                last = 0  # the window's row whose steps the loop takes
+                if rows > 1:
+                    residual = residual.reshape(rows, size)
+                    missed = functools.reduce(np.logical_or, (
+                        np.logical_or.reduce(t.reshape(g.shape) != g, axis=0) for t, g in zip(tops, guesses)
+                    ))
+                    stop = np.flatnonzero(np.logical_or.reduce(missed | repeat | (residual <= tol), axis=1))
+                    last = int(stop[0]) if len(stop) else rows - 1
+                    periods.add([t[:, :(last + 1) * size] for t in tops], last + 1, missed[last])
+                    iteration += last
+                    residual = residual[last]
+                    accepted = slice(last * size, (last + 1) * size)
+                    mixes = [m[:, accepted] for m in mixes]
+                    values = [v[:, accepted] for v in values]
+                    tops = [t[:, accepted] for t in tops]
+                else:
+                    periods.add(tops, 1)
+                if snapshot is not None:
+                    repeat = repeat[last]
+                    if np.count_nonzero(repeat):
+                        finish[repeat] = iteration + (max_iter - iteration) % (iteration - since)
+                        due = int(np.minimum.reduce(finish))
+                if snapshot is None or iteration - since == _CYCLE_STRIDE:
+                    # the bits, (P, 1, K, A), so that neither -0 == 0 nor
+                    # nan != nan can decide; mixes are never written in place
+                    snapshot, since = [m.view(np.int64)[:, None] for m in mixes], iteration
             done = residual <= tol
             if iteration == due:
                 done |= finish == iteration
@@ -692,15 +765,17 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                 due = int(np.minimum.reduce(finish))
                 mixes = [m[:, keep] for m in mixes]
                 values = [v[:, keep] for v in values]
-                if snapshot is not None:
-                    snapshot = [m[:, keep] for m in snapshot]
+                if hardened:
+                    tops = [t[:, keep] for t in tops]
+                    snapshot = [s[:, :, keep] for s in snapshot]
+                    periods.keep(keep)
                 alphas = [a[:, keep] for a in alphas]
                 block_alphas = [a.item(0) if (a == a.item(0)).all() else a for a in alphas]
             new_mixes = []
-            for v, m, step_eye in zip(values, mixes, step_eyes):
+            for b, (v, m) in enumerate(zip(values, mixes)):
                 new = (1.0 - _STEP) * m
                 if hardened:
-                    new += step_eye[v.argmax(axis=-1)]
+                    new += step_eyes[b][tops[b]]
                 else:
                     top = np.maximum.reduce(v, axis=-1)
                     spread = np.maximum(top - np.minimum.reduce(v, axis=-1), 1e-12)
@@ -708,7 +783,155 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                     new += _STEP * (e / np.add.reduce(e, axis=-1, keepdims=True))
                 new_mixes.append(new)
             mixes = new_mixes
-    raise AssertionError("unreachable")
+            iteration += 1
+
+
+def _damped_rows(m, targets):
+    """m, a block's (P, K, A) mixes, then one hardened step per (P, K, A)
+    target, each from the row before as the loop takes it: (1 - _STEP) *
+    row, then the target added. Returns the rows as (P, rows * K, A),
+    row-major over (rows, K). The rows are built one after another in a
+    buffer of contiguous rows, where each step costs half what it costs in
+    the returned layout, and copied into it once."""
+    out = np.empty((len(targets) + 1,) + m.shape)
+    out[0] = m
+    for prev, row, target in zip(out, out[1:], targets):
+        np.multiply(prev, 1.0 - _STEP, out=row)
+        row += target
+    return out.transpose(1, 0, 2, 3).reshape(len(m), -1, m.shape[-1])
+
+
+# Joint-probability entries above which a window takes fewer rows than its
+# period. A window saves the per-call cost of one iteration per extra row,
+# about 30 us on a 3-player, 2-action game; the Prelec weighting alone costs
+# about 5 ns per entry (ROADMAP, "Where the time goes"), so at this size a
+# pass's arithmetic is ten times that, and a longer window would only grow
+# the pass's arrays: a DSM game of 8 players and 4 actions holds 131,072
+# entries per member and row.
+_WINDOW_ENTRIES = 1 << 16
+
+# Hardened rows between two period searches while the window is one row
+# (_ArgmaxPeriods). On a 2-vCPU Xeon VM a search of 32 rows of one 3-player
+# member takes about 65 us, two loop iterations' worth, most of it fixed
+# cost: a search per row would double a one-row iteration, and a longer gap
+# delays the first window.
+_PERIOD_SEARCH = 32
+
+
+class _ArgmaxPeriods:
+    """The hardened argmax rows of the loop's running members and each
+    member's argmax period, from which _fixed_point_loop guesses a window's
+    targets.
+
+    A member's period is the smallest p <= _CYCLE_STRIDE with which its last
+    2p rows repeat: row s equals row s - p for each of the last p rows s.
+    window is the smallest period of the members, or 1 while one has none.
+    While window is 1, a search every _PERIOD_SEARCH rows keeps each
+    member's period if its rows still repeat it, and takes the smallest that
+    fits otherwise. In a longer window the loop checks each row against its
+    guess; a member whose row breaks it has no period until the next search.
+
+    Each block's rows are kept as (P, rows, K) in a buffer of 4 *
+    _CYCLE_STRIDE rows. It begins with _CYCLE_STRIDE rows of -1, which no
+    argmax equals, and keeps its last 2 * _CYCLE_STRIDE rows when it fills.
+    Added rows wait in a list until a window's guesses or a search read
+    them, so a one-row pass adds only a list entry.
+    A search keeps a table of, per member and lag p, the latest row that
+    differs from the row p before it. It reads a member's row as one number,
+    its argmaxes in mixed radix, and adds the rows since the last search, at
+    most the last _CYCLE_STRIDE of them: an older row decides no lag up to
+    _CYCLE_STRIDE.
+    """
+
+    def __init__(self, blocks, members):
+        stride = _CYCLE_STRIDE
+        self.rows = [np.full((size, 4 * stride, members), -1, dtype=np.min_scalar_type(-count))
+                     for size, count in blocks]
+        # a row of -1 reads as a negative number
+        self.radix, scale = [], 1
+        for size, count in blocks:
+            self.radix.append(np.array([scale * count**p for p in range(size)]))
+            scale *= count**size
+        # the next row's index, the first row not yet in the buffer, and
+        # the first row the table lacks
+        self.end = self.stored = self.read = stride
+        self.pending = []  # per add, each block's rows not yet in the buffer
+        self.lags = np.arange(1, stride + 1)
+        self.offsets = self.lags[:, None] - 1  # row j of a window is row end + j
+        self.steps = np.arange(1, stride + 1, dtype=np.int16)[:, None, None]
+        self._members(np.full((members, stride), -1), np.zeros(members, dtype=np.intp))
+
+    def _members(self, differs, period):
+        self.differs, self.period = differs, period
+        self.cols = np.arange(len(period))
+        self.window = int(np.minimum.reduce(period)) or 1
+
+    def guesses(self, count):
+        """Per block, the (P, count, K) argmax rows one period before the
+        next count rows."""
+        self._store()
+        back = self.offsets[:count] + (self.end - self.period)
+        return [r[:, back, self.cols] for r in self.rows]
+
+    def add(self, tops, count, broken=None):
+        """Append count rows, each block's argmaxes as a (P, count * K)
+        array; broken marks the members whose last row broke their guess."""
+        self.pending.append(tops)
+        self.end += count
+        if broken is not None and np.count_nonzero(broken):
+            self.period[broken] = 0
+            self.window = 1
+        if self.window > 1:
+            if self.end - self.stored >= _CYCLE_STRIDE:  # windows cut to one row
+                self._store()
+            return
+        if self.end - self.read < _PERIOD_SEARCH:
+            return
+        # the table of the class docstring, then the periods that fit
+        self._store()
+        stride = _CYCLE_STRIDE
+        first = max(self.read, self.end - stride)
+        codes = functools.reduce(np.add, (
+            np.dot(radix, r[:, first - stride:self.end].reshape(len(radix), -1))
+            for radix, r in zip(self.radix, self.rows)
+        )).reshape(-1, len(self.period))  # (rows, K)
+        # per new row, the stride rows before it and the row itself
+        ahead = as_strided(codes, (self.end - first, len(self.period), stride + 1),
+                           codes.strides + codes.strides[:1])
+        differ = ahead[..., :stride] != ahead[..., stride:]  # (new rows, K, lag), the lags from stride down
+        latest = np.maximum.reduce(differ * self.steps[:self.end - first])[:, ::-1]  # new rows' 1-based index
+        np.copyto(self.differs, latest + (first - 1), where=latest > 0)
+        self.read = self.end
+        fits = self.differs <= self.end - 1 - self.lags
+        kept = fits[self.cols, self.period - 1] & (self.period > 0)
+        smallest = np.where(np.logical_or.reduce(fits, axis=1), fits.argmax(axis=1) + 1, 0)
+        self.period = np.where(kept, self.period, smallest)
+        self.window = int(np.minimum.reduce(self.period)) or 1
+
+    def _store(self):
+        """Write the rows added since the last call into the buffer, first
+        keeping only its last 2 * _CYCLE_STRIDE rows if they would not fit."""
+        if not self.pending:
+            return
+        if self.end > self.rows[0].shape[1]:
+            drop = self.stored - 2 * _CYCLE_STRIDE
+            for r in self.rows:
+                r[:, :2 * _CYCLE_STRIDE] = r[:, drop:self.stored]
+            self.end -= drop
+            self.stored -= drop
+            self.read -= drop
+            self.differs -= drop
+        for b, r in enumerate(self.rows):
+            added = np.concatenate([tops[b] for tops in self.pending], axis=1)
+            r[:, self.stored:self.end] = added.reshape(len(r), -1, r.shape[2])
+        self.pending = []
+        self.stored = self.end
+
+    def keep(self, kept):
+        """Drop the members kept marks False."""
+        self._store()
+        self.rows = [r[:, :, kept] for r in self.rows]
+        self._members(self.differs[kept], self.period[kept])
 
 
 # ---------------------------------------------------------------------------

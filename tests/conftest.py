@@ -33,3 +33,34 @@ def joint_prob_calls(monkeypatch):
 
     monkeypatch.setattr(ptgrid.games, "_joint_prob", counting_joint_prob)
     return calls
+
+
+@pytest.fixture
+def hardened_passes(monkeypatch):
+    """One entry per kernel pass of the fixed-point loop's hardened phase,
+    made during the test: (its first iteration, the window length at its
+    start, the rows it evaluated, the rows the loop accepted, whether a
+    member's last accepted row broke its guess). A batch's passes follow
+    each other; a new solve starts again at the first hardened iteration."""
+    import itertools
+
+    import ptgrid.games as g
+
+    first = next(t for t in itertools.count() if g._TEMPERATURE * g._TEMP_DECAY**t < g._TEMP_FLOOR)
+    passes = []
+    guesses, add = g._ArgmaxPeriods.guesses, g._ArgmaxPeriods.add
+
+    def counting_guesses(self, count):
+        self.evaluated = count  # a pass of one row takes no guesses
+        return guesses(self, count)
+
+    def counting_add(self, tops, count, broken=None):
+        start = getattr(self, "next_iteration", first)
+        broke = broken is not None and bool(broken.any())
+        passes.append((start, self.window, getattr(self, "evaluated", 1), count, broke))
+        self.next_iteration, self.evaluated = start + count, 1
+        return add(self, tops, count, broken)
+
+    monkeypatch.setattr(g._ArgmaxPeriods, "guesses", counting_guesses)
+    monkeypatch.setattr(g._ArgmaxPeriods, "add", counting_add)
+    return passes

@@ -119,14 +119,16 @@ def test_solve_bad_solver_limits_exit_2(tmp_path, capsys, flags):
 
 
 def test_solve_cycling_game_reports_its_max_iter_state(tmp_path, capsys, joint_prob_calls):
-    # the game's hardened mixes repeat bit for bit from about iteration 7200,
-    # so the solve stops there with the state and message of iteration 100000
+    # the game's hardened mixes repeat bit for bit from iteration 7160 with
+    # period 19, which the cycle test sees at 7221, so the solve stops within
+    # a period of that with the state and message of iteration 100000; its
+    # hardened iterations take one kernel call per window of 19
     path = tmp_path / "g3.game"
     save_game(FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2))), path)
     assert run(["solve", str(path), "--alpha", "0.65", "--max-iter", "100000"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "did not converge: residual 2.814e-02 after 100000 iterations\n"
-    assert len(joint_prob_calls) < 8000
+    assert len(joint_prob_calls) < 2000
 
 
 @pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "nan"])

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ptgrid.games
 from ptgrid.games import (
     BudgetExceededError,
     FiniteGame,
@@ -802,23 +803,92 @@ def test_batch_matches_single_solve_loop_at_max_iter():
     assert not any(r.converged for r in batch[:4])
 
 
-def test_batch_matches_single_solve_loop_past_a_cycle(joint_prob_calls):
-    # the first three members' hardened mixes repeat bit for bit (0.65 from
-    # iteration 7160 with period 18), so each leaves at the iteration whose
-    # state is the one at max_iter; 0.65 and 1.0 leave while 0.5 still runs,
-    # which prunes the snapshot's rows, and 0.1 converges at 345
+def test_batch_matches_single_solve_loop_past_a_cycle(joint_prob_calls, hardened_passes):
+    # the first three members' hardened mixes repeat bit for bit from
+    # iteration 7160, with periods 19 (0.65), 25 (0.5) and 14 (1.0), so each
+    # leaves at the iteration whose state is the one at max_iter; 0.65 and
+    # 1.0 leave while 0.5 still runs, which prunes the snapshot's rows, and
+    # 0.1 converges at 345
     game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
     sets = [[PtProfile.weighting_only(a)] * 3 for a in (0.65, 0.5, 1.0, 0.1)]
     batch = assert_same_as_reference(game, sets, alone=False, max_iter=10_000)
     assert [r.iterations for r in batch] == [10_000] * 3 + [345]
     assert [r.converged for r in batch] == [False] * 3 + [True]
-    assert len(joint_prob_calls) < 8000  # the reference loop does not call the kernel
+    # one kernel call per window of hardened iterations; the reference loop
+    # does not call the kernel
+    assert len(joint_prob_calls) < 2000
+    # 0.65 repeats the snapshot of iteration 7202 at 7221, 5 rows into a
+    # window, and 0.5, alone from 7228 on, leaves at 7250 in a window cut
+    # short of its period of 25
+    assert (7217, 14, 12, 5, False) in hardened_passes
+    assert hardened_passes[-1] == (7229, 25, 22, 22, False)
     # the finish iteration is each member's own: 0.65 alone at another
-    # residue of its period
+    # residue of its period. The snapshot of iteration 7202 is repeated at
+    # 7221, so it leaves at 7225, the last row of a window that stops short
+    # of its period there
     joint_prob_calls.clear()
+    hardened_passes.clear()
     (alone,) = assert_same_as_reference(game, sets[:1], alone=False, max_iter=9_999)
     assert (alone.iterations, alone.converged) == (9_999, False)
-    assert len(joint_prob_calls) < 8000
+    assert len(joint_prob_calls) < 2000
+    assert hardened_passes[-1] == (7222, 19, 4, 4, False)
+
+
+def test_batch_matches_single_solve_loop_in_windows_of_the_shortest_period(joint_prob_calls, hardened_passes):
+    # the argmax rows of 0.65, 0.5 and 1.0 repeat with periods 19, 25 and
+    # 14, so the batch steps 14 iterations per kernel pass, and the last
+    # pass stops at max_iter, 3 rows into its window
+    game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
+    sets = [[PtProfile.weighting_only(a)] * 3 for a in (0.65, 0.5, 1.0)]
+    batch = assert_same_as_reference(game, sets, alone=False, max_iter=1300)
+    assert [(r.iterations, r.converged) for r in batch] == [(1300, False)] * 3
+    assert max(rows for _, _, rows, _, _ in hardened_passes) == 14
+    assert hardened_passes[-1] == (1298, 14, 3, 3, False)
+    assert len(joint_prob_calls) < 1250
+
+
+def test_windows_shorter_than_the_period_keep_the_bits(monkeypatch, hardened_passes):
+    # room for 5 rows of the 12 joint-probability entries of a 3-player,
+    # 2-action member: its windows take 5 rows of its period of 19
+    game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
+    monkeypatch.setattr(ptgrid.games, "_WINDOW_ENTRIES", 60)
+    (res,) = assert_same_as_reference(game, [[PtProfile.weighting_only(0.65)] * 3], alone=False,
+                                      max_iter=1400)
+    assert (res.iterations, res.converged) == (1400, False)
+    assert {(window, rows) for _, window, rows, _, _ in hardened_passes if rows > 1} == {(19, 5)}
+
+
+def test_batch_matches_single_solve_loop_across_a_broken_period_and_tol(hardened_passes):
+    # the member's rows break its period of 14 at iteration 1191, 6 rows
+    # into the window from 1186, and its residual first reaches this tol at
+    # iteration 1376, 31 rows into a window of 77
+    game = FiniteGame(np.random.default_rng(3).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
+    tol = float.fromhex("0x1.2d0bac13dff27p-3")
+    (res,) = assert_same_as_reference(game, [[PtProfile.weighting_only(0.65)] * 3], alone=False,
+                                      tol=tol, max_iter=1500)
+    assert (res.iterations, res.converged) == (1376, True)
+    assert (1186, 14, 14, 6, True) in hardened_passes
+    assert hardened_passes[-1] == (1346, 77, 77, 31, False)
+
+
+def test_batch_matches_single_solve_loop_without_a_period(hardened_passes):
+    # 4 players, 3 actions: the hardened mixes repeat with period 626, more
+    # than _CYCLE_STRIDE, and no argmax period up to it holds. The member
+    # takes one row per pass but in the windows of periods that its rows
+    # soon break
+    rng = np.random.default_rng(7)
+    for _ in range(19):  # the 19th game of this draw
+        n = rng.integers(3, 5)
+        rng.integers(2, 4, size=n)
+        payoffs = rng.uniform(-5.0, 5.0, (n,) + (rng.integers(2, 4),) * n)
+        alpha = rng.uniform(0.3, 1.0)
+    game = FiniteGame(payoffs)
+    (res,) = assert_same_as_reference(game, [[PtProfile.weighting_only(alpha)] * 4], alone=False,
+                                      max_iter=3000)
+    assert (res.iterations, res.converged) == (3000, False)
+    windows = [p for p in hardened_passes if p[2] > 1]
+    assert [(rows, broke) for _, _, rows, _, broke in windows] == [(15, True), (19, True), (18, True)]
+    assert len(hardened_passes) > 1800
 
 
 def test_custom_games_bank_solves_like_reference_loop():
