@@ -26,8 +26,8 @@ player's gap max(v) - v.m between its best pure action value and the value
 of its own mix, maximised over the players and at least 0. Its four callers
 are equilibrium_residual (one profile), solve_2x2 (one row per candidate),
 the fixed-point solver's stopping test (one block of players at a time, one
-row per batch member) and brute_force_equilibrium (one cell per grid
-profile). v.m is summed over the actions in ascending order,
+row per batch member) and brute_force_equilibrium (one row per candidate
+cell). v.m is summed over the actions in ascending order,
 ((v_0*m_0 + v_1*m_1) + v_2*m_2) + ..., from separately rounded numpy
 multiplies and adds; no BLAS call computes the certificate, so no CPU
 dispatch sets its summation order. The action values it reads still come
@@ -597,11 +597,12 @@ def solve_fixed_point_batch(
 def check_solver_limits(tol: float, max_iter: int) -> None:
     """Raise ValueError for a tol that is negative, infinite or NaN (an
     infinite tol would certify any profile) and for a max_iter that is not a
-    non-negative integer."""
+    non-negative integer, a bool included."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
-    # numpy integers are Integral; a float would fail in range() instead
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+    # numpy integers are Integral, and so is a bool, which is no count; a
+    # float would fail in range() instead
+    if not (isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool) and max_iter >= 0):
         raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
 
 
@@ -938,6 +939,7 @@ class _ArgmaxPeriods:
 # brute-force oracle
 
 
+@functools.lru_cache(maxsize=8)
 def _simplex_grid(n_actions: int, grid: int) -> np.ndarray:
     """All probability vectors over n_actions with entries k/grid, one per
     row, with the count vectors in descending lexicographic order: the order
@@ -949,7 +951,9 @@ def _simplex_grid(n_actions: int, grid: int) -> np.ndarray:
 
     Built in closed form by stars and bars: the bar positions of
     combinations(range(grid + n_actions - 1), n_actions - 1), reversed to
-    descending order, differenced into counts and divided by grid.
+    descending order, differenced into counts and divided by grid. The last
+    8 grids asked for are kept, read-only: an oracle run over many games
+    asks for the same one or two each time.
     """
     slots, k = grid + n_actions - 1, n_actions - 1
     rows = math.comb(slots, k)
@@ -957,7 +961,9 @@ def _simplex_grid(n_actions: int, grid: int) -> np.ndarray:
     flat = itertools.chain.from_iterable(itertools.combinations(range(slots), k))
     bars = np.fromiter(flat, dtype=np.intp, count=rows * k).reshape(rows, k)[::-1]
     counts = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
-    return counts / grid
+    out = counts / grid
+    out.setflags(write=False)
+    return out
 
 
 def grid_enumeration_size(game: FiniteGame, grid: int) -> int:
@@ -988,37 +994,130 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
     players' grids. Only the cells within slack are candidates, and only
     they are compared with their neighbors; a NaN neighbor rules a cell out.
 
+    The residual is computed only on the cells a per-player bound cannot
+    rule out. A player with two actions and values (v_0, v_1) at an opponent
+    cell has own row k = ((G - k) / G, k / G), G = grid, and exact gap d * c
+    / G: d = |v_0 - v_1|, c the count of its worse action (k if v_0 >= v_1,
+    else G - k). The computed gap (a rounded row, two products, a sum, a
+    difference) is within about 2 eps (|v_0| + |v_1|) of it, plus 2**-1072
+    from underflow. So it can be within slack only if c <= floor(G (slack +
+    E) / d) + 2, with E = 16 eps (2 w + slack), w the player's largest |v|:
+    E is eight times that error, and covers the underflow since slack >= 2 /
+    G. The + 2 is a margin for the rounding of the bound: a dropped row's
+    computed gap exceeds slack + 2 d / G. A player with more than two
+    actions keeps every row, and so does every player unless all values are
+    finite and below 2**1000: then no op overflows and no dropped cell's
+    residual is NaN, which its neighbors would read. The kept cells'
+    residuals take the elementwise ops of a full surface, so they have its
+    bits; the dropped cells read +inf, which _slack_minima answers as it
+    would their finite residuals above slack.
+
     Meant as an independent oracle for small games (<= 3 players, <= 3
-    actions); raises ValueError when grid < 1 or behaviors does not hold one
-    profile per player, and BudgetExceededError when the enumeration would
-    exceed GRID_BUDGET profiles.
+    actions); raises ValueError when grid is not an integer >= 1 or
+    behaviors does not hold one profile per player, and BudgetExceededError
+    when the enumeration would exceed GRID_BUDGET profiles.
     """
-    if not (isinstance(grid, numbers.Integral) and grid >= 1):
+    if not (isinstance(grid, numbers.Integral) and not isinstance(grid, bool) and grid >= 1):
         raise ValueError(f"grid must be a positive integer, got {grid!r}")
     if behaviors is None:
         behaviors = [PtProfile.eut()] * game.n_players
     _check_behaviors(game, behaviors)
     check_grid_budget(game, grid)
     n = game.n_players
-    # one grid per distinct action count, shared by the players who have it
-    built = {a: _simplex_grid(a, grid) for a in set(game.action_counts)}
-    grids = [built[a] for a in game.action_counts]
-    # player j's grid on batch axis j: every cell of the surface is one profile
+    grids = [_simplex_grid(a, grid) for a in game.action_counts]
+    # player j's grid on batch axis j: player i's values are one row per
+    # opponent cell, with a length-1 axis i
     mixes = [
         g.reshape((1,) * j + g.shape[:1] + (1,) * (n - 1 - j) + g.shape[1:])
         for j, g in enumerate(grids)
     ]
-    # a generator, not a list: no player's value surface is made before
-    # _residual reaches that player
-    residual = _residual(
-        (pure_action_values(game, i, mixes, behaviors), own) for i, own in enumerate(mixes)
-    )
-
+    values = [pure_action_values(game, i, mixes, behaviors) for i in range(n)]
     # a grid cell adjacent to a true equilibrium has residual of order
     # slope * spacing; anything above that is a flat-valley artifact, not an
     # equilibrium the grid can certify
-    at = _slack_minima(residual, _grid_slack(game, grid))
+    slack = _grid_slack(game, grid)
+    rows = [len(g) for g in grids]
+    residual = np.full(rows, np.inf)
+    for cells, opponents in _grid_candidates(values, grid, slack, rows):
+        # gathered action-major, as (A, cells) arrays read through their
+        # transpose: the max over a row is then an elementwise max of rows
+        residual[cells] = _residual(
+            (v.reshape(-1, v.shape[-1]).T.take(o, axis=1).T, g.T.take(c, axis=1).T)
+            for v, o, g, c in zip(values, opponents, grids, cells)
+        )
+    at = _slack_minima(residual, slack)
     return [MixedProfile([g[i] for g, i in zip(grids, idx)]) for idx in zip(*at)]
+
+
+# Candidates per block of _grid_candidates, whose arrays then stay below
+# malloc's 128 KB mmap threshold: over 40 custom-games passes in one
+# process, blocks of 2**16 raised ru_maxrss by 2.6 MB and of 2**13 by
+# 0.1-0.7 MB, at the same speed (2-vCPU Xeon VM).
+_CANDIDATE_BLOCK = 1 << 13
+
+_EPS = np.finfo(float).eps
+
+
+def _grid_candidates(values, grid, slack, rows):
+    """The cells brute_force_equilibrium's bound keeps, in blocks: per
+    block, one index array per player's axis and, per player, the flat
+    index of each cell's opponent cell. values[i] is player i's (..., A_i)
+    values, one row per opponent cell; rows[i] is its grid's length. Each
+    player keeps a run of own rows per opponent cell; the cells are the
+    runs of the player p whose runs hold the fewest, filtered by the
+    others' runs."""
+    shapes = [v.shape[:-1] for v in values]  # opponent cells, a length-1 axis at the player's own
+    values = [v.reshape(-1, v.shape[-1]) for v in values]
+    largest = [float(np.abs(v).max()) for v in values]
+    bounded = max(largest) < 2.0**1000  # a NaN fails
+    # per opponent cell of a bounded player: x = G (slack + E) / d, which
+    # keeps the own rows whose worse count c has c - 2 <= x, and whether
+    # action 0 is the worse one
+    bounds = []
+    for v, w in zip(values, largest):
+        if bounded and v.shape[-1] == 2:
+            with np.errstate(divide="ignore"):  # d = 0 gives inf
+                x = grid * (slack + 16 * _EPS * (2 * w + slack)) / np.abs(v[:, 0] - v[:, 1])
+            # clipped, which keeps the same rows and makes inf an int
+            bounds.append((np.minimum(x, grid - 2), v[:, 0] < v[:, 1]))
+        else:
+            bounds.append(None)
+    sizes = [len(v) * r if b is None else float(np.add.reduce(b[0])) + 3 * len(v)
+             for v, r, b in zip(values, rows, bounds)]
+    p = sizes.index(min(sizes))  # any player gives the same cells
+    if bounds[p] is None:
+        first, count = np.zeros(len(values[p]), np.intp), np.full(len(values[p]), rows[p])
+    else:
+        x, flip = bounds[p]
+        reach = x.astype(np.intp) + 2  # floor(x) + 2, at most G
+        first, count = np.where(flip, grid - reach, 0), reach + 1
+    ends = np.cumsum(count)
+    starts = ends - count - first  # a candidate's own row is its index less its cell's start
+    # per player and opponent cell of p: the player's axis, and its flat
+    # opponent cell less p's own row times that row's stride in it
+    axes = np.unravel_index(np.arange(len(count)), shapes[p])
+    parts = [np.ravel_multi_index(axes[:i] + (0,) + axes[i + 1:], shape) for i, shape in enumerate(shapes)]
+    strides = [math.prod(shape[p + 1:]) for shape in shapes]
+    # blocks of p's opponent cells, each holding about _CANDIDATE_BLOCK
+    # candidates, or one cell when that cell holds more
+    cuts = np.searchsorted(ends, np.arange(_CANDIDATE_BLOCK, ends[-1], _CANDIDATE_BLOCK), side="right")
+    for lo, hi in zip([0, *cuts], [*cuts, len(count)]):
+        if lo == hi:
+            continue
+        own = np.arange(ends[lo] - count[lo], ends[hi - 1]) - np.repeat(starts[lo:hi], count[lo:hi])
+        cells = [own if i == p else np.repeat(a[lo:hi], count[lo:hi]) for i, a in enumerate(axes)]
+        opponents = [np.repeat(a[lo:hi], count[lo:hi]) for a in parts]
+        keep = True  # an array after the first bounded player other than p
+        for i, (c, opponent) in enumerate(zip(cells, opponents)):
+            if i != p:
+                opponent += own * strides[i]
+                if bounds[i] is not None:
+                    x, flip = (a.take(opponent) for a in bounds[i])
+                    keep = keep & (np.where(flip, grid - c, c) - 2 <= x)
+        if keep is True:
+            yield tuple(cells), opponents
+        else:
+            yield tuple(c[keep] for c in cells), [o[keep] for o in opponents]
 
 
 def _slack_minima(residual: np.ndarray, slack: float) -> tuple:

@@ -28,6 +28,7 @@ from ptgrid.fixtures import dsm_config_path
 from ptgrid.formats import load_dsm_config
 from ptgrid.games import (
     _framed_payoffs,
+    _grid_candidates,
     _grid_slack,
     _indifference_prob,
     _joint_prob,
@@ -953,7 +954,8 @@ def test_batch_rejects_frames_that_differ():
         solve_fixed_point_batch(MATCHING_PENNIES, [[PtProfile.eut()]])
     with pytest.raises(ValueError):
         solve_fixed_point_batch(MATCHING_PENNIES, [])
-    bad_limits = (("max_iter", -1), ("tol", -1e-9), ("tol", float("nan")), ("tol", float("inf")))
+    bad_limits = (("max_iter", -1), ("max_iter", True), ("max_iter", False),
+                  ("tol", -1e-9), ("tol", float("nan")), ("tol", float("inf")))
     for name, bad in bad_limits:
         with pytest.raises(ValueError, match=name):
             solve_fixed_point_batch(MATCHING_PENNIES, [eut_behaviors(2)], **{name: bad})
@@ -1021,6 +1023,12 @@ def test_solver_counts_must_be_integers():
         solve_fixed_point(MATCHING_PENNIES, max_iter=10.5)
     with pytest.raises(ValueError, match="grid must be a positive integer"):
         brute_force_equilibrium(MATCHING_PENNIES, grid=2.5)
+    # bools are Integral, but no count
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="max_iter must be a non-negative integer"):
+            solve_fixed_point(MATCHING_PENNIES, max_iter=flag)
+        with pytest.raises(ValueError, match="grid must be a positive integer"):
+            brute_force_equilibrium(MATCHING_PENNIES, grid=flag)
     # numpy integers are counts
     assert solve_fixed_point(PRISONERS_DILEMMA, max_iter=np.int64(3), tol=1e-12).iterations == 3
     by_int = brute_force_equilibrium(MATCHING_PENNIES, grid=4)
@@ -1149,6 +1157,107 @@ def test_local_minima_matches_neighbour_loop(shape):
     # a transposed surface is read in its own row-major order
     residual = residual.T
     assert_same_cells(_slack_minima(residual, 3.0), neighbour_minima(residual) & (residual <= 3.0))
+
+
+def full_surface_oracle(game, behaviors, grid):
+    """The oracle with every cell a candidate: _residual over the broadcast
+    grids, then _slack_minima. Returns its profiles, the residual surface,
+    the players' action values and each player's gap surface."""
+    n = game.n_players
+    grids = [_simplex_grid(a, grid) for a in game.action_counts]
+    mixes = [
+        g.reshape((1,) * j + g.shape[:1] + (1,) * (n - 1 - j) + g.shape[1:])
+        for j, g in enumerate(grids)
+    ]
+    values = [pure_action_values(game, i, mixes, behaviors) for i in range(n)]
+    residual = _residual(zip(values, mixes))
+    at = _slack_minima(residual, _grid_slack(game, grid))
+    profiles = [[g[i] for g, i in zip(grids, idx)] for idx in zip(*at)]
+    return profiles, residual, values, [_residual([(v, m)]) for v, m in zip(values, mixes)]
+
+
+def assert_candidate_rule_sound(game, behaviors, grid):
+    """brute_force_equilibrium returns the full-surface oracle's profiles,
+    as bytes, and every cell the candidate rule drops has a finite
+    full-surface residual above slack, with some two-action player's gap
+    above slack by more than two of its grid steps d / grid."""
+    # near the float range the payoff span, values and gaps overflow, with
+    # warnings, on both paths
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, residual, values, gaps = full_surface_oracle(game, behaviors, grid)
+        found = brute_force_equilibrium(game, behaviors, grid=grid)
+        slack = _grid_slack(game, grid)
+    assert [[m.tobytes() for m in p] for p in found] == [[m.tobytes() for m in p] for p in expected]
+    dropped = np.ones(residual.shape, dtype=bool)
+    for cells, _ in _grid_candidates(values, grid, slack, list(residual.shape)):
+        dropped[cells] = False
+    if not dropped.any():  # as when the values overflow
+        return 0
+    assert np.isfinite(residual[dropped]).all() and (residual[dropped] > slack).all()
+    margin = np.zeros(residual.shape, dtype=bool)
+    for v, gap in zip(values, gaps):
+        if v.shape[-1] == 2:
+            margin |= gap > slack + 2.0 * np.abs(v[..., 0] - v[..., 1]) / grid
+    assert margin[dropped].all()
+    return dropped.sum()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_candidate_rule_on_random_2x2_and_3_player_games(seed):
+    # the benchmark's games: an input set's 160 2x2 games at grid 200, and
+    # the fixed bank of three 3-player, 2-action games at grid 20
+    rng, bank = np.random.default_rng(seed), np.random.default_rng(0)
+    cases = [(rng.uniform(-5.0, 5.0, size=(2, 2, 2)), rng.uniform(0.2, 1.0), 200) for _ in range(160)]
+    cases += [(bank.uniform(-5.0, 5.0, size=(3, 2, 2, 2)), bank.uniform(0.3, 1.0), 20) for _ in range(3)]
+    for payoffs, alpha, grid in cases:
+        behaviors = [PtProfile.weighting_only(float(alpha))] * len(payoffs)
+        assert assert_candidate_rule_sound(FiniteGame(payoffs), behaviors, grid)
+
+
+def test_candidate_rule_across_payoff_scales_and_grids():
+    rng = np.random.default_rng(24)
+    base = [rng.uniform(-5.0, 5.0, size=(2, 2, 2)) for _ in range(2)]
+    for payoffs in base:
+        for k in range(-60, 61, 12):
+            behaviors = [PtProfile.weighting_only(0.5), PtProfile.weighting_only(0.8)]
+            assert_candidate_rule_sound(FiniteGame(np.ldexp(payoffs, k)), behaviors, 200)
+        for grid in (1, 2, 7, 1000):
+            assert_candidate_rule_sound(FiniteGame(payoffs), [PtProfile.weighting_only(0.6)] * 2, grid)
+    # a large common offset: the values' rounding error, about 2 eps *
+    # 2**49, is many grid steps d / grid where the players nearly tie
+    for _ in range(3):
+        offset = 2.0**48 + rng.integers(-3, 4, size=(2, 2, 2))
+        for alpha, grid in ((0.3, 200), (0.6, 1000), (1.0, 1000)):
+            assert_candidate_rule_sound(FiniteGame(offset), [PtProfile.weighting_only(alpha)] * 2, grid)
+
+
+def test_candidate_rule_near_the_float_range():
+    # below 2**1000 the bound applies; near 1e308 the values overflow, every
+    # cell is a candidate, and the NaN cells rule out their neighbours
+    rng = np.random.default_rng(25)
+    for scale in (1e300, -1e300, 1.79e308, -1.79e308):
+        for low in (-1.0, 0.5, 0.99):
+            payoffs = rng.uniform(low, 1.0, size=(2, 2, 2)) * scale
+            for alpha in (0.3, 0.6, 1.0):
+                assert_candidate_rule_sound(FiniteGame(payoffs), [PtProfile.weighting_only(alpha)] * 2, 50)
+
+
+def test_candidate_rule_on_ties_frames_and_mixed_action_counts():
+    rng = np.random.default_rng(26)
+    for _ in range(4):
+        # integer payoffs tie often; player 1's are constant, so its d is 0
+        payoffs = rng.integers(-2, 3, size=(2, 2, 2)).astype(float)
+        assert_candidate_rule_sound(FiniteGame(payoffs), [PtProfile.weighting_only(0.5)] * 2, 200)
+        payoffs[1] = 3.0
+        assert_candidate_rule_sound(FiniteGame(payoffs), [PtProfile.eut()] * 2, 200)
+    for alpha in (0.1, 0.4, 0.7, 1.0):
+        game = FiniteGame(rng.uniform(-5.0, 5.0, size=(2, 2, 2)))
+        assert_candidate_rule_sound(game, [PtProfile.behavioral(alpha=alpha)] * 2, 200)
+    for counts, grids in (((2, 2, 2), (1, 2, 7)), ((2, 3), (1, 2, 7, 50))):
+        for grid in grids:
+            game = FiniteGame(rng.uniform(-5.0, 5.0, size=(len(counts), *counts)))
+            behaviors = [PtProfile.weighting_only(float(rng.uniform(0.1, 1.0))) for _ in counts]
+            assert_candidate_rule_sound(game, behaviors, grid)
 
 
 # ---------------------------------------------------------------------------
