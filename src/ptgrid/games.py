@@ -667,13 +667,17 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     # the hardened step's _STEP * target, one row per argmax: _STEP * 1 and
     # _STEP * 0 are exact, so a row holds the bits the product would
     step_eyes = [_STEP * np.eye(counts[players[0]]) for players in blocks]
+    # a member's hardened argmax row as one code, in which player i's argmax
+    # is the digit of place value prod(counts[:i]): equal rows, equal codes
+    place = np.cumprod((1,) + counts[:-1])
+    radix = [place[players] for players in blocks]
     # joint-probability entries of one member in one row of a pass
     joint = sum(len(players) * math.prod(counts) // counts[players[0]] for players in blocks)
     members = np.arange(len(sets))  # batch member of each row
     finish = np.full(len(sets), max_iter)  # the iteration each row leaves at, at the latest
     due = max_iter  # the earliest finish, the one iteration where finish is compared
     snapshot = since = None  # the hardened mixes the cycle test compares with, and their iteration
-    periods = None  # the hardened argmax rows, from the first hardened iteration on
+    periods = None  # the hardened argmax codes, from the first hardened iteration on
     results = [None] * len(sets)
     iteration = 0
     with np.errstate(divide="ignore"):
@@ -683,14 +687,15 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
             rows, size = 1, len(members)  # the window's rows, and the members in each
             if hardened:
                 if periods is None:
-                    periods = _ArgmaxPeriods([(len(p), counts[p[0]]) for p in blocks], size)
+                    periods = _ArgmaxPeriods(size)
                 elif periods.window > 1:
                     rows = min(periods.window, due - iteration + 1, since + _CYCLE_STRIDE - iteration + 1,
                                max(1, _WINDOW_ENTRIES // (joint * size)))
                 if rows > 1:
-                    guesses = periods.guesses(rows)
-                    mixes = [_damped_rows(m, eye[g[:, :-1].transpose(1, 0, 2)])
-                             for m, g, eye in zip(mixes, guesses, step_eyes)]
+                    guesses = periods.guesses(rows)  # (rows, K)
+                    # each block's targets, (rows - 1, P, K, A), from its digits
+                    mixes = [_damped_rows(m, eye[guesses[:-1, None] // r[:, None] % len(eye)])
+                             for m, r, eye in zip(mixes, radix, step_eyes)]
             if iteration:
                 for b, (gather, block_framed) in enumerate(zip(gathers, framed)):
                     # the iteration's largest array, weighted in place
@@ -711,6 +716,7 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
             ))
             if hardened:
                 tops = [v.argmax(axis=-1) for v in values]  # (P, rows * K) per block
+                codes = functools.reduce(np.add, (np.dot(r, t) for r, t in zip(radix, tops))).reshape(rows, size)
                 # the cycle test of the module docstring: a row that repeats
                 # the snapshot has period iteration - since
                 if snapshot is not None:
@@ -723,12 +729,10 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                 last = 0  # the window's row whose steps the loop takes
                 if rows > 1:
                     residual = residual.reshape(rows, size)
-                    missed = functools.reduce(np.logical_or, (
-                        np.logical_or.reduce(t.reshape(g.shape) != g, axis=0) for t, g in zip(tops, guesses)
-                    ))
+                    missed = codes != guesses
                     stop = np.flatnonzero(np.logical_or.reduce(missed | repeat | (residual <= tol), axis=1))
                     last = int(stop[0]) if len(stop) else rows - 1
-                    periods.add([t[:, :(last + 1) * size] for t in tops], last + 1, missed[last])
+                    periods.add(codes[:last + 1], missed[last])
                     iteration += last
                     residual = residual[last]
                     accepted = slice(last * size, (last + 1) * size)
@@ -736,7 +740,7 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                     values = [v[:, accepted] for v in values]
                     tops = [t[:, accepted] for t in tops]
                 else:
-                    periods.add(tops, 1)
+                    periods.add(codes)
                 if snapshot is not None:
                     repeat = repeat[last]
                     if np.count_nonzero(repeat):
@@ -820,9 +824,10 @@ _PERIOD_SEARCH = 32
 
 
 class _ArgmaxPeriods:
-    """The hardened argmax rows of the loop's running members and each
-    member's argmax period, from which _fixed_point_loop guesses a window's
-    targets.
+    """The hardened argmax rows of the loop's running members, each row kept
+    as its code (one int per member, its players' argmaxes in mixed radix),
+    and each member's argmax period, from which _fixed_point_loop guesses a
+    window's codes.
 
     A member's period is the smallest p <= _CYCLE_STRIDE with which its last
     2p rows repeat: row s equals row s - p for each of the last p rows s.
@@ -832,31 +837,20 @@ class _ArgmaxPeriods:
     fits otherwise. In a longer window the loop checks each row against its
     guess; a member whose row breaks it has no period until the next search.
 
-    Each block's rows are kept as (P, rows, K) in a buffer of 4 *
-    _CYCLE_STRIDE rows. It begins with _CYCLE_STRIDE rows of -1, which no
-    argmax equals, and keeps its last 2 * _CYCLE_STRIDE rows when it fills.
-    Added rows wait in a list until a window's guesses or a search read
-    them, so a one-row pass adds only a list entry.
+    The codes are kept as (rows, K) in one buffer of 4 * _CYCLE_STRIDE rows.
+    It begins with _CYCLE_STRIDE rows of -1, which no code equals, and add
+    keeps its last 2 * _CYCLE_STRIDE rows when the next would not fit.
     A search keeps a table of, per member and lag p, the latest row that
-    differs from the row p before it. It reads a member's row as one number,
-    its argmaxes in mixed radix, and adds the rows since the last search, at
-    most the last _CYCLE_STRIDE of them: an older row decides no lag up to
-    _CYCLE_STRIDE.
+    differs from the row p before it, and adds the rows since the last
+    search, at most the last _CYCLE_STRIDE of them: an older row decides no
+    lag up to _CYCLE_STRIDE.
     """
 
-    def __init__(self, blocks, members):
+    def __init__(self, members):
         stride = _CYCLE_STRIDE
-        self.rows = [np.full((size, 4 * stride, members), -1, dtype=np.min_scalar_type(-count))
-                     for size, count in blocks]
-        # a row of -1 reads as a negative number
-        self.radix, scale = [], 1
-        for size, count in blocks:
-            self.radix.append(np.array([scale * count**p for p in range(size)]))
-            scale *= count**size
-        # the next row's index, the first row not yet in the buffer, and
-        # the first row the table lacks
-        self.end = self.stored = self.read = stride
-        self.pending = []  # per add, each block's rows not yet in the buffer
+        self.codes = np.full((4 * stride, members), -1)
+        # the next row's index, and the first row the table lacks
+        self.end = self.read = stride
         self.lags = np.arange(1, stride + 1)
         self.offsets = self.lags[:, None] - 1  # row j of a window is row end + j
         self.steps = np.arange(1, stride + 1, dtype=np.int16)[:, None, None]
@@ -868,34 +862,29 @@ class _ArgmaxPeriods:
         self.window = int(np.minimum.reduce(period)) or 1
 
     def guesses(self, count):
-        """Per block, the (P, count, K) argmax rows one period before the
-        next count rows."""
-        self._store()
-        back = self.offsets[:count] + (self.end - self.period)
-        return [r[:, back, self.cols] for r in self.rows]
+        """The (count, K) codes one period before the next count rows."""
+        return self.codes[self.offsets[:count] + (self.end - self.period), self.cols]
 
-    def add(self, tops, count, broken=None):
-        """Append count rows, each block's argmaxes as a (P, count * K)
-        array; broken marks the members whose last row broke their guess."""
-        self.pending.append(tops)
-        self.end += count
+    def add(self, rows, broken=None):
+        """Append the (count, K) codes rows; broken marks the members whose
+        last row broke their guess."""
+        stride = _CYCLE_STRIDE
+        if self.end + len(rows) > len(self.codes):
+            drop = self.end - 2 * stride
+            self.codes[:2 * stride] = self.codes[drop:self.end]
+            self.end -= drop
+            self.read -= drop
+            self.differs -= drop
+        self.codes[self.end:self.end + len(rows)] = rows
+        self.end += len(rows)
         if broken is not None and np.count_nonzero(broken):
             self.period[broken] = 0
             self.window = 1
-        if self.window > 1:
-            if self.end - self.stored >= _CYCLE_STRIDE:  # windows cut to one row
-                self._store()
-            return
-        if self.end - self.read < _PERIOD_SEARCH:
+        if self.window > 1 or self.end - self.read < _PERIOD_SEARCH:
             return
         # the table of the class docstring, then the periods that fit
-        self._store()
-        stride = _CYCLE_STRIDE
         first = max(self.read, self.end - stride)
-        codes = functools.reduce(np.add, (
-            np.dot(radix, r[:, first - stride:self.end].reshape(len(radix), -1))
-            for radix, r in zip(self.radix, self.rows)
-        )).reshape(-1, len(self.period))  # (rows, K)
+        codes = self.codes[first - stride:self.end]
         # per new row, the stride rows before it and the row itself
         ahead = as_strided(codes, (self.end - first, len(self.period), stride + 1),
                            codes.strides + codes.strides[:1])
@@ -909,29 +898,9 @@ class _ArgmaxPeriods:
         self.period = np.where(kept, self.period, smallest)
         self.window = int(np.minimum.reduce(self.period)) or 1
 
-    def _store(self):
-        """Write the rows added since the last call into the buffer, first
-        keeping only its last 2 * _CYCLE_STRIDE rows if they would not fit."""
-        if not self.pending:
-            return
-        if self.end > self.rows[0].shape[1]:
-            drop = self.stored - 2 * _CYCLE_STRIDE
-            for r in self.rows:
-                r[:, :2 * _CYCLE_STRIDE] = r[:, drop:self.stored]
-            self.end -= drop
-            self.stored -= drop
-            self.read -= drop
-            self.differs -= drop
-        for b, r in enumerate(self.rows):
-            added = np.concatenate([tops[b] for tops in self.pending], axis=1)
-            r[:, self.stored:self.end] = added.reshape(len(r), -1, r.shape[2])
-        self.pending = []
-        self.stored = self.end
-
     def keep(self, kept):
         """Drop the members kept marks False."""
-        self._store()
-        self.rows = [r[:, :, kept] for r in self.rows]
+        self.codes = self.codes[:, kept]
         self._members(self.differs[kept], self.period[kept])
 
 

@@ -54,12 +54,12 @@ def hardened_passes(monkeypatch):
         self.evaluated = count  # a pass of one row takes no guesses
         return guesses(self, count)
 
-    def counting_add(self, tops, count, broken=None):
+    def counting_add(self, rows, broken=None):
         start = getattr(self, "next_iteration", first)
         broke = broken is not None and bool(broken.any())
-        passes.append((start, self.window, getattr(self, "evaluated", 1), count, broke))
-        self.next_iteration, self.evaluated = start + count, 1
-        return add(self, tops, count, broken)
+        passes.append((start, self.window, getattr(self, "evaluated", 1), len(rows), broke))
+        self.next_iteration, self.evaluated = start + len(rows), 1
+        return add(self, rows, broken)
 
     monkeypatch.setattr(g._ArgmaxPeriods, "guesses", counting_guesses)
     monkeypatch.setattr(g._ArgmaxPeriods, "add", counting_add)
