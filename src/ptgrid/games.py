@@ -851,8 +851,9 @@ class _ArgmaxPeriods:
         self.codes = np.full((4 * stride, members), -1)
         # the next row's index, and the first row the table lacks
         self.end = self.read = stride
-        self.lags = np.arange(1, stride + 1)
-        self.offsets = self.lags[:, None] - 1  # row j of a window is row end + j
+        self.offsets = np.arange(stride)[:, None]  # row j of a window is row end + j
+        # a lag p fits when the last max(p, _PERIOD_SEARCH) rows repeat it
+        self.lookback = np.maximum(np.arange(1, stride + 1), _PERIOD_SEARCH)
         self.steps = np.arange(1, stride + 1, dtype=np.int16)[:, None, None]
         self._members(np.full((members, stride), -1), np.zeros(members, dtype=np.intp))
 
@@ -892,7 +893,7 @@ class _ArgmaxPeriods:
         latest = np.maximum.reduce(differ * self.steps[:self.end - first])[:, ::-1]  # new rows' 1-based index
         np.copyto(self.differs, latest + (first - 1), where=latest > 0)
         self.read = self.end
-        fits = self.differs <= self.end - 1 - self.lags
+        fits = self.differs <= self.end - 1 - self.lookback
         kept = fits[self.cols, self.period - 1] & (self.period > 0)
         smallest = np.where(np.logical_or.reduce(fits, axis=1), fits.argmax(axis=1) + 1, 0)
         self.period = np.where(kept, self.period, smallest)

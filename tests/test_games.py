@@ -838,45 +838,47 @@ def test_batch_matches_single_solve_loop_past_a_cycle(joint_prob_calls, hardened
 def test_batch_matches_single_solve_loop_in_windows_of_the_shortest_period(joint_prob_calls, hardened_passes):
     # the argmax rows of 0.65, 0.5 and 1.0 repeat with periods 19, 25 and
     # 14, so the batch steps 14 iterations per kernel pass, and the last
-    # pass stops at max_iter, 3 rows into its window
+    # pass stops at max_iter, 11 rows into its window
     game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
     sets = [[PtProfile.weighting_only(a)] * 3 for a in (0.65, 0.5, 1.0)]
     batch = assert_same_as_reference(game, sets, alone=False, max_iter=1300)
     assert [(r.iterations, r.converged) for r in batch] == [(1300, False)] * 3
     assert max(rows for _, _, rows, _, _ in hardened_passes) == 14
-    assert hardened_passes[-1] == (1298, 14, 3, 3, False)
+    assert hardened_passes[-1] == (1290, 14, 11, 11, False)
     assert len(joint_prob_calls) < 1250
 
 
 def test_windows_shorter_than_the_period_keep_the_bits(monkeypatch, hardened_passes):
     # room for 5 rows of the 12 joint-probability entries of a 3-player,
-    # 2-action member: its windows take 5 rows of its period of 19
+    # 2-action member: its windows take 5 rows of its period of 19, and
+    # the last one the 4 rows up to max_iter
     game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
     monkeypatch.setattr(ptgrid.games, "_WINDOW_ENTRIES", 60)
     (res,) = assert_same_as_reference(game, [[PtProfile.weighting_only(0.65)] * 3], alone=False,
                                       max_iter=1400)
     assert (res.iterations, res.converged) == (1400, False)
-    assert {(window, rows) for _, window, rows, _, _ in hardened_passes if rows > 1} == {(19, 5)}
+    assert {(window, rows) for _, window, rows, _, _ in hardened_passes if rows > 1} == {(19, 5), (19, 4)}
 
 
-def test_batch_matches_single_solve_loop_across_a_broken_period_and_tol(hardened_passes):
-    # the member's rows break its period of 14 at iteration 1191, 6 rows
-    # into the window from 1186, and its residual first reaches this tol at
-    # iteration 1376, 31 rows into a window of 77
+def test_batch_matches_single_solve_loop_to_tol_in_a_window(hardened_passes):
+    # the member's argmax rows repeat with period 77, which a search finds
+    # before iteration 1218, and its residual first reaches this tol at
+    # iteration 1376, 5 rows into the third window of 77
     game = FiniteGame(np.random.default_rng(3).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
     tol = float.fromhex("0x1.2d0bac13dff27p-3")
     (res,) = assert_same_as_reference(game, [[PtProfile.weighting_only(0.65)] * 3], alone=False,
                                       tol=tol, max_iter=1500)
     assert (res.iterations, res.converged) == (1376, True)
-    assert (1186, 14, 14, 6, True) in hardened_passes
-    assert hardened_passes[-1] == (1346, 77, 77, 31, False)
+    assert [p for p in hardened_passes if p[2] > 1] == [
+        (1218, 77, 77, 77, False), (1295, 77, 77, 77, False), (1372, 77, 77, 5, False)
+    ]
 
 
 def test_batch_matches_single_solve_loop_without_a_period(hardened_passes):
     # 4 players, 3 actions: the hardened mixes repeat with period 626, more
     # than _CYCLE_STRIDE, and no argmax period up to it holds. The member
     # takes one row per pass but in the windows of periods that its rows
-    # soon break
+    # soon break, 13 and 8 rows into them
     rng = np.random.default_rng(7)
     for _ in range(19):  # the 19th game of this draw
         n = rng.integers(3, 5)
@@ -888,7 +890,7 @@ def test_batch_matches_single_solve_loop_without_a_period(hardened_passes):
                                       max_iter=3000)
     assert (res.iterations, res.converged) == (3000, False)
     windows = [p for p in hardened_passes if p[2] > 1]
-    assert [(rows, broke) for _, _, rows, _, broke in windows] == [(15, True), (19, True), (18, True)]
+    assert windows == [(2786, 18, 18, 13, True), (2882, 18, 18, 8, True)]
     assert len(hardened_passes) > 1800
 
 
