@@ -1115,8 +1115,12 @@ def _slack_minima(residual: np.ndarray, slack: float) -> tuple:
 
 
 def _grid_slack(game: FiniteGame, grid: int) -> float:
-    span = float(game.payoffs.max() - game.payoffs.min())
-    return max(span, 1.0) * 2.0 / grid
+    """2 / grid times the payoff span, at least 2 / grid. The halves are
+    subtracted, so the span of any finite payoffs does not overflow: the
+    slack is finite for grid >= 4, and has the bits of max(span, 1.0) * 2.0
+    / grid wherever that does not overflow."""
+    hi, lo = float(game.payoffs.max()), float(game.payoffs.min())
+    return max(0.5 * hi - 0.5 * lo, 0.5) / grid * 4.0
 
 
 # ---------------------------------------------------------------------------

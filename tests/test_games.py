@@ -27,6 +27,7 @@ from ptgrid.dsm import build_dsm_game, synth_profile
 from ptgrid.fixtures import dsm_config_path
 from ptgrid.formats import load_dsm_config
 from ptgrid.games import (
+    _ArgmaxPeriods,
     _framed_payoffs,
     _grid_candidates,
     _grid_slack,
@@ -894,6 +895,62 @@ def test_batch_matches_single_solve_loop_without_a_period(hardened_passes):
     assert len(hardened_passes) > 1800
 
 
+def feed_periods(periods, rows):
+    """Add rows, (N, K) codes, to periods as _fixed_point_loop adds a
+    member's argmax codes: one row per pass while the window is 1, else a
+    window's rows up to the first that misses its guess. Returns per pass
+    (its first row, the window at its start, the rows added, whether a
+    member's last row broke its guess, the periods after it)."""
+    passes, n = [], 0
+    while n < len(rows):
+        window = periods.window
+        count = min(window, len(rows) - n)
+        missed = None
+        if count > 1:
+            missed = rows[n:n + count] != periods.guesses(count)
+            wrong = np.flatnonzero(missed.any(axis=1))
+            count = int(wrong[0]) + 1 if len(wrong) else count
+            missed = missed[count - 1]
+        periods.add(rows[n:n + count], missed)
+        broke = missed is not None and bool(missed.any())
+        passes.append((n, window, count, broke, tuple(periods.period.tolist())))
+        n += count
+    return passes
+
+
+def test_argmax_periods_on_synthetic_code_rows():
+    # member 0: 40 distinct rows, then period 7 with a run of five equal
+    # rows; member 1: period 5 with a run of four, one row ahead from row
+    # 1500 on. 3000 rows fill the buffer of 4 * 512 rows twice over
+    total = 3000
+    rows = np.empty((total, 2), dtype=np.int64)
+    rows[:40, 0] = np.random.default_rng(28).permutation(40) + 10
+    rows[40:, 0] = np.resize([3, 3, 3, 3, 3, 1, 2], total - 40)
+    rows[:, 1] = np.resize([0, 1, 1, 1, 1], total + 1)[np.arange(total) + (np.arange(total) >= 1500)]
+    periods = _ArgmaxPeriods(2)
+    passes = feed_periods(periods, rows)
+    after = {start + count: period for start, _, count, _, period in passes}
+    # a search every 32 rows; a period holds once the last max(p, 32) rows
+    # repeat it: period 5 from 37 rows, period 7 from 40 + 39. Rows 62 and
+    # 63 are equal, but member 0 never takes period 1
+    assert (after[32], after[64], after[96]) == ((0, 0), (0, 5), (7, 5))
+    assert {period[0] for *_, period in passes} == {0, 7}
+    # windows of 5 from row 96 until member 1's row 1500 breaks its guess,
+    # 5 rows into the window from 1496; it has no period and the window is
+    # 1 until the search at 1565, the first whose lookback is past row 1504
+    assert [p[:4] for p in passes if p[1] > 1][0] == (96, 5, 5, False)
+    assert [p[:4] for p in passes if p[3]] == [(1496, 5, 5, True)]
+    assert (after[1501], after[1533], after[1565]) == ((7, 0), (7, 0), (7, 5))
+    assert {(window, count) for start, window, count, _, _ in passes if 1501 <= start < 1565} == {(1, 1)}
+    # every later window's guesses hold, across both compactions
+    assert {(window, count) for start, window, count, _, _ in passes if 1565 <= start < total - 5} == {(5, 5)}
+    # member 1 dropped, member 0 goes on in windows of its period
+    periods.keep(np.array([True, False]))
+    assert (periods.window, periods.period.tolist()) == (7, [7])
+    more = np.resize([3, 3, 3, 3, 3, 1, 2], total + 700)[total - 40:total + 660, None]
+    assert {p[1:4] for p in feed_periods(periods, more)} == {(7, 7, False)}
+
+
 def test_custom_games_bank_solves_like_reference_loop():
     # the benchmark's 3-player bank as its workload draws it, payoffs then
     # alpha from one default_rng(0); the first solve cycles and leaves early
@@ -1183,12 +1240,12 @@ def assert_candidate_rule_sound(game, behaviors, grid):
     as bytes, and every cell the candidate rule drops has a finite
     full-surface residual above slack, with some two-action player's gap
     above slack by more than two of its grid steps d / grid."""
-    # near the float range the payoff span, values and gaps overflow, with
-    # warnings, on both paths
+    # near the float range the values and gaps overflow, with warnings, on
+    # both paths; the slack does not (test_grid_slack_near_the_float_range)
     with np.errstate(over="ignore", invalid="ignore"):
         expected, residual, values, gaps = full_surface_oracle(game, behaviors, grid)
         found = brute_force_equilibrium(game, behaviors, grid=grid)
-        slack = _grid_slack(game, grid)
+    slack = _grid_slack(game, grid)
     assert [[m.tobytes() for m in p] for p in found] == [[m.tobytes() for m in p] for p in expected]
     dropped = np.ones(residual.shape, dtype=bool)
     for cells, _ in _grid_candidates(values, grid, slack, list(residual.shape)):
@@ -1242,6 +1299,25 @@ def test_candidate_rule_near_the_float_range():
             payoffs = rng.uniform(low, 1.0, size=(2, 2, 2)) * scale
             for alpha in (0.3, 0.6, 1.0):
                 assert_candidate_rule_sound(FiniteGame(payoffs), [PtProfile.weighting_only(alpha)] * 2, 50)
+
+
+def test_grid_slack_near_the_float_range():
+    # payoffs spanning the whole float range: no overflow warning, which the
+    # suite raises, a finite slack from grid 4 on and inf below it
+    top = float(np.finfo(float).max)
+    for hi, lo in ((top, -top), (1.79e308, -1.79e308), (top, 0.0)):
+        game = FiniteGame(np.array([[[hi, lo], [lo, hi]]] * 2))
+        for grid in (4, 5, 50, 1000):
+            assert math.isfinite(_grid_slack(game, grid))
+        if hi - lo == math.inf:
+            assert [_grid_slack(game, grid) for grid in (1, 2, 3)] == [math.inf] * 3
+    # elsewhere the bits of the direct formula, max(span, 1) * 2 / grid
+    rng = np.random.default_rng(27)
+    for _ in range(2000):
+        hi, lo = np.sort(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-6, 300, 2))[::-1]
+        grid = int(rng.integers(1, 2000))
+        game = FiniteGame(np.array([[[hi, lo], [lo, hi]]] * 2))
+        assert _grid_slack(game, grid) == max(float(hi - lo), 1.0) * 2.0 / grid
 
 
 def test_candidate_rule_on_ties_frames_and_mixed_action_counts():
