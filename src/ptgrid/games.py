@@ -63,22 +63,25 @@ max_iter, converged False and the residual of the state it holds, which are
 the bits of the full run.
 
 Once hardened, a member's step adds the _STEP * identity row of its argmax,
-so its argmax rows decide its path. The solver keeps each running member's
-hardened argmax rows and its argmax period, the smallest p <=
-_CYCLE_STRIDE with which its last 2p rows repeat, found by a search every
-_PERIOD_SEARCH rows and kept while its rows repeat it (_ArgmaxPeriods).
-While every member has a period, one kernel pass evaluates a window of W
-iterations, W the smallest period: row 0 is the state the loop reached, and
-row j + 1 takes the hardened step from row j toward each member's argmax of
-one period before, an iteration already checked. The rows are extra batch
-rows, so each has the bits of a one-row evaluation. The loop accepts the
-rows up to the first whose argmax differs from its guess, whose mixes
-repeat the snapshot or whose residual reaches tol; that row then takes the
-steps of any iteration: the cycle test, the snapshot, the finish check, the
-members who leave and the step from its own argmax. A window also ends at
-the next snapshot and at the earliest finish, and it takes fewer rows when
-its joint probability would hold more than _WINDOW_ENTRIES entries. While a
-member has no period, W is 1 and a pass is one iteration.
+so its argmax rows decide its path. The solver reads each hardened argmax
+row of a member as one code, its players' argmaxes as the digits of a
+mixed-radix number, and keeps the running members' codes and each one's
+argmax period (_ArgmaxPeriods): the smallest p <= _CYCLE_STRIDE such that
+each of its last max(p, _PERIOD_SEARCH) rows equals the row p before it,
+found by a search every _PERIOD_SEARCH rows and kept while its rows repeat
+it. While every member has a period, one kernel pass evaluates a window of
+W iterations, W the smallest period: row 0 is the state the loop reached,
+and row j + 1 takes the hardened step from row j toward each member's
+argmax of one period before, an iteration already checked, decoded from
+its code. The rows are extra batch rows, so each has the bits of a one-row
+evaluation. The loop accepts the rows up to the first whose code differs
+from its guess, whose mixes repeat the snapshot or whose residual reaches
+tol; that row then takes the steps of any iteration: the cycle test, the
+snapshot, the finish check, the members who leave and the step from its
+own argmax. A window also ends at the next snapshot and at the earliest
+finish, and it takes fewer rows when its joint probability would hold more
+than _WINDOW_ENTRIES entries. While a member has no period, W is 1 and a
+pass is one iteration.
 
 The solver runs a batch of behavior sets on one game in a single loop
 (solve_fixed_point_batch; solve_fixed_point is a batch of one), and steps
@@ -93,7 +96,8 @@ pass makes, per block:
 - one _joint_prob call for all its players and all rows;
 - one Prelec weighting of that joint probability in its own buffer;
 - one mat-vec per player, since the memo's layout picks the BLAS path;
-- one residual call and, once hardened, one argmax;
+- one residual call and, once hardened, one argmax and one dot of the
+  argmaxes with their place values, the block's part of the codes;
 - one damped step: (1 - _STEP) * m, to which _STEP * target is added in
   place; once hardened, that term is the argmax row of a precomputed
   _STEP * identity, whose entries are the bits _STEP * target has. A
@@ -815,11 +819,11 @@ def _damped_rows(m, targets):
 # entries per member and row.
 _WINDOW_ENTRIES = 1 << 16
 
-# Hardened rows between two period searches while the window is one row
-# (_ArgmaxPeriods). On a 2-vCPU Xeon VM a search of 32 rows of one 3-player
-# member takes about 65 us, two loop iterations' worth, most of it fixed
-# cost: a search per row would double a one-row iteration, and a longer gap
-# delays the first window.
+# Hardened rows between two period searches while the window is one row,
+# and the least lookback of a period (_ArgmaxPeriods). On a 2-vCPU Xeon VM
+# a search of 32 rows of one member takes about 60 us, two loop iterations'
+# worth: a search per row would double a one-row iteration, and a longer
+# gap delays the first window.
 _PERIOD_SEARCH = 32
 
 
@@ -829,9 +833,12 @@ class _ArgmaxPeriods:
     and each member's argmax period, from which _fixed_point_loop guesses a
     window's codes.
 
-    A member's period is the smallest p <= _CYCLE_STRIDE with which its last
-    2p rows repeat: row s equals row s - p for each of the last p rows s.
-    window is the smallest period of the members, or 1 while one has none.
+    A member's period is the smallest p <= _CYCLE_STRIDE whose lookback
+    repeats: row s equals row s - p for each of the last max(p,
+    _PERIOD_SEARCH) rows s. The lookback of at least _PERIOD_SEARCH rows
+    keeps a short run of equal rows from reading as period 1, which gives
+    no window. window is the smallest period of the members, or 1 while
+    one has none.
     While window is 1, a search every _PERIOD_SEARCH rows keeps each
     member's period if its rows still repeat it, and takes the smallest that
     fits otherwise. In a longer window the loop checks each row against its
