@@ -1,9 +1,9 @@
 """Building and solving finite games under behavioral evaluation.
 
 Walks through the game container, the perceived-utility evaluation, the
-closed-form-backed 2x2 solver, the damped n-player iteration, and the
-simplex-grid oracle that double-checks them — then shows the plain-text
-game format used to ship games around.
+2x2 solver (which bisects the indifference condition for every alpha), the
+damped n-player iteration, and the simplex-grid oracle that double-checks
+them — then shows the plain-text game format used to ship games around.
 """
 import numpy as np
 

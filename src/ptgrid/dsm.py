@@ -32,11 +32,10 @@ from .prospects import PtProfile
 HOURS = 24
 
 # Joint actions per block of the payoff build. A block's gathered (B, n, 24)
-# loads are the build's working memory, 6 MiB at B = 4096 and n = 8. On a
-# 2-vCPU Xeon VM the max RSS after five n = 8 builds was 53.7 / 41.5 / 40.1 /
-# 39.6 MB at B = 4096 / 1024 / 512 / 256, with build times of 73-97 ms at
-# every B; at B = 64 the per-block overhead made an n = 9 build about 15%
-# slower. Blocks smaller than 1024 save under 2 MB.
+# loads are the build's working memory, 6 MiB at B = 4096 and n = 8: larger
+# blocks raise the peak RSS, and much smaller ones save little memory and
+# pay a per-block overhead (measured in CHANGES.md, "Smaller DSM build
+# blocks and in-place identity memos").
 _BLOCK = 1024
 _MAX_PAYOFF_ENTRIES = 2**24  # n * A^n; 128 MiB per float64 copy
 

@@ -268,7 +268,7 @@ def _sweep_values(key: str, values: np.ndarray, ascending: bool = False) -> np.n
     # written so that NaN fails
     if ascending and not np.all(values[1:] > values[:-1]):
         raise ConfigError(f"{key} must be strictly ascending, got {values.tolist()!r}")
-    # a set, not np.unique, which imports numpy.ma (about 13 ms)
+    # a set, not np.unique, whose import of numpy.ma slows start-up
     if len(set(values.tolist())) < values.size:
         raise ConfigError(f"{key} must not repeat a value, got {values.tolist()!r}")
     return values

@@ -1,120 +1,44 @@
 """Finite normal-form games evaluated under expected utility or prospect
-theory, with best responses, a 2x2 solver backed by a bisection on the
-indifference condition, a damped fixed-point solver for n players, and a
-simplex-grid brute-force oracle.
+theory: best responses, a residual certificate, a 2x2 solver, a damped
+fixed-point solver for n players and a simplex-grid brute-force oracle.
 
-Behavioral evaluation follows the opponent-observation model: the evaluating
-player i replaces each opponent joint-action probability q with its Prelec
-weight w(q, alpha_i) and each payoff with its framed value, while its own
-mixing probabilities enter unweighted:
+The weighting rule. The evaluating player i replaces each opponent
+joint-action probability q with its Prelec weight w(q, alpha_i) and each
+payoff with its framed value; its own mixing probabilities enter
+unweighted:
 
     U_i = sum_a sum_o  p_i(a) * w(q(o)) * v_i(payoff(i, a, o))
 
 The joint probability is formed first and weighted second, and the weights
-are applied as they are, without renormalization. One private kernel
-(_joint_prob, prospects._weights, then _mat_vec) computes this rule; its
-_weights is the package's one Prelec evaluation, which prelec_weight calls
-too. pure_action_values validates its inputs, one PtProfile per player, and
-calls the kernel, and through pure_action_values the utilities, the
-residual certificate and the grid oracle use it, as does the 2x2 solver,
-with one call per player for all its candidates. The fixed-point solver
-takes its first iteration through it, one call per player and batch member
-on the uniform profile, and calls the kernel directly for the rest.
+are not renormalized. One private kernel (_joint_prob, prospects._weights,
+then _mat_vec) computes this rule; pure_action_values is its checked entry.
 
-One private function, _residual, computes the residual certificate: each
-player's gap max(v) - v.m between its best pure action value and the value
-of its own mix, maximised over the players and at least 0. Its four callers
-are equilibrium_residual (one profile), solve_2x2 (one row per candidate),
-the fixed-point solver's stopping test (one block of players at a time, one
-row per batch member) and brute_force_equilibrium (one row per candidate
-cell). v.m is summed over the actions in ascending order,
-((v_0*m_0 + v_1*m_1) + v_2*m_2) + ..., from separately rounded numpy
-multiplies and adds; no BLAS call computes the certificate, so no CPU
-dispatch sets its summation order. The action values it reads still come
-from a BLAS mat-vec (_mat_vec), whose order the CPU's OpenBLAS kernel picks.
+The certificate. A profile's residual is each player's gap max(v) - v.m
+between its best pure action value and the value of its own mix, maximised
+over the players and at least 0; only _residual computes it. v.m is the
+left fold ((v_0*m_0 + v_1*m_1) + v_2*m_2) + ... in ascending action order,
+each product and each sum rounded on its own.
 
-Each game frames a player's payoffs once per (player, frame) and keeps the
-result, own action axis first and flattened to (A_i, prod A_-i), in a private
-read-only memo that lives and dies with the game; a value call then does only
-the per-call work of weighting the opponents' mixes and one mat-vec. Under
-the identity frame the memo holds the payoffs themselves, not a framed copy:
-the first and the last player's are views of the payoff tensor (C- and
-F-ordered, as a copy would be), and only a middle player's own-axis-first
-reshape copies.
+The selection rule, so that a game and a behavior set always give the same
+equilibrium: every fixed-point solve starts from the uniform profile, and
+iteration t moves every player's mix a fraction _STEP = 0.1 toward a
+softmax of its perceived action values at temperature _TEMPERATURE *
+_TEMP_DECAY**t (0.2 * 0.995**t). From iteration 1058, the first where that
+temperature falls below _TEMP_FLOOR = 1e-3, the target is the argmax,
+lowest index on ties. The solve stops at the first iteration whose residual
+reaches tol, or at max_iter.
 
-The fixed-point solver follows one stated rule, so that "the equilibrium"
-of a game and a behavior set is always the same profile: every solve starts
-from the uniform profile, and each iteration moves every player's mix a
-fraction _STEP = 0.1 toward a softmax of its perceived action values at
-temperature _TEMPERATURE * _TEMP_DECAY**t (0.2 * 0.995**t). From iteration
-1058, the first where that temperature falls below _TEMP_FLOOR = 1e-3, the
-target is the argmax, lowest index on ties. The solve stops at the first
-iteration whose residual reaches tol, or at max_iter.
+The batch and cycle contracts. solve_fixed_point_batch solves K behavior
+sets on one game in one loop, each result bit for bit the one a solve of
+that set alone returns; equal sets are solved once. A hardened solve whose
+mixes repeat an earlier hardened state bit for bit never reaches tol: it
+stops there, with the state, residual and iterations = max_iter of its
+max_iter-th iteration.
 
-From iteration 1058 on, a member's next mixes are a fixed function of its
-own mixes. So when its mixes at iteration t repeat, bit for bit, its mixes
-at an earlier hardened iteration s, its states cycle with period t - s,
-none of them reaches tol (it ran through them all), and its state at
-max_iter is its state at t + (max_iter - t) mod (t - s). The solver keeps a
-snapshot of the running members' mixes, retaken every _CYCLE_STRIDE = 512
-hardened iterations, and compares every hardened iteration's mixes with it;
-a member that repeats it leaves at that finish iteration with iterations =
-max_iter, converged False and the residual of the state it holds, which are
-the bits of the full run.
-
-Once hardened, a member's step adds the _STEP * identity row of its argmax,
-so its argmax rows decide its path. The solver reads each hardened argmax
-row of a member as one code, its players' argmaxes as the digits of a
-mixed-radix number, and keeps the running members' codes and each one's
-argmax period (_ArgmaxPeriods): the smallest p <= _CYCLE_STRIDE such that
-each of its last max(p, _PERIOD_SEARCH) rows equals the row p before it,
-found by a search every _PERIOD_SEARCH rows and kept while its rows repeat
-it. While every member has a period, one kernel pass evaluates a window of
-W iterations, W the smallest period: row 0 is the state the loop reached,
-and row j + 1 takes the hardened step from row j toward each member's
-argmax of one period before, an iteration already checked, decoded from
-its code. The rows are extra batch rows, so each has the bits of a one-row
-evaluation. The loop accepts the rows up to the first whose code differs
-from its guess, whose mixes repeat the snapshot or whose residual reaches
-tol; that row then takes the steps of any iteration: the cycle test, the
-snapshot, the finish check, the members who leave and the step from its
-own argmax. A window also ends at the next snapshot and at the earliest
-finish, and it takes fewer rows when its joint probability would hold more
-than _WINDOW_ENTRIES entries. While a member has no period, W is 1 and a
-pass is one iteration.
-
-The solver runs a batch of behavior sets on one game in a single loop
-(solve_fixed_point_batch; solve_fixed_point is a batch of one), and steps
-the players a block at a time. A block is the players who face the same
-sequence of opponent action counts; they have one own count too, and they
-are a run of consecutive players of that count. In every DSM and storage
-game all players form one block. A block holds its P players' mixes and
-values as (P, W * K, A) arrays, K the members still running. One kernel
-pass makes, per block:
-
-- one gather of the opponents' mixes, a take per block they come from;
-- one _joint_prob call for all its players and all rows;
-- one Prelec weighting of that joint probability in its own buffer;
-- one mat-vec per player, since the memo's layout picks the BLAS path;
-- one residual call and, once hardened, one argmax and one dot of the
-  argmaxes with their place values, the block's part of the codes;
-- one damped step: (1 - _STEP) * m, to which _STEP * target is added in
-  place; once hardened, that term is the argmax row of a precomputed
-  _STEP * identity, whose entries are the bits _STEP * target has. A
-  window's rows 1 to W - 1 take the same two operations, one row at a time.
-
-Each player has one Prelec alpha per batch member, so the block's alphas
-form a (P, K) array, tiled over a window's rows, one per row of the joint
-probability; _weights takes that array, or its one number when every row
-shares it. A member leaves the batch at the iteration where its residual
-reaches tol, where max_iter is hit or where its cycle reaches its finish
-iteration; the finish iterations are compared only at the earliest of them,
-which the loop keeps as an int. A member's result is exactly the one a
-solve of that member alone returns, bit for bit. Equal behavior sets are
-solved once. Inside a _prefetched_solves block, which runs its behavior
-sets as one batch, solve_fixed_point on that game returns the batch's
-result for a matching solve instead of iterating; the DSM sweeps read each
-point through solve_dsm this way.
+What BLAS still decides. No BLAS call computes the certificate, so no CPU
+dispatch sets its summation order. The action values it reads come from
+one BLAS mat-vec per player, whose summation order the CPU's OpenBLAS
+kernel and the operands' layouts pick.
 """
 from __future__ import annotations
 
@@ -286,9 +210,13 @@ def _check_profile(game: FiniteGame, mixes) -> None:
             raise ValueError("profile mix length does not match action count")
 
 
-def _check_behaviors(game: FiniteGame, behaviors) -> None:
+def _check_behaviors(game: FiniteGame, behaviors):
+    """behaviors, or the EUT profile for every player when it is None."""
+    if behaviors is None:
+        return [PtProfile.eut()] * game.n_players
     if len(behaviors) != game.n_players:
         raise ValueError(f"every behavior set needs {game.n_players} profiles, one per player")
+    return behaviors
 
 
 def eut_utility(game: FiniteGame, player: int, profile: MixedProfile) -> float:
@@ -324,27 +252,22 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
 
 
 # Size of the running product from which _joint_prob fills one action column
-# per multiply. Each column call costs a ufunc dispatch that only a long inner
-# loop repays: on a 2-vCPU Xeon VM, starting the columns at 128 or 256
-# entries made a 6-player single-row product slower than the broadcast alone
-# (27 vs 21 us), and any start from 512 to 4096 gave about the same times.
+# per multiply: each column costs a ufunc dispatch that only a long inner
+# loop repays (CHANGES.md, "Column-filled joint probability").
 _COLUMN_FILL = 1024
 
 
 def _joint_prob(opponents) -> np.ndarray:
     """Joint probability of the opponents' actions, (..., prod A_-i), in the
-    row-major order of their action axes; the opponents' leading batch axes
-    broadcast. The fixed-point loop passes a block of P players at once: its
-    k-th opponent is the (P, K, A) stack of each player's k-th opponent's
-    mixes, and the block axis is one more batch axis.
+    row-major order of their action axes; their leading batch axes
+    broadcast, and the fixed-point loop's block axis is one of them.
 
-    The product runs left to right: q = ((m_0 * m_1) * m_2) * ..., each step
+    The product runs left to right, q = ((m_0 * m_1) * m_2) * ..., each step
     a flat outer product of the running (..., M) product with the next
-    opponent's (..., A) mix. While q holds fewer than _COLUMN_FILL entries a
-    step is one broadcast multiply; from then on it fills the (..., M, A)
-    result one action column per multiply, so each call runs a long inner
-    loop instead of one of length A. Either way every entry is the same
-    product of the same two factors, so both give the same bits.
+    (..., A) mix: one broadcast multiply while q holds fewer than
+    _COLUMN_FILL entries, then one multiply per action column, each a long
+    inner loop. Both make every entry the same product of the same two
+    factors, so both give the same bits.
     """
     q = opponents[0]
     for m in opponents[1:]:
@@ -412,59 +335,45 @@ def equilibrium_residual(game: FiniteGame, profile: MixedProfile, behaviors) -> 
 
 
 def _residual(pairs):
-    """The residual certificate of the module docstring. pairs yields one
-    (values, mix) per player: its perceived action values and its own mix,
-    each (..., A_i), whose leading batch axes broadcast to one shape shared
-    by all players. Returns the largest gap max(v) - v.m over the players,
-    and at least 0, per batch cell. The fixed-point loop passes one block's
-    (P, K, A_i) arrays as one pair, so the block axis is a batch axis here.
-
-    v.m is the left fold ((v_0*m_0 + v_1*m_1) + v_2*m_2) + ... in ascending
-    action order, from separately rounded numpy multiplies and adds: no BLAS
-    call, einsum or reduction along the action axis, whose order a CPU
-    dispatch could change. The gap and the running maximum are written over
-    each player's fold buffer."""
+    """The certificate of the module docstring, per batch cell. pairs yields
+    one (values, mix) per player, each (..., A_i), whose leading batch axes
+    broadcast to one shape shared by all players; the fixed-point loop
+    passes a block's (P, K, A_i) arrays as one pair. v.m is the last entry
+    of np.add.accumulate over the products, which numpy defines as the
+    sequential left fold."""
     worst = 0.0
     for v, m in pairs:
-        # an array even for one profile, so that the gap can be written over it
-        own = np.asarray(v[..., 0] * m[..., 0])
-        for a in range(1, v.shape[-1]):
-            own += v[..., a] * m[..., a]
+        # with the Ellipsis an array even for one profile, so that the gap
+        # can be written over it
+        own = np.add.accumulate(v * m, axis=-1)[..., -1]
         gap = np.subtract(np.maximum.reduce(v, axis=-1), own, out=own)
         worst = np.maximum(worst, gap, out=gap)
-    return worst
+    # np.maximum may return -0.0 for a gap of -0.0; adding 0.0 makes it the
+    # stated 0.0 and keeps the bits of every other value
+    return np.add(worst, 0.0, out=worst)
 
 
-# ---------------------------------------------------------------------------
 # 2x2 solver
 
 
 def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
     """All equilibria of a 2-player, 2-action game: the four pure profiles in
-    itertools.product order, then the interior mixed one when the perceived
-    indifference conditions admit a solution inside (0, 1), each kept when
-    its residual certificate is within tol.
+    itertools.product order, then the interior one when the perceived
+    indifference conditions have a root inside (0, 1), each kept when its
+    residual is within tol; [] when none is. An absent interior solution is
+    omitted, never fabricated; tol is checked as check_solver_limits does.
 
-    Each player's mixing probability is pinned by the *opponent's*
-    indifference condition w(q) * A = w(1-q) * B. With Prelec weights it is
-    transcendental, and _indifference_prob solves it by bisection for every
-    alpha, alpha = 1 included, although there the root is q = B / (A + B)
-    in closed form. When player 0's condition has no root there is no
-    interior candidate, and player 1's is not solved.
-    The C candidates are certified as one batch: one (C, 2) stack of mixes
-    per player, one pure_action_values call per player and one _residual
-    call. Each row takes the same elementwise ops, the same mat-vec and the
-    same fold as a single profile, so row c has the bits of
-    equilibrium_residual on candidate c. Returns [] when no equilibrium
-    certifies within tol; an absent interior solution is reported by
-    omission, never fabricated. tol is checked as check_solver_limits does.
+    Each player's mix is pinned by the *opponent's* indifference condition
+    w(q) * A = w(1-q) * B, which _indifference_prob solves by bisection for
+    every alpha, alpha = 1 included; when player 0's has no root, player 1's
+    is not solved. The candidates are certified as one batch, one (C, 2)
+    stack of mixes per player, so row c has the bits of
+    equilibrium_residual on candidate c.
     """
     if game.n_players != 2 or game.action_counts != (2, 2):
         raise ValueError("solve_2x2 handles exactly 2 players with 2 actions each")
     check_solver_limits(tol, 0)
-    if behaviors is None:
-        behaviors = [PtProfile.eut()] * 2
-    _check_behaviors(game, behaviors)
+    behaviors = _check_behaviors(game, behaviors)
     candidates = list(itertools.product(((1.0, 0.0), (0.0, 1.0)), repeat=2))
     # player i's indifference fixes the other player's mix
     q0 = _indifference_prob(game, 0, behaviors[0])
@@ -484,16 +393,14 @@ def _indifference_prob(game, player, behavior):
     """Probability q on the opponent's first action making `player`
     indifferent between its two actions, under the player's perception.
 
-    In log-odds form the condition w(q) * A = w(1-q) * B reads
-    (-ln(1-q))^alpha - (-ln q)^alpha = ln(B / A). The left side rises
-    strictly from -inf to +inf on (0, 1) (Prelec 1998), so a root exists
-    exactly when A and B have the same sign, and it is unique. Bisection
-    narrows it to two adjacent floats and returns the one that satisfies the
-    condition more closely: near 0 or 1 one step of q can move the residual
-    certificate by more than its tolerance. Each step evaluates the excess
-    (left side minus ln(B / A)) once and keeps it with the end it moves, so
-    the final pick compares the stored excesses of lo and hi; an end that
-    never moved from 0 or 1 is not a candidate, and a tie keeps lo.
+    In log-odds form w(q) * A = w(1-q) * B reads (-ln(1-q))^alpha -
+    (-ln q)^alpha = ln(B / A), whose left side rises strictly from -inf to
+    +inf on (0, 1) (Prelec 1998): a root exists exactly when A and B have
+    the same sign, and it is unique. Bisection narrows it to two adjacent
+    floats and returns the one whose stored excess (left side minus
+    ln(B / A)) is smaller in magnitude, since near 0 or 1 one step of q can
+    move the residual by more than its tolerance; an end that never moved
+    from 0 or 1 is not a candidate, and a tie keeps lo.
     """
     framed = _framed_payoffs(game, player, behavior.frame)
     # A: perceived advantage of own action 0 against opponent action 0,
@@ -522,7 +429,6 @@ def _indifference_prob(game, player, behavior):
     return hi if abs(hi_excess) < abs(lo_excess) else lo
 
 
-# ---------------------------------------------------------------------------
 # n-player damped fixed-point solver
 
 
@@ -532,37 +438,25 @@ _TEMPERATURE = 0.2
 _TEMP_DECAY = 0.995
 _TEMP_FLOOR = 1e-3
 
-# Hardened iterations between two snapshots of the cycle test (module
-# docstring). A member whose period is at most this is caught within two
-# strides of entering its cycle; a longer period runs to max_iter. In 120
-# random games of 3 or 4 players and 2 or 3 actions, all 63 solves that did
-# not converge entered an exact cycle, between iterations 1058 and 8625,
-# with periods from 14 to 626. Strides of 128, 256, 512 and 1024 caught 56,
-# 61, 62 and 63 of them, after 7379, 7153, 7120 and 7374 iterations on mean.
-# The stride also bounds the argmax periods that set a window's length. With
-# windows, those 63 solves took 10.7, 9.0, 8.4 and 8.2 s at these strides
-# (one iteration per kernel pass: 18.0, 17.7, 18.8 and 19.4 s), best of 3
-# rounds on a 2-vCPU Xeon VM.
+# Hardened iterations between two snapshots of the cycle test, and the
+# longest argmax period: a shorter stride misses more cycles, a longer one
+# finds them later (CHANGES.md, "Cycle skip and one weighting call per
+# block").
 _CYCLE_STRIDE = 512
 
 
 def solve_fixed_point(
     game: FiniteGame, behaviors=None, tol: float = 1e-9, max_iter: int = 10000
 ) -> EquilibriumResult:
-    """Damped best-response iteration from the uniform profile on the one
-    schedule the module docstring states. Stops as soon as the
-    unilateral-improvement residual drops to tol; the result always carries
-    the final residual, and non-convergence is reported, not raised. A
-    hardened solve whose mixes repeat bit for bit ends early with the state,
-    residual and iteration count of its max_iter-th iteration (module
-    docstring).
+    """Damped best-response iteration under the selection rule of the
+    module docstring; the result always carries the final residual, and
+    non-convergence is reported, not raised.
 
     Runs solve_fixed_point_batch on a batch of one. Inside a
     _prefetched_solves block on the game, a solve that the block ran already
     returns the block's result without iterating.
     """
-    if behaviors is None:
-        behaviors = [PtProfile.eut()] * game.n_players
+    behaviors = _check_behaviors(game, behaviors)
     hit = game._prefetched.get((tuple(behaviors), tol, max_iter))
     if hit is not None:
         return hit
@@ -573,16 +467,10 @@ def solve_fixed_point_batch(
     game: FiniteGame, behavior_sets, tol: float = 1e-9, max_iter: int = 10000
 ) -> list:
     """solve_fixed_point for K behavior sets on one game in one loop: one
-    result per set, in order, each bit-identical to a solve of that set alone.
-
-    Every set must give each player the same frame, since the framed payoffs
-    are shared; the Prelec alphas may differ per set and per player. Each
-    iteration steps every block of players once for all members still
-    running (see the module docstring).
-    A member whose residual reaches tol, or which reaches max_iter, is
-    recorded at that iteration and leaves the batch; a member in an exact
-    cycle leaves with its max_iter-th state. Equal behavior sets are solved
-    once and share one result.
+    result per set, in order, under the batch contract of the module
+    docstring. Every set must give each player the same frame, since the
+    framed payoffs are shared; the Prelec alphas may differ per set and per
+    player.
     """
     check_solver_limits(tol, max_iter)
     sets = [tuple(b) for b in behavior_sets]
@@ -626,15 +514,34 @@ def _prefetched_solves(game: FiniteGame, behavior_sets, tol: float = 1e-9, max_i
 
 
 def _fixed_point_loop(game, sets, tol, max_iter) -> list:
-    """The damped fixed-point loop of solve_fixed_point_batch on checked
-    behavior sets, every member from the uniform profile, one block of
-    players at a time and, once hardened, one window of iterations per
-    kernel pass (see the module docstring).
+    """The damped loop of solve_fixed_point_batch on checked behavior sets.
 
-    A pass evaluates `rows` iterations of `size` members each: a block's
-    mixes and values are (P, rows * size, A), row-major over (rows, size),
-    and the residual is (rows * size,). After a window, the loop goes on
-    with its last accepted row as if that row were the pass's only one."""
+    Blocks. A block is the players who face the same sequence of opponent
+    action counts, a run of consecutive players of one count (in DSM and
+    storage games, all of them). It holds its P players' mixes and values
+    as (P, K, A) arrays, K the members still running. A kernel pass makes,
+    per block, one gather of the opponents' mixes, one _joint_prob call,
+    one Prelec weighting in place, one mat-vec per player, one _residual
+    call and one damped step. A member leaves at the iteration where its
+    residual reaches tol, at max_iter, or at its cycle's finish.
+
+    Cycles. Once hardened, a member's next mixes are a function of its own.
+    So when its mixes at iteration t equal, bit for bit, the snapshot taken
+    at hardened iteration s, its state at max_iter is its state at the
+    finish t + (max_iter - t) mod (t - s). The snapshot is retaken every
+    _CYCLE_STRIDE hardened iterations.
+
+    Windows. Once hardened, a member's step adds the _STEP * identity row of
+    its argmax, so its argmax rows decide its path. While every member has
+    an argmax period (_ArgmaxPeriods), a pass evaluates a window of W
+    iterations, W the smallest period, as extra batch rows: row 0 is the
+    state reached, and row j + 1 steps from row j toward the argmax of one
+    period before. Mixes and values are then (P, W * K, A), row-major over
+    (W, K), and each row has the bits of a one-row pass. The loop goes on
+    from the first row whose argmax code breaks its guess, whose mixes
+    repeat the snapshot or whose residual reaches tol, else from the last.
+    A window also ends at the next snapshot and at the earliest finish, and
+    takes at most max(1, _WINDOW_ENTRIES // entries per row) rows."""
     n, counts = game.n_players, game.action_counts
     blocks = {}  # opponents' action counts -> the players who face them
     for i in range(n):
@@ -663,8 +570,7 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
               for players in blocks]
     mixes = [np.stack([np.tile(start[i], (len(sets), 1)) for i in players]) for players in blocks]
     framed = [[_framed_payoffs(game, i, sets[0][i].frame) for i in players] for players in blocks]
-    # (P, K) per block: one alpha per player and batch member; _weights
-    # takes a block whose rows all share one alpha as that one number
+    # (P, K) per block; _weights takes a block of equal alphas as one number
     alphas = [np.array([[b[i].weighting.alpha for b in sets] for i in players], dtype=float)
               for players in blocks]
     block_alphas = [a.item(0) if (a == a.item(0)).all() else a for a in alphas]
@@ -679,7 +585,6 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     joint = sum(len(players) * math.prod(counts) // counts[players[0]] for players in blocks)
     members = np.arange(len(sets))  # batch member of each row
     finish = np.full(len(sets), max_iter)  # the iteration each row leaves at, at the latest
-    due = max_iter  # the earliest finish, the one iteration where finish is compared
     snapshot = since = None  # the hardened mixes the cycle test compares with, and their iteration
     periods = None  # the hardened argmax codes, from the first hardened iteration on
     results = [None] * len(sets)
@@ -693,7 +598,7 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                 if periods is None:
                     periods = _ArgmaxPeriods(size)
                 elif periods.window > 1:
-                    rows = min(periods.window, due - iteration + 1, since + _CYCLE_STRIDE - iteration + 1,
+                    rows = min(periods.window, int(finish.min()) - iteration + 1, since + _CYCLE_STRIDE - iteration + 1,
                                max(1, _WINDOW_ENTRIES // (joint * size)))
                 if rows > 1:
                     guesses = periods.guesses(rows)  # (rows, K)
@@ -721,8 +626,8 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
             if hardened:
                 tops = [v.argmax(axis=-1) for v in values]  # (P, rows * K) per block
                 codes = functools.reduce(np.add, (np.dot(r, t) for r, t in zip(radix, tops))).reshape(rows, size)
-                # the cycle test of the module docstring: a row that repeats
-                # the snapshot has period iteration - since
+                # the cycle test: a row that repeats the snapshot has period
+                # iteration - since
                 if snapshot is not None:
                     repeat = functools.reduce(np.logical_and, (
                         np.logical_and.reduce(
@@ -749,14 +654,11 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                     repeat = repeat[last]
                     if np.count_nonzero(repeat):
                         finish[repeat] = iteration + (max_iter - iteration) % (iteration - since)
-                        due = int(np.minimum.reduce(finish))
                 if snapshot is None or iteration - since == _CYCLE_STRIDE:
                     # the bits, (P, 1, K, A), so that neither -0 == 0 nor
                     # nan != nan can decide; mixes are never written in place
                     snapshot, since = [m.view(np.int64)[:, None] for m in mixes], iteration
-            done = residual <= tol
-            if iteration == due:
-                done |= finish == iteration
+            done = (residual <= tol) | (finish == iteration)
             leaving = np.count_nonzero(done)  # cheaper than done.any() on a few rows
             if leaving:
                 for k in np.flatnonzero(done):
@@ -771,7 +673,6 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                     return results
                 keep = ~done
                 members, finish = members[keep], finish[keep]
-                due = int(np.minimum.reduce(finish))
                 mixes = [m[:, keep] for m in mixes]
                 values = [v[:, keep] for v in values]
                 if hardened:
@@ -797,11 +698,9 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
 
 def _damped_rows(m, targets):
     """m, a block's (P, K, A) mixes, then one hardened step per (P, K, A)
-    target, each from the row before as the loop takes it: (1 - _STEP) *
-    row, then the target added. Returns the rows as (P, rows * K, A),
-    row-major over (rows, K). The rows are built one after another in a
-    buffer of contiguous rows, where each step costs half what it costs in
-    the returned layout, and copied into it once."""
+    target, each from the row before: (1 - _STEP) * row plus the target.
+    Returns the rows as (P, rows * K, A), row-major over (rows, K); they are
+    built in a buffer of contiguous rows and copied into that layout once."""
     out = np.empty((len(targets) + 1,) + m.shape)
     out[0] = m
     for prev, row, target in zip(out, out[1:], targets):
@@ -811,46 +710,38 @@ def _damped_rows(m, targets):
 
 
 # Joint-probability entries above which a window takes fewer rows than its
-# period. A window saves the per-call cost of one iteration per extra row,
-# about 30 us on a 3-player, 2-action game; the Prelec weighting alone costs
-# about 5 ns per entry (ROADMAP, "Where the time goes"), so at this size a
-# pass's arithmetic is ten times that, and a longer window would only grow
-# the pass's arrays: a DSM game of 8 players and 4 actions holds 131,072
-# entries per member and row.
+# period: past this size a row's arithmetic far outweighs the per-call cost
+# it saves, so a longer window would only grow the pass's arrays
+# (CHANGES.md, "a window of one argmax period per kernel call").
 _WINDOW_ENTRIES = 1 << 16
 
 # Hardened rows between two period searches while the window is one row,
-# and the least lookback of a period (_ArgmaxPeriods). On a 2-vCPU Xeon VM
-# a search of 32 rows of one member takes about 60 us, two loop iterations'
-# worth: a search per row would double a one-row iteration, and a longer
-# gap delays the first window.
+# and the least lookback of a period (_ArgmaxPeriods): a search per row
+# would double a one-row iteration's cost, and a longer gap delays the
+# first window (the same CHANGES.md entry).
 _PERIOD_SEARCH = 32
 
 
 class _ArgmaxPeriods:
-    """The hardened argmax rows of the loop's running members, each row kept
-    as its code (one int per member, its players' argmaxes in mixed radix),
-    and each member's argmax period, from which _fixed_point_loop guesses a
-    window's codes.
+    """The hardened argmax codes of the loop's running members (one int per
+    member and row, its players' argmaxes in mixed radix) and each member's
+    argmax period, from which _fixed_point_loop guesses a window's codes.
 
-    A member's period is the smallest p <= _CYCLE_STRIDE whose lookback
-    repeats: row s equals row s - p for each of the last max(p,
-    _PERIOD_SEARCH) rows s. The lookback of at least _PERIOD_SEARCH rows
-    keeps a short run of equal rows from reading as period 1, which gives
-    no window. window is the smallest period of the members, or 1 while
-    one has none.
-    While window is 1, a search every _PERIOD_SEARCH rows keeps each
-    member's period if its rows still repeat it, and takes the smallest that
-    fits otherwise. In a longer window the loop checks each row against its
-    guess; a member whose row breaks it has no period until the next search.
+    A member's period is the smallest p <= _CYCLE_STRIDE such that each of
+    its last max(p, _PERIOD_SEARCH) rows equals the row p before it; the
+    lookback of at least _PERIOD_SEARCH rows keeps a short run of equal rows
+    from reading as period 1. window is the members' smallest period, or 1
+    while one has none. While window is 1, a search every _PERIOD_SEARCH
+    rows keeps each period its rows still repeat and takes the smallest
+    that fits otherwise; a member whose row breaks its guess has no period
+    until the next search.
 
-    The codes are kept as (rows, K) in one buffer of 4 * _CYCLE_STRIDE rows.
-    It begins with _CYCLE_STRIDE rows of -1, which no code equals, and add
-    keeps its last 2 * _CYCLE_STRIDE rows when the next would not fit.
-    A search keeps a table of, per member and lag p, the latest row that
-    differs from the row p before it, and adds the rows since the last
-    search, at most the last _CYCLE_STRIDE of them: an older row decides no
-    lag up to _CYCLE_STRIDE.
+    The codes sit in a buffer of 4 * _CYCLE_STRIDE rows that begins with
+    _CYCLE_STRIDE rows of -1, which no code equals, and keeps its last
+    2 * _CYCLE_STRIDE rows when full. A search updates a table of, per
+    member and lag, the latest row that differs from the row a lag before
+    it, from at most the last _CYCLE_STRIDE new rows: an older row decides
+    no lag up to _CYCLE_STRIDE.
     """
 
     def __init__(self, members):
@@ -912,29 +803,23 @@ class _ArgmaxPeriods:
         self._members(self.differs[kept], self.period[kept])
 
 
-# ---------------------------------------------------------------------------
 # brute-force oracle
 
 
 @functools.lru_cache(maxsize=8)
 def _simplex_grid(n_actions: int, grid: int) -> np.ndarray:
     """All probability vectors over n_actions with entries k/grid, one per
-    row, with the count vectors in descending lexicographic order: the order
-    of itertools.combinations_with_replacement(range(n_actions), grid).
+    row, in the order of itertools.combinations_with_replacement(
+    range(n_actions), grid): descending lexicographic count vectors.
+    _slack_minima's neighbours and result order depend on it.
 
-    _slack_minima compares each row with its neighbours along a player's
-    axis and returns the kept cells in row-major order, so this order is
-    part of the oracle's result and must not change.
-
-    Built in closed form by stars and bars: the bar positions of
-    combinations(range(grid + n_actions - 1), n_actions - 1), reversed to
-    descending order, differenced into counts and divided by grid. The last
-    8 grids asked for are kept, read-only: an oracle run over many games
-    asks for the same one or two each time.
+    Built by stars and bars: the bar positions of combinations(range(grid +
+    n_actions - 1), n_actions - 1), reversed, differenced into counts and
+    divided by grid. The last 8 grids are kept, read-only.
     """
     slots, k = grid + n_actions - 1, n_actions - 1
     rows = math.comb(slots, k)
-    # one flat int stream, 2-3x faster than a (rows, k) subarray dtype
+    # one flat int stream, faster than a (rows, k) subarray dtype
     flat = itertools.chain.from_iterable(itertools.combinations(range(slots), k))
     bars = np.fromiter(flat, dtype=np.intp, count=rows * k).reshape(rows, k)[::-1]
     counts = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
@@ -965,29 +850,11 @@ def check_grid_budget(game: FiniteGame, grid: int) -> None:
 
 def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -> list:
     """Approximate equilibria by exhaustive search over a uniform simplex
-    grid: returns the profiles whose improvement residual is within the grid
-    slack (_grid_slack, 2 / grid times the payoff span, at least 2 / grid)
-    and no larger than that of any axis neighbor, in row-major order of the
-    players' grids. Only the cells within slack are candidates, and only
-    they are compared with their neighbors; a NaN neighbor rules a cell out.
-
-    The residual is computed only on the cells a per-player bound cannot
-    rule out. A player with two actions and values (v_0, v_1) at an opponent
-    cell has own row k = ((G - k) / G, k / G), G = grid, and exact gap d * c
-    / G: d = |v_0 - v_1|, c the count of its worse action (k if v_0 >= v_1,
-    else G - k). The computed gap (a rounded row, two products, a sum, a
-    difference) is within about 2 eps (|v_0| + |v_1|) of it, plus 2**-1072
-    from underflow. So it can be within slack only if c <= floor(G (slack +
-    E) / d) + 2, with E = 16 eps (2 w + slack), w the player's largest |v|:
-    E is eight times that error, and covers the underflow since slack >= 2 /
-    G. The + 2 is a margin for the rounding of the bound: a dropped row's
-    computed gap exceeds slack + 2 d / G. A player with more than two
-    actions keeps every row, and so does every player unless all values are
-    finite and below 2**1000: then no op overflows and no dropped cell's
-    residual is NaN, which its neighbors would read. The kept cells'
-    residuals take the elementwise ops of a full surface, so they have its
-    bits; the dropped cells read +inf, which _slack_minima answers as it
-    would their finite residuals above slack.
+    grid: the profiles whose residual is within the grid slack (_grid_slack)
+    and no larger than any axis neighbor's, in row-major order of the
+    players' grids; a NaN neighbor rules a cell out. The residual is
+    computed only on the cells _grid_candidates keeps; the others read
+    +inf, which _slack_minima treats as any residual above slack.
 
     Meant as an independent oracle for small games (<= 3 players, <= 3
     actions); raises ValueError when grid is not an integer >= 1 or
@@ -996,9 +863,7 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
     """
     if not (isinstance(grid, numbers.Integral) and not isinstance(grid, bool) and grid >= 1):
         raise ValueError(f"grid must be a positive integer, got {grid!r}")
-    if behaviors is None:
-        behaviors = [PtProfile.eut()] * game.n_players
-    _check_behaviors(game, behaviors)
+    behaviors = _check_behaviors(game, behaviors)
     check_grid_budget(game, grid)
     n = game.n_players
     grids = [_simplex_grid(a, grid) for a in game.action_counts]
@@ -1027,29 +892,45 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
 
 
 # Candidates per block of _grid_candidates, whose arrays then stay below
-# malloc's 128 KB mmap threshold: over 40 custom-games passes in one
-# process, blocks of 2**16 raised ru_maxrss by 2.6 MB and of 2**13 by
-# 0.1-0.7 MB, at the same speed (2-vCPU Xeon VM).
+# malloc's mmap threshold, so that repeated oracles do not grow the peak RSS
+# (CHANGES.md, "the grid oracle computes the residual only on the cells a
+# per-player bound cannot rule out").
 _CANDIDATE_BLOCK = 1 << 13
 
 _EPS = np.finfo(float).eps
 
 
 def _grid_candidates(values, grid, slack, rows):
-    """The cells brute_force_equilibrium's bound keeps, in blocks: per
-    block, one index array per player's axis and, per player, the flat
-    index of each cell's opponent cell. values[i] is player i's (..., A_i)
-    values, one row per opponent cell; rows[i] is its grid's length. Each
-    player keeps a run of own rows per opponent cell; the cells are the
-    runs of the player p whose runs hold the fewest, filtered by the
+    """The cells of brute_force_equilibrium's grid that a per-player bound
+    cannot rule out, in blocks: per block, one index array per player's
+    axis and, per player, each cell's flat opponent cell. values[i] is
+    player i's (..., A_i) values, one row per opponent cell; rows[i] is its
+    grid's length.
+
+    A player with two actions and values (v_0, v_1) at an opponent cell has
+    own row k = ((G - k) / G, k / G), G = grid, and exact gap d * c / G: d =
+    |v_0 - v_1|, c the count of its worse action (k if v_0 >= v_1, else
+    G - k). The computed gap (a rounded row, two products, a sum, a
+    difference) is within about 2 eps (|v_0| + |v_1|) of it, plus 2**-1072
+    from underflow. So it can be within slack only if c <= floor(G (slack +
+    E) / d) + 2, with E = 16 eps (2 w + slack), w the player's largest |v|:
+    E is eight times that error, and covers the underflow since slack >= 2 /
+    G. The + 2 is a margin for the rounding of the bound. A player with more than two
+    actions keeps every row, and so does every player unless all values are
+    finite and below 2**1000: then no op overflows and no dropped cell's
+    residual is NaN, which its neighbors would read. The kept cells'
+    residuals take the elementwise ops of a full surface, so they have its
+    bits.
+
+    Each player keeps a run of own rows per opponent cell; the cells are
+    the runs of the player p whose runs hold the fewest, filtered by the
     others' runs."""
     shapes = [v.shape[:-1] for v in values]  # opponent cells, a length-1 axis at the player's own
     values = [v.reshape(-1, v.shape[-1]) for v in values]
     largest = [float(np.abs(v).max()) for v in values]
     bounded = max(largest) < 2.0**1000  # a NaN fails
-    # per opponent cell of a bounded player: x = G (slack + E) / d, which
-    # keeps the own rows whose worse count c has c - 2 <= x, and whether
-    # action 0 is the worse one
+    # per opponent cell of a bounded player: x = G (slack + E) / d, and
+    # whether action 0 is the worse one
     bounds = []
     for v, w in zip(values, largest):
         if bounded and v.shape[-1] == 2:
@@ -1104,9 +985,8 @@ def _slack_minima(residual: np.ndarray, slack: float) -> tuple:
     The cells within slack are taken first, and only they are compared
     with their neighbours, each with `<=`: a NaN neighbour fails the cell,
     a tie keeps it, and a NaN cell is never within slack. Only the
-    survivors are unravelled, which keeps few small temporaries alive at
-    once: numpy caches freed buffers under 1 KB per size, and peak RSS
-    counts that cache."""
+    survivors are unravelled, so that few of the small temporaries numpy
+    caches are alive at once."""
     flat = residual.ravel()
     cells = np.flatnonzero(flat <= slack)  # row-major, as np.nonzero
     mine = flat[cells]
@@ -1130,7 +1010,6 @@ def _grid_slack(game: FiniteGame, grid: int) -> float:
     return max(0.5 * hi - 0.5 * lo, 0.5) / grid * 4.0
 
 
-# ---------------------------------------------------------------------------
 # plain-text game format
 
 def format_game(game: FiniteGame) -> str:

@@ -643,9 +643,11 @@ def cellwise_residual(pairs):
 
 
 def residual_cases(rng, a, scale):
-    """(values, mix) pairs in the shapes _residual's callers pass: one
-    profile, a (C, A) batch of candidates, a (P, K, A) block and the 2- and
-    3-player oracle surfaces, with some values and probabilities exactly 0."""
+    """(values, mix) pairs in the shapes and layouts _residual's callers
+    pass: one profile, a (C, A) batch of candidates, a (P, K, A) block, the
+    2- and 3-player oracle surfaces and the oracle's gathered candidate
+    cells, with some values and probabilities exactly 0, and a batch whose
+    products are zeros of both signs."""
 
     def values(shape):
         v = rng.uniform(-5.0, 5.0, size=shape) * scale
@@ -666,12 +668,32 @@ def residual_cases(rng, a, scale):
             pairs.append((values(tuple(across) + (a,)), mixes(tuple(along) + (a,))))
         return pairs
 
+    def gathered(n, cells):
+        # as brute_force_equilibrium gathers them: (A, cells) arrays read
+        # through their transpose, so not C-contiguous
+        return [(values((a, cells)).T, np.ascontiguousarray(mixes((cells, a)).T).T) for _ in range(n)]
+
+    def negative_zero(c):
+        # max(v) = -0.0 and every product is a zero: v <= -0.0 with v_0 =
+        # -0.0, and m = 0 where v < 0. m_0 = -0.0 in the later rows makes
+        # v.m = +0.0 there, so their gap is -0.0 - 0.0 = -0.0
+        v = -np.abs(values((c, a)))
+        v[:, 0] = -0.0
+        m = mixes((c, a))
+        m[v < 0.0] = 0.0
+        m[:, 0] = -0.0
+        m[:c // 2, 0] = 1.0
+        return [(v, m)]
+
     return [
         [(values((a,)), mixes((a,))) for _ in range(3)],
         [(values((5, a)), mixes((5, a))) for _ in range(2)],
         [(values((3, 4, a)), mixes((3, 4, a)))],
         surface(2, 6),
         surface(3, 4),
+        gathered(2, 7),
+        gathered(3, 5),
+        negative_zero(6),
     ]
 
 
