@@ -10,8 +10,11 @@ unweighted:
     U_i = sum_a sum_o  p_i(a) * w(q(o)) * v_i(payoff(i, a, o))
 
 The joint probability is formed first and weighted second, and the weights
-are not renormalized. One private kernel (_joint_prob, prospects._weights,
-then _mat_vec) computes this rule; pure_action_values is its checked entry.
+are not renormalized. One private kernel entry, _values (_joint_prob,
+prospects._weights, then _mat_vec), computes this rule. pure_action_values
+checks its inputs and calls it; the 2x2 solver and the grid oracle call it
+on arrays they built, and the solvers' results adopt read-only mixes they
+built (MixedProfile._adopt) instead of checking them again.
 
 The certificate. A profile's residual is each player's gap max(v) - v.m
 between its best pure action value and the value of its own mix, maximised
@@ -147,6 +150,15 @@ class MixedProfile:
             raise ValueError("a profile needs at least 2 players")
         object.__setattr__(self, "mixes", tuple(vecs))
 
+    @classmethod
+    def _adopt(cls, mixes) -> "MixedProfile":
+        """A profile that takes over read-only probability vectors without
+        copying or checking them; the caller must hold no other reference
+        it writes through."""
+        profile = cls.__new__(cls)
+        object.__setattr__(profile, "mixes", tuple(mixes))
+        return profile
+
     def __setattr__(self, name, value):
         raise AttributeError("MixedProfile is immutable")
 
@@ -197,7 +209,15 @@ class EquilibriumResult:
             raise ValueError("residual must be non-negative")
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer, a numpy integer included, and not a
+    bool: a bool is no count, and numpy reads it as a mask."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_player(game: FiniteGame, player: int) -> None:
+    if not _is_integer(player):
+        raise TypeError(f"player must be an integer, got {player!r}")
     if not (0 <= player < game.n_players):
         raise IndexError(f"player {player} out of range for {game.n_players} players")
 
@@ -243,12 +263,21 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
     _check_player(game, player)
     mixes = [np.asarray(m, dtype=float) for m in mixes]
     _check_profile(game, mixes)
+    # products of numbers in [0, 1] stay in [0, 1], so the joint
+    # probability needs no check of its own
+    for j, m in enumerate(mixes):
+        if j != player:
+            _unit_interval_array(m, "probability")
+    return _values(game, player, mixes, behaviors[player])
+
+
+def _values(game: FiniteGame, player: int, mixes, behavior) -> np.ndarray:
+    """pure_action_values on checked float mixes and the player's own
+    PtProfile: the kernel of the module docstring, unchecked."""
     q = _joint_prob([m for j, m in enumerate(mixes) if j != player])
-    _unit_interval_array(q, "probability")
-    b = behaviors[player]
-    framed = _framed_payoffs(game, player, b.frame)
+    framed = _framed_payoffs(game, player, behavior.frame)
     with np.errstate(divide="ignore"):
-        return _mat_vec(framed, _weights(q, b.weighting.alpha))
+        return _mat_vec(framed, _weights(q, behavior.weighting.alpha))
 
 
 # Size of the running product from which _joint_prob fills one action column
@@ -368,7 +397,8 @@ def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
     every alpha, alpha = 1 included; when player 0's has no root, player 1's
     is not solved. The candidates are certified as one batch, one (C, 2)
     stack of mixes per player, so row c has the bits of
-    equilibrium_residual on candidate c.
+    equilibrium_residual on candidate c; each result's mixes are read-only
+    rows of those stacks.
     """
     if game.n_players != 2 or game.action_counts != (2, 2):
         raise ValueError("solve_2x2 handles exactly 2 players with 2 actions each")
@@ -381,9 +411,11 @@ def solve_2x2(game: FiniteGame, behaviors=None, tol: float = 1e-9) -> list:
     if q1 is not None:
         candidates.append(((q1, 1.0 - q1), (q0, 1.0 - q0)))
     mixes = [np.array([c[i] for c in candidates]) for i in (0, 1)]
-    residual = _residual((pure_action_values(game, i, mixes, behaviors), mixes[i]) for i in (0, 1))
+    for m in mixes:
+        m.setflags(write=False)
+    residual = _residual((_values(game, i, mixes, behaviors[i]), mixes[i]) for i in (0, 1))
     return [
-        EquilibriumResult(MixedProfile([m[c] for m in mixes]), float(res), 0, True)
+        EquilibriumResult(MixedProfile._adopt([m[c] for m in mixes]), float(res), 0, True)
         for c, res in enumerate(residual)
         if res <= tol
     ]
@@ -492,9 +524,8 @@ def check_solver_limits(tol: float, max_iter: int) -> None:
     non-negative integer, a bool included."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
-    # numpy integers are Integral, and so is a bool, which is no count; a
-    # float would fail in range() instead
-    if not (isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool) and max_iter >= 0):
+    # a float would fail in range() instead
+    if not (_is_integer(max_iter) and max_iter >= 0):
         raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
 
 
@@ -661,10 +692,18 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
             done = (residual <= tol) | (finish == iteration)
             leaving = np.count_nonzero(done)  # cheaper than done.any() on a few rows
             if leaving:
-                for k in np.flatnonzero(done):
+                # the leaving members' mixes, one read-only copy per block
+                left = [m.compress(done, axis=1) for m in mixes]
+                for m in left:
+                    # the damped step keeps every mix on the simplex unless
+                    # overflowing action values make it NaN
+                    if not m.min() >= 0.0:
+                        raise ValueError("the perceived action values overflow: the solver's mixes became NaN")
+                    m.setflags(write=False)
+                for j, k in enumerate(np.flatnonzero(done)):
                     converged = bool(residual[k] <= tol)
                     results[members[k]] = EquilibriumResult(
-                        MixedProfile([mixes[b][p, k] for b, p in where]),
+                        MixedProfile._adopt([left[b][p, j] for b, p in where]),
                         float(residual[k]),
                         iteration if converged else max_iter,
                         converged,
@@ -861,7 +900,7 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
     behaviors does not hold one profile per player, and BudgetExceededError
     when the enumeration would exceed GRID_BUDGET profiles.
     """
-    if not (isinstance(grid, numbers.Integral) and not isinstance(grid, bool) and grid >= 1):
+    if not (_is_integer(grid) and grid >= 1):
         raise ValueError(f"grid must be a positive integer, got {grid!r}")
     behaviors = _check_behaviors(game, behaviors)
     check_grid_budget(game, grid)
@@ -873,7 +912,7 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
         g.reshape((1,) * j + g.shape[:1] + (1,) * (n - 1 - j) + g.shape[1:])
         for j, g in enumerate(grids)
     ]
-    values = [pure_action_values(game, i, mixes, behaviors) for i in range(n)]
+    values = [_values(game, i, mixes, behaviors[i]) for i in range(n)]
     # a grid cell adjacent to a true equilibrium has residual of order
     # slope * spacing; anything above that is a flat-valley artifact, not an
     # equilibrium the grid can certify
@@ -888,7 +927,8 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
             for v, o, g, c in zip(values, opponents, grids, cells)
         )
     at = _slack_minima(residual, slack)
-    return [MixedProfile([g[i] for g, i in zip(grids, idx)]) for idx in zip(*at)]
+    # rows of the read-only cached grids
+    return [MixedProfile._adopt([g[i] for g, i in zip(grids, idx)]) for idx in zip(*at)]
 
 
 # Candidates per block of _grid_candidates, whose arrays then stay below

@@ -38,6 +38,7 @@ from ptgrid.games import (
     _residual,
     _simplex_grid,
     _slack_minima,
+    _values,
 )
 from ptgrid.prospects import (
     PrelecWeighting,
@@ -298,7 +299,10 @@ def test_values_equal_reference_kernel_bit_for_bit(n_players, alpha, frame):
                 expected = reference_values(game, i, batch, behaviors)
                 # first call fills the memo, the second reads it
                 assert np.array_equal(pure_action_values(game, i, batch, behaviors), expected)
-                assert np.array_equal(pure_action_values(game, i, batch, behaviors), expected)
+                checked = pure_action_values(game, i, batch, behaviors)
+                assert np.array_equal(checked, expected)
+                # the unchecked kernel entry the solvers call
+                assert _values(game, i, batch, behaviors[i]).tobytes() == checked.tobytes()
 
 
 def reshape_chain_joint_prob(opponents):
@@ -396,6 +400,11 @@ def test_nan_opponent_mix_raises(behavior):
     game = MATCHING_PENNIES
     with pytest.raises(ValueError):
         pure_action_values(game, 0, [[0.5, 0.5], [np.nan, np.nan]], [behavior] * 2)
+    # each opponent mix is checked, not only their joint product, which is
+    # 0.25 everywhere here
+    game = FiniteGame(np.zeros((3, 2, 2, 2)))
+    with pytest.raises(ValueError):
+        pure_action_values(game, 0, [[0.5, 0.5], [-0.5, -0.5], [-0.5, -0.5]], [behavior] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +430,21 @@ def test_player_index_errors():
         eut_utility(MATCHING_PENNIES, 2, prof)
     with pytest.raises(IndexError):
         pt_utility(MATCHING_PENNIES, -1, prof, eut_behaviors(2))
+    # a bool would index the payoffs as a mask, and a bool or float player
+    # would be the memo key of an integer one
+    game = FiniteGame(np.arange(8.0).reshape(2, 2, 2))
+    prof = MixedProfile.uniform(game)
+    want = solve_2x2(FiniteGame(game.payoffs))
+    for player in (True, False, np.True_, 1.0, "1"):
+        with pytest.raises(TypeError):
+            eut_utility(game, player, prof)
+        with pytest.raises(TypeError):
+            best_response(game, player, prof, eut_behaviors(2))
+        with pytest.raises(TypeError):
+            pure_action_values(game, player, prof, eut_behaviors(2))
+    assert eut_utility(game, np.int64(1), prof) == 5.5
+    got = solve_2x2(game)
+    assert [[m.tobytes() for m in r.profile] for r in got] == [[m.tobytes() for m in r.profile] for r in want]
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +573,18 @@ def per_candidate_solve_2x2(game, behaviors, tol):
     return results
 
 
+def assert_adopted(profile):
+    """A solver's profile holds read-only mixes that view only read-only
+    arrays, with the bytes MixedProfile gives on the same rows."""
+    built = MixedProfile(profile.mixes)
+    for m, b in zip(profile, built):
+        view = m
+        while view is not None:
+            assert not view.flags.writeable
+            view = view.base
+        assert (m.dtype, m.shape, m.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def test_solve_2x2_matches_per_candidate_certificates_bit_for_bit():
     rng = np.random.default_rng(1515)
     several = interiors = 0
@@ -563,6 +599,7 @@ def test_solve_2x2_matches_per_candidate_certificates_bit_for_bit():
             assert len(got) == len(want)
             for r, (prof, res) in zip(got, want):
                 assert [m.tobytes() for m in r.profile] == [m.tobytes() for m in prof]
+                assert_adopted(r.profile)
                 assert repr(r.residual) == repr(res)
                 assert (r.iterations, r.converged) == (0, True)
                 assert r.residual == equilibrium_residual(game, r.profile, behaviors)
@@ -594,9 +631,18 @@ def test_fixed_point_matching_pennies_stays_uniform():
 def test_fixed_point_finds_dominant_equilibrium():
     res = solve_fixed_point(PRISONERS_DILEMMA)
     assert res.converged
+    assert_adopted(res.profile)
     np.testing.assert_allclose(res.profile[0], [0.0, 1.0], atol=1e-6)
     np.testing.assert_allclose(res.profile[1], [0.0, 1.0], atol=1e-6)
     assert res.residual <= 1e-9
+
+
+def test_fixed_point_rejects_mixes_made_nan_by_overflow():
+    # the weighted values of payoffs near the float range overflow, and the
+    # softmax of inf - inf is NaN: no profile holds such mixes
+    game = FiniteGame(np.random.default_rng(0).uniform(0.99, 1.0, size=(3, 2, 2, 2)) * 1.79e308)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        solve_fixed_point(game, [PtProfile.weighting_only(0.5)] * 3, max_iter=50)
 
 
 def test_fixed_point_reports_nonconvergence_honestly():
@@ -1212,6 +1258,7 @@ def test_brute_force_matches_reference_loop(counts, grid):
         assert found
         assert len(found) == len(expected)
         for prof, ref in zip(found, expected):
+            assert_adopted(prof)
             for m, r in zip(prof, ref):
                 np.testing.assert_array_equal(m, r)
 
