@@ -129,19 +129,24 @@ def cmd_solve(args) -> int:
         # before any solve, so an oversized grid prints no equilibrium first
         check_grid_budget(game, args.grid)
     behaviors = [behavior] * game.n_players
-    if game.n_players == 2 and game.action_counts == (2, 2):
-        results = solve_2x2(game, behaviors, tol=args.tol)
-    else:
-        res = solve_fixed_point(
-            game, behaviors, tol=args.tol, max_iter=args.max_iter
-        )
-        results = [res] if res.converged else []
-        if not res.converged:
-            print(
-                f"did not converge: residual {res.residual:.3e} after "
-                f"{res.iterations} iterations",
-                file=sys.stderr,
-            )
+    # finite payoffs near the float range can overflow the perceived action
+    # values; the solver then raises ValueError (the only one a solve with
+    # checked arguments raises), and that is a solver failure, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if game.n_players == 2 and game.action_counts == (2, 2):
+                results = solve_2x2(game, behaviors, tol=args.tol)
+            else:
+                res = solve_fixed_point(game, behaviors, tol=args.tol, max_iter=args.max_iter)
+                results = [res] if res.converged else []
+                if not res.converged:
+                    print(
+                        f"did not converge: residual {res.residual:.3e} after "
+                        f"{res.iterations} iterations",
+                        file=sys.stderr,
+                    )
+        except ValueError as exc:
+            raise SolverFailure(str(exc)) from exc
     if not results:
         return EXIT_SOLVER
     for r in results:

@@ -131,6 +131,19 @@ def test_solve_cycling_game_reports_its_max_iter_state(tmp_path, capsys, joint_p
     assert len(joint_prob_calls) < 2000
 
 
+def test_solve_overflowing_game_is_a_solver_failure(tmp_path, capsys):
+    # finite payoffs whose perceived values overflow make the solver's mixes
+    # NaN: one line and exit 3, with no warning (the suite makes warnings
+    # errors) and no traceback
+    path = tmp_path / "overflow.game"
+    save_game(FiniteGame(np.random.default_rng(0).uniform(0.99, 1.0, size=(3, 2, 2, 2)) * 1.79e308), path)
+    assert run(["solve", str(path), "--alpha", "0.5", "--max-iter", "50"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver failure: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "nan"])
 def test_solve_alpha_outside_unit_interval_exits_2(capsys, alpha):
     assert run(["solve", str(example_game_path("matching_pennies")), "--alpha", alpha]) == 2

@@ -24,14 +24,16 @@ from ptgrid.games import (
     solve_fixed_point_batch,
 )
 from ptgrid.dsm import build_dsm_game, synth_profile
-from ptgrid.fixtures import dsm_config_path
-from ptgrid.formats import load_dsm_config
+from ptgrid.fixtures import dsm_config_path, storage_config_path
+from ptgrid.formats import load_dsm_config, load_storage_config
 from ptgrid.games import (
     _ArgmaxPeriods,
+    _certified_bracket,
     _framed_payoffs,
     _grid_candidates,
     _grid_slack,
     _indifference_prob,
+    _indifference_root,
     _joint_prob,
     _mat_vec,
     _prefetched_solves,
@@ -48,6 +50,7 @@ from ptgrid.prospects import (
     frame_value,
     prelec_weight,
 )
+from ptgrid.storage import framing_sweep, sweep_company_price, sweep_selling_price
 
 MATCHING_PENNIES = FiniteGame.from_bimatrix(
     [[1.0, -1.0], [-1.0, 1.0]],
@@ -554,6 +557,97 @@ def test_solve_2x2_extreme_gap_ratio():
     results = solve_2x2(game, [PtProfile.weighting_only(0.5)] * 2)
     assert [tuple(int(np.argmax(m)) for m in r.profile) for r in results] == [(0, 1)]
     assert interior(results) == []
+
+
+def bisected_indifference_root(target, alpha):
+    """The 2x2 root as plain bisection finds it, the reference for
+    _indifference_root: from (0, 1), every midpoint evaluated."""
+    lo, hi, mid = 0.0, 1.0, 0.5
+    lo_excess = hi_excess = 0.0
+    while lo < mid < hi:
+        excess = (-math.log1p(-mid)) ** alpha - (-math.log(mid)) ** alpha - target
+        if excess < 0.0:
+            lo, lo_excess = mid, excess
+        else:
+            hi, hi_excess = mid, excess
+        mid = 0.5 * (lo + hi)
+    if lo == 0.0:
+        return hi
+    if hi == 1.0:
+        return lo
+    return hi if abs(hi_excess) < abs(lo_excess) else lo
+
+
+def assert_root_is_bisected(target, alpha):
+    got, want = _indifference_root(target, alpha), bisected_indifference_root(target, alpha)
+    assert got.hex() == want.hex(), (target, alpha)
+
+
+def test_indifference_root_matches_bisection_on_a_seeded_sweep():
+    rng = np.random.default_rng(2828)
+    n = 100_000
+    alphas = rng.uniform(0.02, 1.0, n)
+    alphas[::7], alphas[3::7] = 1.0, 0.5
+    # |target| from 1e-6 to 800 ** alpha: past 744.4 ** alpha and 36.7 **
+    # alpha, so some roots lie beyond the floats, at 5e-324 and 1 - 2^-53
+    targets = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, alphas * math.log10(800.0))
+    certified = 0
+    for target, alpha in zip(targets.tolist(), alphas.tolist()):
+        assert_root_is_bisected(target, alpha)
+        certified += _certified_bracket(target, alpha) is not None
+    assert certified > 0.9 * n
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+def test_indifference_root_falls_back_beyond_the_certificate(alpha):
+    # |target| >= 700 and roots below 1e-300 are bisected from (0, 1)
+    for target in (-800.0, -750.0, -700.0, 700.0, 750.0, 800.0):
+        assert _certified_bracket(target, alpha) is None
+        assert_root_is_bisected(target, alpha)
+    for log_q in (-691.0, -695.0, -700.0, -720.0, -744.0):
+        # the target whose root is e^log_q, up to a term below 1e-29
+        target = -(-log_q) ** alpha
+        assert bisected_indifference_root(target, alpha) < 1e-300
+        assert _certified_bracket(target, alpha) is None
+        assert_root_is_bisected(target, alpha)
+
+
+def workload_roots(monkeypatch):
+    """(target, alpha) of every root the storage figures' sweeps and the
+    custom-games benchmark's 2x2 games (seed 3, input sets 0-3) solve."""
+    roots = {"storage": [], "custom-games": []}
+    solve = ptgrid.games._indifference_root
+
+    def record(target, alpha):
+        roots[which].append((target, alpha))
+        return solve(target, alpha)
+
+    monkeypatch.setattr(ptgrid.games, "_indifference_root", record)
+    which = "storage"
+    cfg = load_storage_config(storage_config_path())
+    sweep_selling_price(cfg["consumers"], cfg["grid"], cfg["b_grid"], cfg["alphas"])
+    sweep_company_price(cfg["consumers"], cfg["grid"], cfg["rho_grid"], cfg["alphas"])
+    framing_sweep(cfg["consumers"], cfg["grid"], cfg["ref_grid"], cfg["gammas"], beta=cfg["frame_beta"])
+    which = "custom-games"
+    for k in range(4):
+        # the benchmark's seed of input set k, then its 160 2x2 draws
+        rng = np.random.default_rng(3 if k == 0 else int(np.random.SeedSequence([3, k]).generate_state(1)[0]))
+        for _ in range(160):
+            game = FiniteGame(rng.uniform(-5.0, 5.0, size=(2, 2, 2)))
+            solve_2x2(game, [PtProfile.weighting_only(float(rng.uniform(0.2, 1.0)))] * 2)
+    return roots
+
+
+def test_indifference_root_matches_bisection_on_the_workload_roots(monkeypatch):
+    roots = workload_roots(monkeypatch)
+    assert len(roots["storage"]) > 300 and len(roots["custom-games"]) > 500
+    for name, pairs in roots.items():
+        for target, alpha in pairs:
+            assert_root_is_bisected(target, alpha)
+            if _certified_bracket(target, alpha) is None:
+                # only a root beyond the floats: every storage root certifies
+                assert name == "custom-games"
+                assert bisected_indifference_root(target, alpha) in (5e-324, 1.0 - 2.0 ** -53)
 
 
 def per_candidate_solve_2x2(game, behaviors, tol):
