@@ -477,8 +477,22 @@ def _indifference_root(target, alpha):
     that bracket move, since the certified E(a) < 0 < E(b) puts the last
     sign change strictly inside it, so the final pick reads only excesses
     the loop stored.
+
+    Without that bracket, a root beyond the floats takes no loop. When E at
+    5e-324 exceeds its margin, the bracket's certificate puts every
+    midpoint at hi, and the bisection returns 5e-324; when E at 1 - 2^-53
+    is below minus its margin, every midpoint goes to lo, and it returns
+    1 - 2^-53.
     """
-    lo, hi = _certified_bracket(target, alpha) or (0.0, 1.0)
+    bracket = _certified_bracket(target, alpha)
+    if bracket is None:
+        # sign: the side of 0 that E keeps at every midpoint when the root
+        # lies beyond q
+        for q, sign in ((math.nextafter(0.0, 1.0), 1.0), (math.nextafter(1.0, 0.0), -1.0)):
+            big_f, big_g = (-math.log1p(-q)) ** alpha, (-math.log(q)) ** alpha
+            if sign * (big_f - big_g - target) > _ROOT_MARGIN * (big_f + big_g + abs(target)):
+                return q
+    lo, hi = bracket or (0.0, 1.0)
     lo_excess = hi_excess = 0.0
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
@@ -516,10 +530,9 @@ def _certified_bracket(target, alpha):
     midpoint is the first multiple in [a, b] of the largest power of two
     that [a, b] holds.
 
-    When the bisection starts from (0, 1) instead: Newton has not met
-    |E| <= m within _NEWTON_STEPS steps, |u| reached _NEWTON_U_LIMIT, a or
-    b is not inside (0, 1) (a root within two floats of 1, or beyond the
-    floats), or a margin test failed.
+    None when Newton has not met |E| <= m within _NEWTON_STEPS steps, |u|
+    reached _NEWTON_U_LIMIT, a or b is not inside (0, 1) (a root within two
+    floats of 1, or beyond the floats), or a margin test failed.
     """
     u = target
     for _ in range(_NEWTON_STEPS):
@@ -659,14 +672,16 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     Windows. Once hardened, a member's step adds the _STEP * identity row of
     its argmax, so its argmax rows decide its path. While every member has
     an argmax period (_ArgmaxPeriods), a pass evaluates a window of W
-    iterations, W the smallest period, as extra batch rows: row 0 is the
-    state reached, and row j + 1 steps from row j toward the argmax of one
-    period before. Mixes and values are then (P, W * K, A), row-major over
-    (W, K), and each row has the bits of a one-row pass. The loop goes on
-    from the first row whose argmax code breaks its guess, whose mixes
-    repeat the snapshot or whose residual reaches tol, else from the last.
-    A window also ends at the next snapshot and at the earliest finish, and
-    takes at most max(1, _WINDOW_ENTRIES // entries per row) rows."""
+    iterations as extra batch rows: row 0 is the state reached, and row
+    j + 1 steps from row j toward the argmax of one period before. Mixes and
+    values are then (P, W * K, A), row-major over (W, K), and each row has
+    the bits of a one-row pass. The loop goes on from the first row whose
+    argmax code breaks its guess, whose mixes repeat the snapshot or whose
+    residual reaches tol, else from the last. W is the smallest period at
+    first and after a broken guess; after a window whose guesses all held,
+    it doubles, up to _CYCLE_STRIDE. A window also ends at the next snapshot
+    and at the earliest finish, and takes at most max(1, _WINDOW_ENTRIES //
+    entries per row) rows."""
     n, counts = game.n_players, game.action_counts
     blocks = {}  # opponents' action counts -> the players who face them
     for i in range(n):
@@ -712,6 +727,7 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     finish = np.full(len(sets), max_iter)  # the iteration each row leaves at, at the latest
     snapshot = since = None  # the hardened mixes the cycle test compares with, and their iteration
     periods = None  # the hardened argmax codes, from the first hardened iteration on
+    span = 0  # the next window's length before its caps, 0 for the smallest period
     results = [None] * len(sets)
     iteration = 0
     with np.errstate(divide="ignore"):
@@ -723,8 +739,8 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                 if periods is None:
                     periods = _ArgmaxPeriods(size)
                 elif periods.window > 1:
-                    rows = min(periods.window, int(finish.min()) - iteration + 1, since + _CYCLE_STRIDE - iteration + 1,
-                               max(1, _WINDOW_ENTRIES // (joint * size)))
+                    rows = min(max(span, periods.window), int(finish.min()) - iteration + 1,
+                               since + _CYCLE_STRIDE - iteration + 1, max(1, _WINDOW_ENTRIES // (joint * size)))
                 if rows > 1:
                     guesses = periods.guesses(rows)  # (rows, K)
                     # each block's targets, (rows - 1, P, K, A), from its digits
@@ -767,6 +783,7 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                     stop = np.flatnonzero(np.logical_or.reduce(missed | repeat | (residual <= tol), axis=1))
                     last = int(stop[0]) if len(stop) else rows - 1
                     periods.add(codes[:last + 1], missed[last])
+                    span = 0 if np.count_nonzero(missed[last]) else min(2 * max(span, periods.window), _CYCLE_STRIDE)
                     iteration += last
                     residual = residual[last]
                     accepted = slice(last * size, (last + 1) * size)
@@ -843,9 +860,10 @@ def _damped_rows(m, targets):
 
 
 # Joint-probability entries above which a window takes fewer rows than its
-# period: past this size a row's arithmetic far outweighs the per-call cost
-# it saves, so a longer window would only grow the pass's arrays
-# (CHANGES.md, "a window of one argmax period per kernel call").
+# length, one period or a doubling of it: past this size a row's arithmetic
+# far outweighs the per-call cost it saves, so a longer window would only
+# grow the pass's arrays (CHANGES.md, "a window of one argmax period per
+# kernel call").
 _WINDOW_ENTRIES = 1 << 16
 
 # Hardened rows between two period searches while the window is one row,
@@ -858,7 +876,9 @@ _PERIOD_SEARCH = 32
 class _ArgmaxPeriods:
     """The hardened argmax codes of the loop's running members (one int per
     member and row, its players' argmaxes in mixed radix) and each member's
-    argmax period, from which _fixed_point_loop guesses a window's codes.
+    argmax period, from which _fixed_point_loop guesses a window's codes:
+    each row repeats the row one period before it, so a window of several
+    periods repeats the last period's rows.
 
     A member's period is the smallest p <= _CYCLE_STRIDE such that each of
     its last max(p, _PERIOD_SEARCH) rows equals the row p before it; the
@@ -894,8 +914,11 @@ class _ArgmaxPeriods:
         self.window = int(np.minimum.reduce(period)) or 1
 
     def guesses(self, count):
-        """The (count, K) codes one period before the next count rows."""
-        return self.codes[self.offsets[:count] + (self.end - self.period), self.cols]
+        """The (count, K) codes one period before the next count rows: row j
+        of member k reads row end - p_k + (j mod p_k), the code one period
+        before it when the window's rows before it keep their guesses, from
+        the rows already written."""
+        return self.codes[self.offsets[:count] % self.period + (self.end - self.period), self.cols]
 
     def add(self, rows, broken=None):
         """Append the (count, K) codes rows; broken marks the members whose

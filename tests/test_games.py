@@ -612,6 +612,22 @@ def test_indifference_root_falls_back_beyond_the_certificate(alpha):
         assert_root_is_bisected(target, alpha)
 
 
+def test_indifference_root_beyond_the_floats_is_not_bisected(monkeypatch):
+    # roots at 5e-324 and at 1 - 2^-53 are certified by one evaluation
+    # there, where a bisection from (0, 1) makes about 1,075 and 54. Every
+    # evaluation of the excess, and every Newton step, calls log1p once
+    calls = []
+    log1p = math.log1p
+    monkeypatch.setattr(math, "log1p", lambda x: calls.append(x) or log1p(x))
+    for target, alpha, root in [(-800.0, 1.0, 5e-324), (-750.0, 0.5, 5e-324), (-(745.0 ** 0.1), 0.1, 5e-324),
+                                (40.0, 1.0, 1.0 - 2.0 ** -53), (800.0 ** 0.7, 0.7, 1.0 - 2.0 ** -53),
+                                (37.0 ** 0.5, 0.5, 1.0 - 2.0 ** -53)]:
+        calls.clear()
+        assert _indifference_root(target, alpha) == root
+        assert len(calls) <= 10, (target, alpha)
+        assert_root_is_bisected(target, alpha)
+
+
 def workload_roots(monkeypatch):
     """(target, alpha) of every root the storage figures' sweeps and the
     custom-games benchmark's 2x2 games (seed 3, input sets 0-3) solve."""
@@ -1000,14 +1016,15 @@ def test_batch_matches_single_solve_loop_past_a_cycle(joint_prob_calls, hardened
 
 def test_batch_matches_single_solve_loop_in_windows_of_the_shortest_period(joint_prob_calls, hardened_passes):
     # the argmax rows of 0.65, 0.5 and 1.0 repeat with periods 19, 25 and
-    # 14, so the batch steps 14 iterations per kernel pass, and the last
-    # pass stops at max_iter, 11 rows into its window
+    # 14, so the batch's windows start at 14 iterations per kernel pass and
+    # double while their guesses hold: 14, 28 and 56 rows, then the last
+    # pass takes the 81 rows up to max_iter of a window of 112
     game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
     sets = [[PtProfile.weighting_only(a)] * 3 for a in (0.65, 0.5, 1.0)]
     batch = assert_same_as_reference(game, sets, alone=False, max_iter=1300)
     assert [(r.iterations, r.converged) for r in batch] == [(1300, False)] * 3
-    assert max(rows for _, _, rows, _, _ in hardened_passes) == 14
-    assert hardened_passes[-1] == (1290, 14, 11, 11, False)
+    assert max(rows for _, _, rows, _, _ in hardened_passes) == 81
+    assert hardened_passes[-1] == (1220, 14, 81, 81, False)
     assert len(joint_prob_calls) < 1250
 
 
@@ -1026,15 +1043,25 @@ def test_windows_shorter_than_the_period_keep_the_bits(monkeypatch, hardened_pas
 def test_batch_matches_single_solve_loop_to_tol_in_a_window(hardened_passes):
     # the member's argmax rows repeat with period 77, which a search finds
     # before iteration 1218, and its residual first reaches this tol at
-    # iteration 1376, 5 rows into the third window of 77
+    # iteration 1376, 82 rows into the second window, twice the first
     game = FiniteGame(np.random.default_rng(3).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
     tol = float.fromhex("0x1.2d0bac13dff27p-3")
     (res,) = assert_same_as_reference(game, [[PtProfile.weighting_only(0.65)] * 3], alone=False,
                                       tol=tol, max_iter=1500)
     assert (res.iterations, res.converged) == (1376, True)
-    assert [p for p in hardened_passes if p[2] > 1] == [
-        (1218, 77, 77, 77, False), (1295, 77, 77, 77, False), (1372, 77, 77, 5, False)
-    ]
+    assert [p for p in hardened_passes if p[2] > 1] == [(1218, 77, 77, 77, False), (1295, 77, 154, 82, False)]
+
+
+def sweep_game(k):
+    """Game k of the default_rng(7) sweep of 3- and 4-player games with 2 or
+    3 actions, and its behaviors: one Prelec alpha for every player."""
+    rng = np.random.default_rng(7)
+    for _ in range(k + 1):
+        n = rng.integers(3, 5)
+        rng.integers(2, 4, size=n)
+        payoffs = rng.uniform(-5.0, 5.0, (n,) + (rng.integers(2, 4),) * n)
+        alpha = rng.uniform(0.3, 1.0)
+    return FiniteGame(payoffs), [PtProfile.weighting_only(alpha)] * int(n)
 
 
 def test_batch_matches_single_solve_loop_without_a_period(hardened_passes):
@@ -1042,15 +1069,8 @@ def test_batch_matches_single_solve_loop_without_a_period(hardened_passes):
     # than _CYCLE_STRIDE, and no argmax period up to it holds. The member
     # takes one row per pass but in the windows of periods that its rows
     # soon break, 13 and 8 rows into them
-    rng = np.random.default_rng(7)
-    for _ in range(19):  # the 19th game of this draw
-        n = rng.integers(3, 5)
-        rng.integers(2, 4, size=n)
-        payoffs = rng.uniform(-5.0, 5.0, (n,) + (rng.integers(2, 4),) * n)
-        alpha = rng.uniform(0.3, 1.0)
-    game = FiniteGame(payoffs)
-    (res,) = assert_same_as_reference(game, [[PtProfile.weighting_only(alpha)] * 4], alone=False,
-                                      max_iter=3000)
+    game, behaviors = sweep_game(18)
+    (res,) = assert_same_as_reference(game, [behaviors], alone=False, max_iter=3000)
     assert (res.iterations, res.converged) == (3000, False)
     windows = [p for p in hardened_passes if p[2] > 1]
     assert windows == [(2786, 18, 18, 13, True), (2882, 18, 18, 8, True)]
@@ -1111,6 +1131,65 @@ def test_argmax_periods_on_synthetic_code_rows():
     assert (periods.window, periods.period.tolist()) == (7, [7])
     more = np.resize([3, 3, 3, 3, 3, 1, 2], total + 700)[total - 40:total + 660, None]
     assert {p[1:4] for p in feed_periods(periods, more)} == {(7, 7, False)}
+
+
+def test_argmax_periods_guess_windows_of_several_periods():
+    # members of periods 7 and 5: once both hold, row j of a window of up
+    # to 3 periods of the longer one is guessed as the row one period
+    # before it, the rows of the window itself included
+    total = 200
+    rows = np.stack([np.resize([3, 3, 3, 3, 3, 1, 2], total), np.resize([0, 1, 1, 1, 4], total)], axis=1)
+    periods = _ArgmaxPeriods(2)
+    n = 0
+    while periods.window == 1:
+        periods.add(rows[n:n + 1])
+        n += 1
+    assert periods.period.tolist() == [7, 5]
+    for count in range(1, 3 * 7 + 1):
+        assert (periods.guesses(count) == rows[n:n + count]).all(), count
+    guesses = periods.guesses(3 * 7)
+    for k, p in enumerate((7, 5)):
+        assert (guesses[:p, k] == rows[n - p:n, k]).all()
+        assert (guesses[p:, k] == guesses[:-p, k]).all()
+
+
+def test_windows_fall_back_to_one_period_after_a_broken_guess(hardened_passes):
+    # game 107 of the sweep, 4 players and 3 actions, cycles through argmax
+    # periods of 47 to 104 rows: its windows double while their guesses
+    # hold, and after a broken guess the next window is one period again
+    game, behaviors = sweep_game(107)
+    assert not solve_fixed_point(game, behaviors).converged
+    windows = [p for p in hardened_passes if p[2] > 1]
+    assert any(rows > window for _, window, rows, _, _ in windows)
+    assert any(broke and rows > window for _, window, rows, _, broke in windows)
+    for before, after in zip(windows, windows[1:]):
+        if before[4]:
+            assert after[2] <= after[1]
+
+
+def bank_game(k):
+    """Game k of the benchmark's 3-player bank and its alpha, drawn as its
+    workload draws them: payoffs then alpha from one default_rng(0)."""
+    bank = np.random.default_rng(0)
+    for _ in range(k + 1):
+        payoffs, alpha = bank.uniform(-5.0, 5.0, size=(3, 2, 2, 2)), float(bank.uniform(0.3, 1.0))
+    return FiniteGame(payoffs), [PtProfile.weighting_only(alpha)] * 3
+
+
+def test_bank_game_0_windows_keep_the_bits_of_one_row_passes(monkeypatch, joint_prob_calls, hardened_passes):
+    # its period of 18 gives windows of 18, 36, 72 and 144 rows, then up to
+    # the snapshots; with no room for a second row, every pass is one row
+    game, behaviors = bank_game(0)
+    windowed = solve_fixed_point(game, behaviors)
+    assert len(joint_prob_calls) <= 1150
+    assert [rows for _, _, rows, _, _ in hardened_passes if rows > 1][:4] == [18, 36, 72, 144]
+    hardened_passes.clear()
+    monkeypatch.setattr(ptgrid.games, "_WINDOW_ENTRIES", 0)
+    one_row = solve_fixed_point(game, behaviors)
+    assert {rows for _, _, rows, _, _ in hardened_passes} == {1}
+    assert (windowed.iterations, windowed.converged) == (one_row.iterations, one_row.converged) == (10_000, False)
+    assert np.float64(windowed.residual).tobytes() == np.float64(one_row.residual).tobytes()
+    assert [m.tobytes() for m in windowed.profile] == [m.tobytes() for m in one_row.profile]
 
 
 def test_custom_games_bank_solves_like_reference_loop():
