@@ -3,8 +3,12 @@
 Subcommands: prospect (gain/loss demo report), solve (equilibria of a game
 file), storage (selling-price / company-price / framing sweeps as CSV), and
 dsm (hourly-load and rationality-sweep CSV). Exit codes: 0 success, 2 input
-or config error (including inputs over a size limit), 3 numerical or solver
-failure. The default output directory comes from --out, falling back to the
+or config error (including a file that cannot be read or is not UTF-8 text,
+and inputs over a size limit), 3 numerical or solver failure. main() decides
+them for every command: it runs the command with numpy's overflow and
+invalid-value warnings off, since every value past the float range is
+checked, and maps each error type to its exit code and one stderr line.
+The default output directory comes from --out, falling back to the
 PTGRID_OUT environment variable, then to the working directory. A flag is
 written over the config key of its name before the config is checked, and
 every output is written after all computation, so a failed run writes
@@ -37,6 +41,7 @@ from .formats import (
 from .games import (
     BudgetExceededError,
     GameFormatError,
+    SolverFailure,
     brute_force_equilibrium,
     check_grid_budget,
     check_solver_limits,
@@ -50,10 +55,6 @@ from .storage import framing_sweep, sweep_company_price, sweep_selling_price
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
-
-
-class SolverFailure(RuntimeError):
-    pass
 
 
 def _read_config(path, args, flags) -> dict:
@@ -99,8 +100,7 @@ def _write(args, config: dict, outputs, seed=None) -> int:
 
 def cmd_prospect(args) -> int:
     params, profile = resolve_prospect_config(_read_config(args.config, args, PROSPECT_KEYS))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned about
-        report = preference_demo(profile)
+    report = preference_demo(profile)
     if not np.all(np.isfinite(list(report.pt_values.values()))):
         raise ConfigError("gamma, beta, reference: a demo option's value leaves the float range")
     text = report.render()
@@ -129,25 +129,15 @@ def cmd_solve(args) -> int:
         # before any solve, so an oversized grid prints no equilibrium first
         check_grid_budget(game, args.grid)
     behaviors = [behavior] * game.n_players
-    # finite payoffs near the float range can overflow the perceived action
-    # values; the solver then raises ValueError (the only one a solve with
-    # checked arguments raises), and that is a solver failure, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            if game.n_players == 2 and game.action_counts == (2, 2):
-                results = solve_2x2(game, behaviors, tol=args.tol)
-            else:
-                res = solve_fixed_point(game, behaviors, tol=args.tol, max_iter=args.max_iter)
-                results = [res] if res.converged else []
-                if not res.converged:
-                    print(
-                        f"did not converge: residual {res.residual:.3e} after "
-                        f"{res.iterations} iterations",
-                        file=sys.stderr,
-                    )
-        except ValueError as exc:
-            raise SolverFailure(str(exc)) from exc
+    if game.n_players == 2 and game.action_counts == (2, 2):
+        results = solve_2x2(game, behaviors, tol=args.tol)
+        failure = f"no equilibrium certified within tol {args.tol:g}"
+    else:
+        res = solve_fixed_point(game, behaviors, tol=args.tol, max_iter=args.max_iter)
+        results = [res] if res.converged else []
+        failure = f"did not converge: residual {res.residual:.3e} after {res.iterations} iterations"
     if not results:
+        print(failure, file=sys.stderr)
         return EXIT_SOLVER
     for r in results:
         print(f"equilibrium  residual={r.residual:.3e}  {_format_profile(r.profile)}")
@@ -307,10 +297,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except (
-        ConfigError, GameFormatError, BudgetExceededError, FileNotFoundError, OSError
-    ) as exc:
+        # values past the float range are checked and reported, never warned
+        # about: a solve whose values overflow raises SolverFailure
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
+    except (ConfigError, GameFormatError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverFailure as exc:

@@ -33,6 +33,14 @@ class ConfigError(ValueError):
     """Raised when a config or data file cannot be parsed."""
 
 
+# The most values a sweep key (b_grid, rho_grid, ref_grid, gammas, alphas,
+# alpha_grid) may hold. fig 9 solves one batch member per alpha_grid value,
+# and on the bundled six consumers each member holds a (6, 1024) slice of
+# joint probabilities, 48 KiB, in every pass: at this limit that array is
+# 48 MiB, below the 128 MiB of one copy of the largest DSM payoff tensor.
+MAX_SWEEP_VALUES = 1024
+
+
 @contextmanager
 def config_errors(key: str | None = None):
     """Raise a value check's ValueError as a ConfigError, after the key or
@@ -48,8 +56,10 @@ def read_kv_config(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    with config_errors(str(path)):  # a UnicodeDecodeError is a ValueError
+        text = path.read_text(encoding="utf-8")
     out = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -71,8 +81,8 @@ def parse_grid(text: str) -> np.ndarray:
         return parse_float_list(text)
     with config_errors(f"bad grid expression {text.strip()!r}"):
         start, stop, count = text.split(":")
-        if int(count) < 1:
-            raise ValueError("the count must be positive")
+        if not 1 <= int(count) <= MAX_SWEEP_VALUES:  # before linspace allocates
+            raise ValueError(f"the count must lie in [1, {MAX_SWEEP_VALUES}]")
         return np.linspace(float(start), float(stop), int(count))
 
 
@@ -261,10 +271,13 @@ def _storage_game(consumers, grid):
 
 
 def _sweep_values(key: str, values: np.ndarray, ascending: bool = False) -> np.ndarray:
-    """The values of a sweep key, which must be non-empty, repeat no value
-    and, if ascending, be strictly ascending."""
+    """The values of a sweep key, which must be non-empty, hold at most
+    MAX_SWEEP_VALUES values, repeat no value and, if ascending, be strictly
+    ascending."""
     if values.size == 0:
         raise ConfigError(f"{key} must be non-empty")
+    if values.size > MAX_SWEEP_VALUES:
+        raise ConfigError(f"{key} holds {values.size} values, over the limit of {MAX_SWEEP_VALUES}")
     # written so that NaN fails
     if ascending and not np.all(values[1:] > values[:-1]):
         raise ConfigError(f"{key} must be strictly ascending, got {values.tolist()!r}")

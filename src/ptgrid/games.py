@@ -62,6 +62,10 @@ class GameFormatError(ValueError):
     """Raised when a game file cannot be parsed."""
 
 
+class SolverFailure(ValueError):
+    """Raised when a solve with valid arguments fails numerically."""
+
+
 class BudgetExceededError(RuntimeError):
     """Raised when an input would exceed a budget: the size of the grid
     oracle's enumeration or of the DSM payoff tensor, or the float range of
@@ -589,7 +593,8 @@ def solve_fixed_point(
 ) -> EquilibriumResult:
     """Damped best-response iteration under the selection rule of the
     module docstring; the result always carries the final residual, and
-    non-convergence is reported, not raised.
+    non-convergence is reported, not raised. Action values that overflow
+    into NaN mixes raise SolverFailure.
 
     Runs solve_fixed_point_batch on a batch of one. Inside a
     _prefetched_solves block on the game, a solve that the block ran already
@@ -809,7 +814,7 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                     # the damped step keeps every mix on the simplex unless
                     # overflowing action values make it NaN
                     if not m.min() >= 0.0:
-                        raise ValueError("the perceived action values overflow: the solver's mixes became NaN")
+                        raise SolverFailure("the perceived action values overflow: the solver's mixes became NaN")
                     m.setflags(write=False)
                 for j, k in enumerate(np.flatnonzero(done)):
                     converged = bool(residual[k] <= tol)
@@ -1233,4 +1238,8 @@ def save_game(game: FiniteGame, path) -> None:
 
 def load_game(path) -> FiniteGame:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_game(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GameFormatError(f"{path}: {exc}") from exc
+    return parse_game(text)

@@ -144,6 +144,47 @@ def test_solve_overflowing_game_is_a_solver_failure(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+# payoffs at +-1.7e308, whose differences overflow
+NEAR_MAX = 1.7e308
+
+
+def test_solve_grid_oracle_on_near_max_payoffs_warns_nothing(tmp_path, capsys):
+    # a dominance game: the oracle's gaps overflow, which main() neither
+    # warns about (the suite makes warnings errors) nor fails on
+    path = tmp_path / "dom.game"
+    save_game(FiniteGame(NEAR_MAX * np.array([[[1, 1], [-1, -1]], [[1, -1], [1, -1]]])), path)
+    assert run(["solve", str(path), "--grid", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("equilibrium  residual=0.000e+00  (1.000000, 0.000000)")
+
+
+def test_solve_2x2_game_certifying_nothing_prints_one_line(tmp_path, capsys):
+    # matching pennies at +-1.7e308 and alpha 0.5: no candidate is certified
+    path = tmp_path / "pennies.game"
+    save_game(FiniteGame(NEAR_MAX * np.array([[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]])), path)
+    assert run(["solve", str(path), "--alpha", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("no equilibrium certified") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["prospect", "--config"], ["storage", "--figure", "4", "--config"],
+     ["dsm", "--figure", "8", "--config"]],
+    ids=["solve", "prospect", "storage", "dsm"],
+)
+def test_non_utf8_input_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(bytes.fromhex("fffe00626164"))
+    out = tmp_path / "out"
+    assert run([*argv, str(path), *([] if argv == ["solve"] else ["--out", str(out)])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "nan"])
 def test_solve_alpha_outside_unit_interval_exits_2(capsys, alpha):
     assert run(["solve", str(example_game_path("matching_pennies")), "--alpha", alpha]) == 2

@@ -3,6 +3,7 @@ import pytest
 
 from ptgrid.dsm import synth_profile
 from ptgrid.formats import (
+    MAX_SWEEP_VALUES,
     ConfigError,
     load_dsm_config,
     load_storage_config,
@@ -49,6 +50,27 @@ def test_parse_grid_forms():
         parse_grid("0:1")
     with pytest.raises(ConfigError):
         parse_grid("a,b")
+
+
+def test_parse_grid_count_is_checked_before_allocating():
+    assert parse_grid(f"0:1:{MAX_SWEEP_VALUES}").shape == (MAX_SWEEP_VALUES,)
+    with pytest.raises(ConfigError, match=f"count must lie in \\[1, {MAX_SWEEP_VALUES}\\]"):
+        parse_grid(f"0:1:{MAX_SWEEP_VALUES + 1}")
+
+
+@pytest.mark.parametrize("key", ["b_grid", "rho_grid", "ref_grid", "gammas", "alphas", "alpha_grid"])
+def test_sweep_key_over_the_limit(tmp_path, key):
+    # a comma list, which parse_grid does not count, one value over the limit
+    values = ",".join(map(repr, np.linspace(0.5, 1.0, MAX_SWEEP_VALUES + 1).tolist()))
+    cfg = tmp_path / "s.cfg"
+    if key == "alpha_grid":
+        cfg.write_text(f"alpha_grid = {values}\n")
+        load = load_dsm_config
+    else:
+        cfg.write_text(STORAGE_CFG + f"{key} = {values}\n")
+        load = load_storage_config
+    with pytest.raises(ConfigError, match=f"{key} holds {MAX_SWEEP_VALUES + 1} values"):
+        load(cfg)
 
 
 def test_storage_config_round_trip(tmp_path):

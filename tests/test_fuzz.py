@@ -5,8 +5,10 @@ and `--figure 7`, `dsm --figure 8` on three consumers) or one field of a
 game file (`solve`), and runs `cli.main` in process. A second sample changes
 one key of `prospect`'s config or of `dsm --figure 9`'s on three consumers,
 drawn from the command's key table. Every case must exit 0, 2 or 3 without a
-traceback. An exit 2 must print exactly one `error:` line that names the key
-at fault, and must leave no output directory.
+traceback or a numpy warning, which the suite makes an error. An exit 2 must
+print exactly one `error:` line that names the key at fault, and must leave
+no output directory. An exit 3 must print exactly one line and leave no
+output directory either.
 
 The case sets are fixed by SEED, VOCABULARY, N_CASES and N_TABLE_CASES: a
 fixed count, not a timer, bounds the run time. The probe cases that once
@@ -143,6 +145,9 @@ def _check(tmp_path, capsys, target, fields, words):
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert all(word in err for word in words), err
         assert not out.exists()
+    if code == 3:
+        assert len(err.splitlines()) == 1, err
+        assert not out.exists()
     return code
 
 
@@ -180,6 +185,10 @@ PROBES = [
     ("game", "payoff 3", "nan", 2),  # FiniteGame's ValueError
     ("prospect", "gamma", "1e308", 2),  # RuntimeWarning: loss values past the float range
     ("dsm9", "tol", "inf", 2),  # every starting point passed as converged
+    ("dsm8", "price_coeff", "1e305", 3),  # RuntimeWarnings, then "mixes became NaN"
+    ("dsm9", "price_coeff", "1e305", 3),
+    ("storage4", "b_grid", "0.03:0.09:1000000000000", 2),  # MemoryError in np.linspace
+    ("dsm9", "alpha_grid", "0.05:1.0:1000000000000", 2),
 ]
 
 
