@@ -59,8 +59,11 @@ rng = np.random.default_rng(3)
 tensor = rng.uniform(-1, 1, size=(3, 2, 2, 2))
 game3 = FiniteGame(tensor)
 res = solve_fixed_point(game3, [PtProfile.weighting_only(0.7)] * 3)
+# damped best response may cycle instead: the solver stops once it has
+# certified that the cycle repeats forever without reaching tol
+reason = f" (certified cycle of period {res.cycle_period})" if res.cycle_period else ""
 print("\n3-player damped iteration:",
-      "converged" if res.converged else "not converged",
+      "converged" if res.converged else "not converged" + reason,
       f"after {res.iterations} iterations, residual {res.residual:.2e}")
 
 print("\nthe wire format round-trips:")

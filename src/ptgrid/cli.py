@@ -136,6 +136,8 @@ def cmd_solve(args) -> int:
         res = solve_fixed_point(game, behaviors, tol=args.tol, max_iter=args.max_iter)
         results = [res] if res.converged else []
         failure = f"did not converge: residual {res.residual:.3e} after {res.iterations} iterations"
+        if res.cycle_period:
+            failure += f", certified cycle of period {res.cycle_period}"
     if not results:
         print(failure, file=sys.stderr)
         return EXIT_SOLVER

@@ -29,14 +29,37 @@ softmax of its perceived action values at temperature _TEMPERATURE *
 _TEMP_DECAY**t (0.2 * 0.995**t). From iteration 1058, the first where that
 temperature falls below _TEMP_FLOOR = 1e-3, the target is the argmax,
 lowest index on ties. The solve stops at the first iteration whose residual
-reaches tol, or at max_iter.
+reaches tol, or where it is certified to cycle, or at max_iter.
 
 The batch and cycle contracts. solve_fixed_point_batch solves K behavior
 sets on one game in one loop, each result bit for bit the one a solve of
-that set alone returns; equal sets are solved once. A hardened solve whose
-mixes repeat an earlier hardened state bit for bit never reaches tol: it
-stops there, with the state, residual and iterations = max_iter of its
-max_iter-th iteration.
+that set alone returns; equal sets are solved once. A hardened step is m
+<- L m + B e(argmax), L = 1 - _STEP and B = _STEP. While a solve's argmax
+rows repeat with period p, phase s of the period (the iterations s, s + p,
+s + 2p, ... ahead) moves every mass monotonically from the phase's first
+state toward its limit. When _ArgmaxPeriods finds a period p > 1, the
+solve stops, not converged, with cycle_period p and the state, residual
+and iterations it has there, if at every phase, over the box between
+those two states, (a) _gap_bounds puts each player's argmax of the phase
+above every other action and (b) for some player sum_{b != top} lo(b) *
+gap(top, b) exceeds tol, lo(b) its own mass on b at the box's low end. By
+induction its rows then repeat forever, and its residual, at least (b),
+never reaches tol.
+
+The cycle certificate's rounding margin, for e = 2^-53 and p <=
+_CYCLE_STRIDE. A mass that some phase targets keeps within a relative
+11 (p + 1) e of the exact steps, as each target step multiplies its
+relative error by at most 0.9, and one that none targets only decays; the
+box ends are computed within (p + 20) e. The box ends and the bounds of
+the joint probabilities (n - 2 roundings each) are widened by _GAP_MARGIN
+= 2^-36 relatively, over ten times that, and by _SUBNORMAL_MARGIN =
+2^-1070 for subnormal masses, where 0.9 * 2^-1074 rounds to 2^-1074. A
+Prelec weight is off by at most 2^-51 (log, ** and exp each within 1 ulp)
+and a mat-vec of M terms by M 2^-52 S_a, S_a = sum_o |F[a, o]| over the
+framed payoffs F, so each gap bound subtracts _GAP_MARGIN M (S_a + S_b),
+against at most (2M + 6) 2^-52 (S_a + S_b) of rounding. (b) subtracts
+_GAP_MARGIN A S_max, for the fold of v.m and the drift of a mix's sum from
+1 (at most 21 A 2^-52 S_max), and asks for more than tol (1 + _GAP_MARGIN).
 
 What BLAS still decides. No BLAS call computes the certificate, so no CPU
 dispatch sets its summation order. The action values it reads come from
@@ -207,6 +230,9 @@ class EquilibriumResult:
     residual: float
     iterations: int
     converged: bool
+    # the argmax period of a fixed-point solve certified to cycle without
+    # reaching tol (module docstring), else None
+    cycle_period: int | None = None
 
     def __post_init__(self):
         if self.residual < 0.0:
@@ -282,6 +308,31 @@ def _values(game: FiniteGame, player: int, mixes, behavior) -> np.ndarray:
     framed = _framed_payoffs(game, player, behavior.frame)
     with np.errstate(divide="ignore"):
         return _mat_vec(framed, _weights(q, behavior.weighting.alpha))
+
+
+# The rounding margins of the cycle certificate (module docstring)
+_GAP_MARGIN = 2.0 ** -36
+_SUBNORMAL_MARGIN = 2.0 ** -1070
+
+
+def _gap_bounds(game: FiniteGame, player: int, lo, hi, behavior) -> np.ndarray:
+    """Lower bounds, (..., A_i, A_i), of v(a) - v(b) for each pair of the
+    player's actions, as _values computes them, over every profile of
+    opponent mixes between lo and hi (mixes as _values takes them). Each
+    joint probability lies between its products at lo and hi, and Prelec's
+    w rises, so F[a, o] - F[b, o] adds at least itself times w at lo when
+    positive, at hi when negative; less the margin of the module docstring.
+    An overflow makes a bound -inf or NaN, which certifies nothing."""
+    framed = _framed_payoffs(game, player, behavior.frame)
+    q_lo, q_hi = (_joint_prob([m for j, m in enumerate(box) if j != player]) for box in (lo, hi))
+    diff = (framed[:, None] - framed).reshape(-1, framed.shape[1])  # (A * A, M)
+    size = np.add.reduce(np.abs(framed), axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w_lo = _weights(q_lo * (1.0 - _GAP_MARGIN), behavior.weighting.alpha)
+        w_hi = _weights(np.minimum(q_hi * (1.0 + _GAP_MARGIN), 1.0), behavior.weighting.alpha)
+        bound = _mat_vec(np.maximum(diff, 0.0), w_lo) + _mat_vec(np.minimum(diff, 0.0), w_hi)
+        margin = _GAP_MARGIN * framed.shape[1] * (size[:, None] + size)
+        return bound.reshape(bound.shape[:-1] + margin.shape) - margin
 
 
 # Size of the running product from which _joint_prob fills one action column
@@ -581,10 +632,9 @@ _TEMPERATURE = 0.2
 _TEMP_DECAY = 0.995
 _TEMP_FLOOR = 1e-3
 
-# Hardened iterations between two snapshots of the cycle test, and the
-# longest argmax period: a shorter stride misses more cycles, a longer one
-# finds them later (CHANGES.md, "Cycle skip and one weighting call per
-# block").
+# The longest argmax period _ArgmaxPeriods looks for: a cycle of a longer
+# period runs to max_iter, and each search compares every new row with this
+# many rows before it.
 _CYCLE_STRIDE = 512
 
 
@@ -593,8 +643,10 @@ def solve_fixed_point(
 ) -> EquilibriumResult:
     """Damped best-response iteration under the selection rule of the
     module docstring; the result always carries the final residual, and
-    non-convergence is reported, not raised. Action values that overflow
-    into NaN mixes raise SolverFailure.
+    non-convergence is reported, not raised. A solve certified to cycle
+    stops early, not converged, with cycle_period set, and with the state,
+    residual and iterations a run to that iteration gives. Action values
+    that overflow into NaN mixes raise SolverFailure.
 
     Runs solve_fixed_point_batch on a batch of one. Inside a
     _prefetched_solves block on the game, a solve that the block ran already
@@ -665,28 +717,13 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     as (P, K, A) arrays, K the members still running. A kernel pass makes,
     per block, one gather of the opponents' mixes, one _joint_prob call,
     one Prelec weighting in place, one mat-vec per player, one _residual
-    call and one damped step. A member leaves at the iteration where its
-    residual reaches tol, at max_iter, or at its cycle's finish.
+    call and one damped step. Every entry of those arrays is computed as a
+    solve of its member alone computes it.
 
-    Cycles. Once hardened, a member's next mixes are a function of its own.
-    So when its mixes at iteration t equal, bit for bit, the snapshot taken
-    at hardened iteration s, its state at max_iter is its state at the
-    finish t + (max_iter - t) mod (t - s). The snapshot is retaken every
-    _CYCLE_STRIDE hardened iterations.
-
-    Windows. Once hardened, a member's step adds the _STEP * identity row of
-    its argmax, so its argmax rows decide its path. While every member has
-    an argmax period (_ArgmaxPeriods), a pass evaluates a window of W
-    iterations as extra batch rows: row 0 is the state reached, and row
-    j + 1 steps from row j toward the argmax of one period before. Mixes and
-    values are then (P, W * K, A), row-major over (W, K), and each row has
-    the bits of a one-row pass. The loop goes on from the first row whose
-    argmax code breaks its guess, whose mixes repeat the snapshot or whose
-    residual reaches tol, else from the last. W is the smallest period at
-    first and after a broken guess; after a window whose guesses all held,
-    it doubles, up to _CYCLE_STRIDE. A window also ends at the next snapshot
-    and at the earliest finish, and takes at most max(1, _WINDOW_ENTRIES //
-    entries per row) rows."""
+    Exits. A member leaves at the iteration where its residual reaches tol,
+    at max_iter, or at a search of _ArgmaxPeriods that finds it an argmax
+    period p > 1 which _certified_cycle proves it keeps forever without
+    reaching tol; it then leaves with cycle_period p."""
     n, counts = game.n_players, game.action_counts
     blocks = {}  # opponents' action counts -> the players who face them
     for i in range(n):
@@ -726,86 +763,38 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     # is the digit of place value prod(counts[:i]): equal rows, equal codes
     place = np.cumprod((1,) + counts[:-1])
     radix = [place[players] for players in blocks]
-    # joint-probability entries of one member in one row of a pass
-    joint = sum(len(players) * math.prod(counts) // counts[players[0]] for players in blocks)
     members = np.arange(len(sets))  # batch member of each row
-    finish = np.full(len(sets), max_iter)  # the iteration each row leaves at, at the latest
-    snapshot = since = None  # the hardened mixes the cycle test compares with, and their iteration
     periods = None  # the hardened argmax codes, from the first hardened iteration on
-    span = 0  # the next window's length before its caps, 0 for the smallest period
     results = [None] * len(sets)
     iteration = 0
     with np.errstate(divide="ignore"):
         while True:
             temp = _TEMPERATURE * _TEMP_DECAY**iteration
             hardened = temp < _TEMP_FLOOR
-            rows, size = 1, len(members)  # the window's rows, and the members in each
-            if hardened:
-                if periods is None:
-                    periods = _ArgmaxPeriods(size)
-                elif periods.window > 1:
-                    rows = min(max(span, periods.window), int(finish.min()) - iteration + 1,
-                               since + _CYCLE_STRIDE - iteration + 1, max(1, _WINDOW_ENTRIES // (joint * size)))
-                if rows > 1:
-                    guesses = periods.guesses(rows)  # (rows, K)
-                    # each block's targets, (rows - 1, P, K, A), from its digits
-                    mixes = [_damped_rows(m, eye[guesses[:-1, None] // r[:, None] % len(eye)])
-                             for m, r, eye in zip(mixes, radix, step_eyes)]
             if iteration:
                 for b, (gather, block_framed) in enumerate(zip(gathers, framed)):
                     # the iteration's largest array, weighted in place
                     q = _joint_prob([o for c, idx in gather for o in mixes[c].take(idx, axis=0)])
-                    alpha = block_alphas[b]
-                    if rows > 1 and isinstance(alpha, np.ndarray):
-                        alpha = np.tile(alpha, rows)
-                    _weights(q, alpha, out=q)
-                    # overwritten: the last step has read it
-                    v = values[b] if rows == 1 else np.empty(mixes[b].shape)
+                    _weights(q, block_alphas[b], out=q)
                     for p, f in enumerate(block_framed):
-                        v[p] = _mat_vec(f, q[p])
-                    values[b] = v
+                        values[b][p] = _mat_vec(f, q[p])
                     del q
             # max over a block's players, then over the blocks: exact
             residual = functools.reduce(np.maximum, (
                 np.maximum.reduce(_residual([(v, m)])) for v, m in zip(values, mixes)
             ))
+            done = (residual <= tol) | (iteration == max_iter)
+            cycles = {}  # row -> the argmax period _certified_cycle proved
             if hardened:
-                tops = [v.argmax(axis=-1) for v in values]  # (P, rows * K) per block
-                codes = functools.reduce(np.add, (np.dot(r, t) for r, t in zip(radix, tops))).reshape(rows, size)
-                # the cycle test: a row that repeats the snapshot has period
-                # iteration - since
-                if snapshot is not None:
-                    repeat = functools.reduce(np.logical_and, (
-                        np.logical_and.reduce(
-                            m.reshape(s.shape[:1] + (rows,) + s.shape[2:]).view(np.int64) == s, axis=(0, 3)
-                        )
-                        for m, s in zip(mixes, snapshot)
-                    ))  # (rows, K)
-                last = 0  # the window's row whose steps the loop takes
-                if rows > 1:
-                    residual = residual.reshape(rows, size)
-                    missed = codes != guesses
-                    stop = np.flatnonzero(np.logical_or.reduce(missed | repeat | (residual <= tol), axis=1))
-                    last = int(stop[0]) if len(stop) else rows - 1
-                    periods.add(codes[:last + 1], missed[last])
-                    span = 0 if np.count_nonzero(missed[last]) else min(2 * max(span, periods.window), _CYCLE_STRIDE)
-                    iteration += last
-                    residual = residual[last]
-                    accepted = slice(last * size, (last + 1) * size)
-                    mixes = [m[:, accepted] for m in mixes]
-                    values = [v[:, accepted] for v in values]
-                    tops = [t[:, accepted] for t in tops]
-                else:
-                    periods.add(codes)
-                if snapshot is not None:
-                    repeat = repeat[last]
-                    if np.count_nonzero(repeat):
-                        finish[repeat] = iteration + (max_iter - iteration) % (iteration - since)
-                if snapshot is None or iteration - since == _CYCLE_STRIDE:
-                    # the bits, (P, 1, K, A), so that neither -0 == 0 nor
-                    # nan != nan can decide; mixes are never written in place
-                    snapshot, since = [m.view(np.int64)[:, None] for m in mixes], iteration
-            done = (residual <= tol) | (finish == iteration)
+                tops = [v.argmax(axis=-1) for v in values]  # (P, K) per block
+                codes = functools.reduce(np.add, (np.dot(r, t) for r, t in zip(radix, tops)))
+                if periods is None:
+                    periods = _ArgmaxPeriods(len(members))
+                if periods.add(codes):
+                    for k in np.flatnonzero((periods.period > 1) & ~done):
+                        state = [mixes[b][p, k] for b, p in where]
+                        if _certified_cycle(game, sets[members[k]], state, periods.last(k), tol):
+                            cycles[k], done[k] = int(periods.period[k]), True
             leaving = np.count_nonzero(done)  # cheaper than done.any() on a few rows
             if leaving:
                 # the leaving members' mixes, one read-only copy per block
@@ -817,22 +806,21 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                         raise SolverFailure("the perceived action values overflow: the solver's mixes became NaN")
                     m.setflags(write=False)
                 for j, k in enumerate(np.flatnonzero(done)):
-                    converged = bool(residual[k] <= tol)
                     results[members[k]] = EquilibriumResult(
                         MixedProfile._adopt([left[b][p, j] for b, p in where]),
                         float(residual[k]),
-                        iteration if converged else max_iter,
-                        converged,
+                        iteration,
+                        bool(residual[k] <= tol),
+                        cycles.get(k),
                     )
                 if leaving == len(done):
                     return results
                 keep = ~done
-                members, finish = members[keep], finish[keep]
+                members = members[keep]
                 mixes = [m[:, keep] for m in mixes]
                 values = [v[:, keep] for v in values]
                 if hardened:
                     tops = [t[:, keep] for t in tops]
-                    snapshot = [s[:, :, keep] for s in snapshot]
                     periods.keep(keep)
                 alphas = [a[:, keep] for a in alphas]
                 block_alphas = [a.item(0) if (a == a.item(0)).all() else a for a in alphas]
@@ -851,48 +839,56 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
             iteration += 1
 
 
-def _damped_rows(m, targets):
-    """m, a block's (P, K, A) mixes, then one hardened step per (P, K, A)
-    target, each from the row before: (1 - _STEP) * row plus the target.
-    Returns the rows as (P, rows * K, A), row-major over (rows, K); they are
-    built in a buffer of contiguous rows and copied into that layout once."""
-    out = np.empty((len(targets) + 1,) + m.shape)
-    out[0] = m
-    for prev, row, target in zip(out, out[1:], targets):
-        np.multiply(prev, 1.0 - _STEP, out=row)
-        row += target
-    return out.transpose(1, 0, 2, 3).reshape(len(m), -1, m.shape[-1])
+def _certified_cycle(game, behaviors, mixes, codes, tol) -> bool:
+    """Whether a hardened member at mixes keeps the argmax codes of its last
+    period (oldest first, the current iteration's last) forever and never
+    reaches tol, by the cycle certificate of the module docstring. Phase s
+    targets codes[s - 1]; it starts at L^s m + B S_s, S_s = sum_{j<s}
+    L^(s-1-j) e_j, and tends to L^s m* + B S_s, m* = B S_p / (1 - L^p): sums
+    of non-negative terms, evaluated as L^s times a running sum of L^-j
+    e_j."""
+    period, counts = len(codes), game.action_counts
+    tops = np.roll(codes, 1)[:, None] // np.cumprod((1,) + counts[:-1]) % counts  # (p, n)
+    decay = (1.0 - _STEP) ** np.arange(period + 1.0)[:, None]  # L^s, s = 0 ... p
+    lo, hi = [], []
+    for m, top, a in zip(mixes, tops.T, counts):
+        # B S_s for s = 0 ... p; row a of eye(a + 1, a), zeros, gives S_0
+        added = _STEP * decay * np.cumsum(np.eye(a + 1, a)[np.r_[a, top]] / decay, axis=0)
+        start = m * decay[:-1] + added[:-1]
+        limit = added[-1] / (1.0 - decay[-1]) * decay[:-1] + added[:-1]
+        lo.append(np.maximum(np.minimum(start, limit) * (1.0 - _GAP_MARGIN) - _SUBNORMAL_MARGIN, 0.0))
+        hi.append(np.maximum(start, limit) * (1.0 + _GAP_MARGIN) + _SUBNORMAL_MARGIN)
+    bound = np.zeros(period)  # per phase, the largest residual bound over the players
+    for i, (behavior, top) in enumerate(zip(behaviors, tops.T)):
+        gaps = _gap_bounds(game, i, lo, hi, behavior)[np.arange(period), top]  # (p, A): top over each action
+        others = np.arange(counts[i]) != top[:, None]
+        if not (gaps[others] > 0.0).all():  # a NaN bound fails too
+            return False
+        size = np.add.reduce(np.abs(_framed_payoffs(game, i, behavior.frame)), axis=-1).max()
+        own = np.add.reduce(np.where(others, lo[i] * gaps, 0.0), axis=-1) - _GAP_MARGIN * counts[i] * size
+        bound = np.maximum(bound, own)
+    return bool((bound > tol * (1.0 + _GAP_MARGIN)).all())
 
 
-# Joint-probability entries above which a window takes fewer rows than its
-# length, one period or a doubling of it: past this size a row's arithmetic
-# far outweighs the per-call cost it saves, so a longer window would only
-# grow the pass's arrays (CHANGES.md, "a window of one argmax period per
-# kernel call").
-_WINDOW_ENTRIES = 1 << 16
-
-# Hardened rows between two period searches while the window is one row,
-# and the least lookback of a period (_ArgmaxPeriods): a search per row
-# would double a one-row iteration's cost, and a longer gap delays the
-# first window (the same CHANGES.md entry).
+# Hardened rows between two period searches, and the least lookback of a
+# period (_ArgmaxPeriods). A search, and the _certified_cycle call it may
+# make for each member with a period, costs more than an iteration: a
+# search per row would slow every cycling solve, and a longer gap stops one
+# later.
 _PERIOD_SEARCH = 32
 
 
 class _ArgmaxPeriods:
     """The hardened argmax codes of the loop's running members (one int per
     member and row, its players' argmaxes in mixed radix) and each member's
-    argmax period, from which _fixed_point_loop guesses a window's codes:
-    each row repeats the row one period before it, so a window of several
-    periods repeats the last period's rows.
+    argmax period, the guess that _certified_cycle tests.
 
     A member's period is the smallest p <= _CYCLE_STRIDE such that each of
-    its last max(p, _PERIOD_SEARCH) rows equals the row p before it; the
-    lookback of at least _PERIOD_SEARCH rows keeps a short run of equal rows
-    from reading as period 1. window is the members' smallest period, or 1
-    while one has none. While window is 1, a search every _PERIOD_SEARCH
+    its last max(p, _PERIOD_SEARCH) rows equals the row p before it, 0 when
+    none is; the lookback of at least _PERIOD_SEARCH rows keeps a short run
+    of equal rows from reading as period 1. A search every _PERIOD_SEARCH
     rows keeps each period its rows still repeat and takes the smallest
-    that fits otherwise; a member whose row breaks its guess has no period
-    until the next search.
+    that fits otherwise.
 
     The codes sit in a buffer of 4 * _CYCLE_STRIDE rows that begins with
     _CYCLE_STRIDE rows of -1, which no code equals, and keeps its last
@@ -907,41 +903,29 @@ class _ArgmaxPeriods:
         self.codes = np.full((4 * stride, members), -1)
         # the next row's index, and the first row the table lacks
         self.end = self.read = stride
-        self.offsets = np.arange(stride)[:, None]  # row j of a window is row end + j
         # a lag p fits when the last max(p, _PERIOD_SEARCH) rows repeat it
         self.lookback = np.maximum(np.arange(1, stride + 1), _PERIOD_SEARCH)
         self.steps = np.arange(1, stride + 1, dtype=np.int16)[:, None, None]
-        self._members(np.full((members, stride), -1), np.zeros(members, dtype=np.intp))
+        self.differs = np.full((members, stride), -1)
+        self.period = np.zeros(members, dtype=np.intp)
 
-    def _members(self, differs, period):
-        self.differs, self.period = differs, period
-        self.cols = np.arange(len(period))
-        self.window = int(np.minimum.reduce(period)) or 1
+    def last(self, k):
+        """Member k's codes of its last period, oldest first."""
+        return self.codes[self.end - self.period[k]:self.end, k]
 
-    def guesses(self, count):
-        """The (count, K) codes one period before the next count rows: row j
-        of member k reads row end - p_k + (j mod p_k), the code one period
-        before it when the window's rows before it keep their guesses, from
-        the rows already written."""
-        return self.codes[self.offsets[:count] % self.period + (self.end - self.period), self.cols]
-
-    def add(self, rows, broken=None):
-        """Append the (count, K) codes rows; broken marks the members whose
-        last row broke their guess."""
+    def add(self, row):
+        """Append one row of codes, one per member; True when a search ran."""
         stride = _CYCLE_STRIDE
-        if self.end + len(rows) > len(self.codes):
+        if self.end == len(self.codes):
             drop = self.end - 2 * stride
-            self.codes[:2 * stride] = self.codes[drop:self.end]
+            self.codes[:2 * stride] = self.codes[drop:]
             self.end -= drop
             self.read -= drop
             self.differs -= drop
-        self.codes[self.end:self.end + len(rows)] = rows
-        self.end += len(rows)
-        if broken is not None and np.count_nonzero(broken):
-            self.period[broken] = 0
-            self.window = 1
-        if self.window > 1 or self.end - self.read < _PERIOD_SEARCH:
-            return
+        self.codes[self.end] = row
+        self.end += 1
+        if self.end - self.read < _PERIOD_SEARCH:
+            return False
         # the table of the class docstring, then the periods that fit
         first = max(self.read, self.end - stride)
         codes = self.codes[first - stride:self.end]
@@ -953,15 +937,15 @@ class _ArgmaxPeriods:
         np.copyto(self.differs, latest + (first - 1), where=latest > 0)
         self.read = self.end
         fits = self.differs <= self.end - 1 - self.lookback
-        kept = fits[self.cols, self.period - 1] & (self.period > 0)
+        kept = fits[np.arange(len(self.period)), self.period - 1] & (self.period > 0)
         smallest = np.where(np.logical_or.reduce(fits, axis=1), fits.argmax(axis=1) + 1, 0)
         self.period = np.where(kept, self.period, smallest)
-        self.window = int(np.minimum.reduce(self.period)) or 1
+        return True
 
     def keep(self, kept):
         """Drop the members kept marks False."""
         self.codes = self.codes[:, kept]
-        self._members(self.differs[kept], self.period[kept])
+        self.differs, self.period = self.differs[kept], self.period[kept]
 
 
 # brute-force oracle

@@ -36,31 +36,18 @@ def joint_prob_calls(monkeypatch):
 
 
 @pytest.fixture
-def hardened_passes(monkeypatch):
-    """One entry per kernel pass of the fixed-point loop's hardened phase,
-    made during the test: (its first iteration, the window length at its
-    start, the rows it evaluated, the rows the loop accepted, whether a
-    member's last accepted row broke its guess). A batch's passes follow
-    each other; a new solve starts again at the first hardened iteration."""
-    import itertools
+def cycle_certificates(monkeypatch):
+    """One entry per cycle certificate the fixed-point loop tried during the
+    test: a copy of _certified_cycle's arguments, and its verdict."""
+    import ptgrid.games
 
-    import ptgrid.games as g
+    calls = []
+    certify = ptgrid.games._certified_cycle
 
-    first = next(t for t in itertools.count() if g._TEMPERATURE * g._TEMP_DECAY**t < g._TEMP_FLOOR)
-    passes = []
-    guesses, add = g._ArgmaxPeriods.guesses, g._ArgmaxPeriods.add
+    def recording_certify(game, behaviors, mixes, codes, tol):
+        verdict = certify(game, behaviors, mixes, codes, tol)
+        calls.append(((game, behaviors, [m.copy() for m in mixes], codes.copy(), tol), verdict))
+        return verdict
 
-    def counting_guesses(self, count):
-        self.evaluated = count  # a pass of one row takes no guesses
-        return guesses(self, count)
-
-    def counting_add(self, rows, broken=None):
-        start = getattr(self, "next_iteration", first)
-        broke = broken is not None and bool(broken.any())
-        passes.append((start, self.window, getattr(self, "evaluated", 1), len(rows), broke))
-        self.next_iteration, self.evaluated = start + len(rows), 1
-        return add(self, rows, broken)
-
-    monkeypatch.setattr(g._ArgmaxPeriods, "guesses", counting_guesses)
-    monkeypatch.setattr(g._ArgmaxPeriods, "add", counting_add)
-    return passes
+    monkeypatch.setattr(ptgrid.games, "_certified_cycle", recording_certify)
+    return calls

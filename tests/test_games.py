@@ -29,7 +29,9 @@ from ptgrid.formats import load_dsm_config, load_storage_config
 from ptgrid.games import (
     _ArgmaxPeriods,
     _certified_bracket,
+    _certified_cycle,
     _framed_payoffs,
+    _gap_bounds,
     _grid_candidates,
     _grid_slack,
     _indifference_prob,
@@ -934,10 +936,12 @@ def reference_solve(game, behaviors, step=0.1, tol=1e-9, max_iter=10000,
 def assert_same_as_reference(game, behavior_sets, alone=True, **kw):
     """Each member of one batched solve (and, with `alone`, the same member
     solved by itself) carries the reference loop's iterations, residual,
-    converged flag and profile bytes."""
+    converged flag and profile bytes; the reference loop stops a member
+    certified to cycle at the iteration the member left at."""
     batch = solve_fixed_point_batch(game, behavior_sets, **kw)
     for behaviors, res in zip(behavior_sets, batch):
-        iterations, residual, converged, mixes = reference_solve(game, behaviors, **kw)
+        stop = dict(kw, max_iter=res.iterations) if res.cycle_period else kw
+        iterations, residual, converged, mixes = reference_solve(game, behaviors, **stop)
         single = [solve_fixed_point(game, behaviors, **kw)] if alone else []
         for r in [res] + single:
             assert (r.iterations, r.residual, r.converged) == (iterations, residual, converged)
@@ -975,81 +979,41 @@ def test_batch_matches_single_solve_loop_on_fig8_pair(seed):
 
 
 def test_batch_matches_single_solve_loop_at_max_iter():
+    # 1.0, 0.65 and 0.5 leave at certified cycles, 0.3 at max_iter, and 0.1
+    # converges
     game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
     sets = [[PtProfile.weighting_only(a)] * 3 for a in (1.0, 0.65, 0.5, 0.3, 0.1)]
     sets.append([PtProfile.weighting_only(a) for a in (0.5, 1.0, 0.3)])
     batch = assert_same_as_reference(game, sets, max_iter=1500)
-    assert [r.iterations for r in batch[:5]] == [1500, 1500, 1500, 1500, 345]
+    assert [r.iterations for r in batch[:5]] == [1121, 1121, 1121, 1500, 345]
+    assert [r.cycle_period for r in batch[:5]] == [14, 19, 25, None, None]
     assert not any(r.converged for r in batch[:4])
 
 
-def test_batch_matches_single_solve_loop_past_a_cycle(joint_prob_calls, hardened_passes):
-    # the first three members' hardened mixes repeat bit for bit from
-    # iteration 7160, with periods 19 (0.65), 25 (0.5) and 14 (1.0), so each
-    # leaves at the iteration whose state is the one at max_iter; 0.65 and
-    # 1.0 leave while 0.5 still runs, which prunes the snapshot's rows, and
-    # 0.1 converges at 345
+def test_batch_matches_single_solve_loop_past_a_cycle():
+    # the first three members' argmax rows repeat with periods 19 (0.65), 25
+    # (0.5) and 14 (1.0), which the search at iteration 1121 finds and the
+    # certificate proves: each leaves there, with the state the reference
+    # loop has at that iteration, alone as in the batch; 0.1 converges
     game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
     sets = [[PtProfile.weighting_only(a)] * 3 for a in (0.65, 0.5, 1.0, 0.1)]
-    batch = assert_same_as_reference(game, sets, alone=False, max_iter=10_000)
-    assert [r.iterations for r in batch] == [10_000] * 3 + [345]
-    assert [r.converged for r in batch] == [False] * 3 + [True]
-    # one kernel call per window of hardened iterations; the reference loop
-    # does not call the kernel
-    assert len(joint_prob_calls) < 2000
-    # 0.65 repeats the snapshot of iteration 7202 at 7221, 5 rows into a
-    # window, and 0.5, alone from 7228 on, leaves at 7250 in a window cut
-    # short of its period of 25
-    assert (7217, 14, 12, 5, False) in hardened_passes
-    assert hardened_passes[-1] == (7229, 25, 22, 22, False)
-    # the finish iteration is each member's own: 0.65 alone at another
-    # residue of its period. The snapshot of iteration 7202 is repeated at
-    # 7221, so it leaves at 7225, the last row of a window that stops short
-    # of its period there
-    joint_prob_calls.clear()
-    hardened_passes.clear()
-    (alone,) = assert_same_as_reference(game, sets[:1], alone=False, max_iter=9_999)
-    assert (alone.iterations, alone.converged) == (9_999, False)
-    assert len(joint_prob_calls) < 2000
-    assert hardened_passes[-1] == (7222, 19, 4, 4, False)
+    batch = assert_same_as_reference(game, sets, max_iter=10_000)
+    assert [(r.iterations, r.converged, r.cycle_period) for r in batch] == [
+        (1121, False, 19), (1121, False, 25), (1121, False, 14), (345, True, None)
+    ]
 
 
-def test_batch_matches_single_solve_loop_in_windows_of_the_shortest_period(joint_prob_calls, hardened_passes):
-    # the argmax rows of 0.65, 0.5 and 1.0 repeat with periods 19, 25 and
-    # 14, so the batch's windows start at 14 iterations per kernel pass and
-    # double while their guesses hold: 14, 28 and 56 rows, then the last
-    # pass takes the 81 rows up to max_iter of a window of 112
-    game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
-    sets = [[PtProfile.weighting_only(a)] * 3 for a in (0.65, 0.5, 1.0)]
-    batch = assert_same_as_reference(game, sets, alone=False, max_iter=1300)
-    assert [(r.iterations, r.converged) for r in batch] == [(1300, False)] * 3
-    assert max(rows for _, _, rows, _, _ in hardened_passes) == 81
-    assert hardened_passes[-1] == (1220, 14, 81, 81, False)
-    assert len(joint_prob_calls) < 1250
-
-
-def test_windows_shorter_than_the_period_keep_the_bits(monkeypatch, hardened_passes):
-    # room for 5 rows of the 12 joint-probability entries of a 3-player,
-    # 2-action member: its windows take 5 rows of its period of 19, and
-    # the last one the 4 rows up to max_iter
-    game = FiniteGame(np.random.default_rng(0).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
-    monkeypatch.setattr(ptgrid.games, "_WINDOW_ENTRIES", 60)
-    (res,) = assert_same_as_reference(game, [[PtProfile.weighting_only(0.65)] * 3], alone=False,
-                                      max_iter=1400)
-    assert (res.iterations, res.converged) == (1400, False)
-    assert {(window, rows) for _, window, rows, _, _ in hardened_passes if rows > 1} == {(19, 5), (19, 4)}
-
-
-def test_batch_matches_single_solve_loop_to_tol_in_a_window(hardened_passes):
-    # the member's argmax rows repeat with period 77, which a search finds
-    # before iteration 1218, and its residual first reaches this tol at
-    # iteration 1376, 82 rows into the second window, twice the first
+def test_batch_matches_single_solve_loop_to_tol_in_a_window(cycle_certificates):
+    # the member's argmax rows repeat with period 77 from before iteration
+    # 1218, and its residual first reaches this tol at iteration 1376: the
+    # certificate, tried at each search on the way, refuses the period
     game = FiniteGame(np.random.default_rng(3).uniform(-5.0, 5.0, size=(3, 2, 2, 2)))
     tol = float.fromhex("0x1.2d0bac13dff27p-3")
     (res,) = assert_same_as_reference(game, [[PtProfile.weighting_only(0.65)] * 3], alone=False,
                                       tol=tol, max_iter=1500)
-    assert (res.iterations, res.converged) == (1376, True)
-    assert [p for p in hardened_passes if p[2] > 1] == [(1218, 77, 77, 77, False), (1295, 77, 154, 82, False)]
+    assert (res.iterations, res.converged, res.cycle_period) == (1376, True, None)
+    assert 77 in {len(args[3]) for args, _ in cycle_certificates}
+    assert not any(verdict for _, verdict in cycle_certificates)
 
 
 def sweep_game(k):
@@ -1064,40 +1028,41 @@ def sweep_game(k):
     return FiniteGame(payoffs), [PtProfile.weighting_only(alpha)] * int(n)
 
 
-def test_batch_matches_single_solve_loop_without_a_period(hardened_passes):
+def test_batch_matches_single_solve_loop_without_a_period(cycle_certificates):
     # 4 players, 3 actions: the hardened mixes repeat with period 626, more
-    # than _CYCLE_STRIDE, and no argmax period up to it holds. The member
-    # takes one row per pass but in the windows of periods that its rows
-    # soon break, 13 and 8 rows into them
+    # than _CYCLE_STRIDE, and no argmax period up to it holds for long. Two
+    # searches find a period of 18 that breaks soon after; the certificate
+    # refuses it, and the member runs to max_iter
     game, behaviors = sweep_game(18)
     (res,) = assert_same_as_reference(game, [behaviors], alone=False, max_iter=3000)
-    assert (res.iterations, res.converged) == (3000, False)
-    windows = [p for p in hardened_passes if p[2] > 1]
-    assert windows == [(2786, 18, 18, 13, True), (2882, 18, 18, 8, True)]
-    assert len(hardened_passes) > 1800
+    assert (res.iterations, res.converged, res.cycle_period) == (3000, False, None)
+    assert [(len(args[3]), verdict) for args, verdict in cycle_certificates] == [(18, False)] * 2
 
 
-def feed_periods(periods, rows):
-    """Add rows, (N, K) codes, to periods as _fixed_point_loop adds a
-    member's argmax codes: one row per pass while the window is 1, else a
-    window's rows up to the first that misses its guess. Returns per pass
-    (its first row, the window at its start, the rows added, whether a
-    member's last row broke its guess, the periods after it)."""
-    passes, n = [], 0
-    while n < len(rows):
-        window = periods.window
-        count = min(window, len(rows) - n)
-        missed = None
-        if count > 1:
-            missed = rows[n:n + count] != periods.guesses(count)
-            wrong = np.flatnonzero(missed.any(axis=1))
-            count = int(wrong[0]) + 1 if len(wrong) else count
-            missed = missed[count - 1]
-        periods.add(rows[n:n + count], missed)
-        broke = missed is not None and bool(missed.any())
-        passes.append((n, window, count, broke, tuple(periods.period.tolist())))
-        n += count
-    return passes
+def reference_argmax_rows(game, behaviors, mixes, count, tol):
+    """The argmax codes of count hardened steps of the reference loop from
+    mixes, one per step; the residual of every state on the way must exceed
+    tol."""
+    place = np.cumprod((1,) + game.action_counts[:-1])
+    rows = []
+    for _ in range(count):
+        values = [single_solve_values(game, i, mixes, behaviors) for i in range(game.n_players)]
+        assert max(float(v.max() - fold_dot(v, m)) for v, m in zip(values, mixes)) > tol
+        tops = [int(np.argmax(v)) for v in values]
+        rows.append(int(np.dot(place, tops)))
+        mixes = [(1.0 - 0.1) * m + 0.1 * np.eye(len(m))[t] for m, t in zip(mixes, tops)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k, period", [(31, 33), (44, 167), (56, 478), (67, 214), (79, 322)])
+def test_certified_sweep_members_keep_their_argmax_period(k, period):
+    # the reference loop, run on from the state a certified member leaves
+    # with, repeats the certified period's argmax rows and stays above tol
+    game, behaviors = sweep_game(k)
+    res = solve_fixed_point(game, behaviors, max_iter=3000)
+    assert (res.converged, res.cycle_period) == (False, period)
+    rows = reference_argmax_rows(game, behaviors, list(res.profile), 2000, 1e-9)
+    assert (rows[period:] == rows[:-period]).all()
 
 
 def test_argmax_periods_on_synthetic_code_rows():
@@ -1110,61 +1075,24 @@ def test_argmax_periods_on_synthetic_code_rows():
     rows[40:, 0] = np.resize([3, 3, 3, 3, 3, 1, 2], total - 40)
     rows[:, 1] = np.resize([0, 1, 1, 1, 1], total + 1)[np.arange(total) + (np.arange(total) >= 1500)]
     periods = _ArgmaxPeriods(2)
-    passes = feed_periods(periods, rows)
-    after = {start + count: period for start, _, count, _, period in passes}
-    # a search every 32 rows; a period holds once the last max(p, 32) rows
-    # repeat it: period 5 from 37 rows, period 7 from 40 + 39. Rows 62 and
-    # 63 are equal, but member 0 never takes period 1
+    # the periods after each search, by the rows added before it
+    after = {n: tuple(periods.period.tolist()) for n, row in enumerate(rows, 1) if periods.add(row)}
+    assert sorted(after) == list(range(32, total + 1, 32))
+    # a period holds once the last max(p, 32) rows repeat it: period 5 from
+    # 37 rows, period 7 from 40 + 39. Rows 62 and 63 are equal, but member 0
+    # never takes period 1
     assert (after[32], after[64], after[96]) == ((0, 0), (0, 5), (7, 5))
-    assert {period[0] for *_, period in passes} == {0, 7}
-    # windows of 5 from row 96 until member 1's row 1500 breaks its guess,
-    # 5 rows into the window from 1496; it has no period and the window is
-    # 1 until the search at 1565, the first whose lookback is past row 1504
-    assert [p[:4] for p in passes if p[1] > 1][0] == (96, 5, 5, False)
-    assert [p[:4] for p in passes if p[3]] == [(1496, 5, 5, True)]
-    assert (after[1501], after[1533], after[1565]) == ((7, 0), (7, 0), (7, 5))
-    assert {(window, count) for start, window, count, _, _ in passes if 1501 <= start < 1565} == {(1, 1)}
-    # every later window's guesses hold, across both compactions
-    assert {(window, count) for start, window, count, _, _ in passes if 1565 <= start < total - 5} == {(5, 5)}
-    # member 1 dropped, member 0 goes on in windows of its period
+    assert {period[0] for n, period in after.items() if n >= 96} == {7}
+    # member 1's rows 1500 to 1504 break its period; the first search whose
+    # lookback is past them finds it again, across both compactions
+    assert (after[1472], after[1504], after[1536], after[1568]) == ((7, 5), (7, 0), (7, 0), (7, 5))
+    assert {period for n, period in after.items() if n >= 1568} == {(7, 5)}
+    # a member's last period, oldest row first
+    assert periods.last(0).tolist() == rows[-7:, 0].tolist()
+    # member 1 dropped, member 0 keeps its period
     periods.keep(np.array([True, False]))
-    assert (periods.window, periods.period.tolist()) == (7, [7])
     more = np.resize([3, 3, 3, 3, 3, 1, 2], total + 700)[total - 40:total + 660, None]
-    assert {p[1:4] for p in feed_periods(periods, more)} == {(7, 7, False)}
-
-
-def test_argmax_periods_guess_windows_of_several_periods():
-    # members of periods 7 and 5: once both hold, row j of a window of up
-    # to 3 periods of the longer one is guessed as the row one period
-    # before it, the rows of the window itself included
-    total = 200
-    rows = np.stack([np.resize([3, 3, 3, 3, 3, 1, 2], total), np.resize([0, 1, 1, 1, 4], total)], axis=1)
-    periods = _ArgmaxPeriods(2)
-    n = 0
-    while periods.window == 1:
-        periods.add(rows[n:n + 1])
-        n += 1
-    assert periods.period.tolist() == [7, 5]
-    for count in range(1, 3 * 7 + 1):
-        assert (periods.guesses(count) == rows[n:n + count]).all(), count
-    guesses = periods.guesses(3 * 7)
-    for k, p in enumerate((7, 5)):
-        assert (guesses[:p, k] == rows[n - p:n, k]).all()
-        assert (guesses[p:, k] == guesses[:-p, k]).all()
-
-
-def test_windows_fall_back_to_one_period_after_a_broken_guess(hardened_passes):
-    # game 107 of the sweep, 4 players and 3 actions, cycles through argmax
-    # periods of 47 to 104 rows: its windows double while their guesses
-    # hold, and after a broken guess the next window is one period again
-    game, behaviors = sweep_game(107)
-    assert not solve_fixed_point(game, behaviors).converged
-    windows = [p for p in hardened_passes if p[2] > 1]
-    assert any(rows > window for _, window, rows, _, _ in windows)
-    assert any(broke and rows > window for _, window, rows, _, broke in windows)
-    for before, after in zip(windows, windows[1:]):
-        if before[4]:
-            assert after[2] <= after[1]
+    assert {tuple(periods.period.tolist()) for row in more if periods.add(row)} == {(7,)}
 
 
 def bank_game(k):
@@ -1176,34 +1104,89 @@ def bank_game(k):
     return FiniteGame(payoffs), [PtProfile.weighting_only(alpha)] * 3
 
 
-def test_bank_game_0_windows_keep_the_bits_of_one_row_passes(monkeypatch, joint_prob_calls, hardened_passes):
-    # its period of 18 gives windows of 18, 36, 72 and 144 rows, then up to
-    # the snapshots; with no room for a second row, every pass is one row
+def test_bank_game_0_leaves_at_a_certified_cycle_of_period_18(joint_prob_calls, cycle_certificates):
+    # the search at iteration 1121 finds period 18 and the certificate
+    # proves it: the solve leaves there, with the reference loop's state,
+    # and makes no kernel pass past it
     game, behaviors = bank_game(0)
-    windowed = solve_fixed_point(game, behaviors)
-    assert len(joint_prob_calls) <= 1150
-    assert [rows for _, _, rows, _, _ in hardened_passes if rows > 1][:4] == [18, 36, 72, 144]
-    hardened_passes.clear()
-    monkeypatch.setattr(ptgrid.games, "_WINDOW_ENTRIES", 0)
-    one_row = solve_fixed_point(game, behaviors)
-    assert {rows for _, _, rows, _, _ in hardened_passes} == {1}
-    assert (windowed.iterations, windowed.converged) == (one_row.iterations, one_row.converged) == (10_000, False)
-    assert np.float64(windowed.residual).tobytes() == np.float64(one_row.residual).tobytes()
-    assert [m.tobytes() for m in windowed.profile] == [m.tobytes() for m in one_row.profile]
+    res = solve_fixed_point(game, behaviors)
+    assert (res.iterations, res.converged, res.cycle_period) == (1121, False, 18)
+    assert len(joint_prob_calls) < 1200
+    iterations, residual, converged, mixes = reference_solve(game, behaviors, max_iter=res.iterations)
+    assert (res.iterations, res.residual, res.converged) == (iterations, residual, converged)
+    assert [m.tobytes() for m in res.profile] == [m.tobytes() for m in mixes]
+    # the same period with one player's argmax flipped in any one phase is
+    # refused
+    (args, verdict), = [c for c in cycle_certificates if c[1]]
+    game, behaviors, state, codes, tol = args
+    for s, place in itertools.product(range(18), (1, 2, 4)):
+        flipped = codes.copy()
+        flipped[s] ^= place
+        assert not _certified_cycle(game, behaviors, state, flipped, tol), (s, place)
 
 
 def test_custom_games_bank_solves_like_reference_loop():
     # the benchmark's 3-player bank as its workload draws it, payoffs then
-    # alpha from one default_rng(0); the first solve cycles and leaves early
-    # with its max_iter-th state
+    # alpha from one default_rng(0); the first solve leaves at a certified
+    # cycle, the others converge
     bank = np.random.default_rng(0)
     cases = [(bank.uniform(-5.0, 5.0, size=(3, 2, 2, 2)), bank.uniform(0.3, 1.0)) for _ in range(3)]
     solved = [
         assert_same_as_reference(FiniteGame(payoffs), [[PtProfile.weighting_only(float(alpha))] * 3])[0]
         for payoffs, alpha in cases
     ]
-    assert [r.iterations for r in solved] == [10_000, 316, 325]
+    assert [r.iterations for r in solved] == [1121, 316, 325]
     assert [r.converged for r in solved] == [False, True, True]
+    assert [r.cycle_period for r in solved] == [18, None, None]
+
+
+def box_points(rng, lo, hi, count):
+    """Every corner of the box [lo, hi] of one (A,) vector per player, then
+    count seeded points inside it: one (N, A) array per player."""
+    coords = np.concatenate(lo), np.concatenate(hi)
+    corners = np.array([np.where(pick, coords[1], coords[0])
+                        for pick in itertools.product((False, True), repeat=len(coords[0]))])
+    inside = coords[0] + rng.random((count, len(coords[0]))) * (coords[1] - coords[0])
+    points = np.concatenate([corners, inside])
+    return np.split(points, np.cumsum([len(m) for m in lo])[:-1], axis=1)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.65, 0.3])
+@pytest.mark.parametrize("frame", FRAMES)
+def test_gap_bounds_hold_over_the_box(alpha, frame):
+    # each bound is at most the gap the value kernel computes at every
+    # corner of the box and at 200 points inside it, and it is close to the
+    # gap on a box of one point
+    rng = np.random.default_rng(31)
+    game = FiniteGame(rng.uniform(-5.0, 5.0, size=(3, 3, 2, 2)))
+    behavior = PtProfile(PrelecWeighting(alpha), frame)
+    ends = [np.sort(rng.dirichlet(np.ones(a), size=2), axis=0) for a in game.action_counts]
+    lo, hi = [e[0] for e in ends], [e[1] for e in ends]
+    for player in range(3):
+        # the player's own vector is not read: zeros leave the corners to
+        # the opponents
+        own = np.zeros(game.action_counts[player])
+        points = box_points(rng, [own if j == player else m for j, m in enumerate(lo)],
+                            [own if j == player else m for j, m in enumerate(hi)], 200)
+        values = _values(game, player, points, behavior)
+        gaps = values[:, :, None] - values[:, None, :]
+        assert (gaps >= _gap_bounds(game, player, lo, hi, behavior)).all()
+        point = [p[-1] for p in points]
+        assert np.abs(_gap_bounds(game, player, point, point, behavior) - gaps[-1]).max() < 1e-6
+
+
+def test_gap_bound_on_an_exact_tie_is_negative():
+    # player 0's two actions pay the same against every opponent action, so
+    # v(0) - v(1) is exactly 0 at every profile: only a bound below 0 leaves
+    # room for the rounding of the values
+    rng = np.random.default_rng(32)
+    payoffs = rng.uniform(-5.0, 5.0, size=(3, 2, 2, 2))
+    payoffs[0, 1] = payoffs[0, 0]
+    game = FiniteGame(payoffs)
+    mixes = [rng.dirichlet(np.ones(2)) for _ in range(3)]
+    for alpha in (1.0, 0.65, 0.3):
+        bound = _gap_bounds(game, 0, mixes, mixes, PtProfile.weighting_only(alpha))
+        assert bound[0, 1] < 0.0 and bound[1, 0] < 0.0
 
 
 def test_batch_matches_single_solve_loop_in_hardened_phase_with_3_actions():
