@@ -418,22 +418,29 @@ def equilibrium_residual(game: FiniteGame, profile: MixedProfile, behaviors) -> 
     ))
 
 
-def _residual(pairs):
+def _residual(pairs, tops=None):
     """The certificate of the module docstring, per batch cell. pairs yields
     one (values, mix) per player, each (..., A_i), whose leading batch axes
     broadcast to one shape shared by all players; the fixed-point loop
-    passes a block's (P, K, A_i) arrays as one pair. v.m is the left fold
-    of the products' columns, one add per action, so its cost grows with the
-    actions and not with the batch cells."""
+    passes a block's (P, K, A_i) arrays as one pair. tops, if given, holds
+    each pair's row maxima, max(values, axis=-1), in pair order: the loop
+    computes them once and shares them with its soft step. v.m is the left
+    fold along the action axis: one np.add.accumulate where that axis is
+    innermost in memory, else one add per action column. In us, best of 7,
+    accumulate against columns: 0.75 against 1.30 at (2,), 1.14/1.04 at
+    (5, 2), 1.20/1.68, 1.30/4.21 and 3.65/5.07 at (3, 1, 2), (8, 1, 4) and
+    (6, 20, 4); 4.70/1.46 at the oracle's action-major (200, 2)."""
     worst = 0.0
-    for v, m in pairs:
+    for i, (v, m) in enumerate(pairs):
         prod = v * m
-        # with the Ellipsis an array even for one profile, so that the sums
-        # and the gap can be written over it
-        own = prod[..., 0]
-        for a in range(1, prod.shape[-1]):
-            np.add(own, prod[..., a], out=own)
-        gap = np.subtract(np.maximum.reduce(v, axis=-1), own, out=own)
+        # own: an array, even for one profile, that the gap is written over
+        if prod.strides[-1] == prod.itemsize:
+            own = np.add.accumulate(prod, axis=-1)[..., -1].copy()
+        else:
+            own = prod[..., 0]
+            for a in range(1, prod.shape[-1]):
+                np.add(own, prod[..., a], out=own)
+        gap = np.subtract(np.maximum.reduce(v, axis=-1) if tops is None else tops[i], own, out=own)
         worst = np.maximum(worst, gap, out=gap)
     # np.maximum may return -0.0 for a gap of -0.0; adding 0.0 makes it the
     # stated 0.0 and keeps the bits of every other value
@@ -716,9 +723,10 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
     storage games, all of them). It holds its P players' mixes and values
     as (P, K, A) arrays, K the members still running. A kernel pass makes,
     per block, one gather of the opponents' mixes, one _joint_prob call,
-    one Prelec weighting in place, one mat-vec per player, one _residual
-    call and one damped step. Every entry of those arrays is computed as a
-    solve of its member alone computes it.
+    one Prelec weighting in place, one mat-vec per player written into the
+    values, one row max, shared by one _residual call and one damped step
+    on the mixes in place. Every entry of those arrays is computed
+    as a solve of its member alone computes it.
 
     Exits. A member leaves at the iteration where its residual reaches tol,
     at max_iter, or at a search of _ArgmaxPeriods that finds it an argmax
@@ -775,19 +783,20 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                 for b, (gather, block_framed) in enumerate(zip(gathers, framed)):
                     # the iteration's largest array, weighted in place
                     q = _joint_prob([o for c, idx in gather for o in mixes[c].take(idx, axis=0)])
-                    _weights(q, block_alphas[b], out=q)
-                    for p, f in enumerate(block_framed):
-                        values[b][p] = _mat_vec(f, q[p])
-                    del q
+                    w = _weights(q, block_alphas[b], out=q)
+                    for f, w_p, v_p in zip(block_framed, w[..., None], values[b]):
+                        np.matmul(f, w_p, out=v_p[..., None])
+                    del q, w, w_p  # w_p too: a view that would keep q alive
+            tops = [np.maximum.reduce(v, axis=-1) for v in values]  # shared with the soft step
             # max over a block's players, then over the blocks: exact
             residual = functools.reduce(np.maximum, (
-                np.maximum.reduce(_residual([(v, m)])) for v, m in zip(values, mixes)
+                np.maximum.reduce(_residual([(v, m)], [t])) for v, m, t in zip(values, mixes, tops)
             ))
-            done = (residual <= tol) | (iteration == max_iter)
+            done = residual <= tol if iteration < max_iter else np.ones(len(residual), dtype=bool)
             cycles = {}  # row -> the argmax period _certified_cycle proved
             if hardened:
-                tops = [v.argmax(axis=-1) for v in values]  # (P, K) per block
-                codes = functools.reduce(np.add, (np.dot(r, t) for r, t in zip(radix, tops)))
+                best = [v.argmax(axis=-1) for v in values]  # (P, K) per block
+                codes = functools.reduce(np.add, (np.dot(r, t) for r, t in zip(radix, best)))
                 if periods is None:
                     periods = _ArgmaxPeriods(len(members))
                 if periods.add(codes):
@@ -819,23 +828,23 @@ def _fixed_point_loop(game, sets, tol, max_iter) -> list:
                 members = members[keep]
                 mixes = [m[:, keep] for m in mixes]
                 values = [v[:, keep] for v in values]
+                tops = [t[:, keep] for t in tops]
                 if hardened:
-                    tops = [t[:, keep] for t in tops]
+                    best = [t[:, keep] for t in best]
                     periods.keep(keep)
                 alphas = [a[:, keep] for a in alphas]
                 block_alphas = [a.item(0) if (a == a.item(0)).all() else a for a in alphas]
-            new_mixes = []
-            for b, (v, m) in enumerate(zip(values, mixes)):
-                new = (1.0 - _STEP) * m
+            for b, (v, m, top) in enumerate(zip(values, mixes, tops)):
+                m *= 1.0 - _STEP  # in place: the results and gathers hold copies
                 if hardened:
-                    new += step_eyes[b][tops[b]]
+                    m += step_eyes[b][best[b]]
                 else:
-                    top = np.maximum.reduce(v, axis=-1)
-                    spread = np.maximum(top - np.minimum.reduce(v, axis=-1), 1e-12)
-                    e = np.exp((v - top[..., None]) / (spread * temp)[..., None])
-                    new += _STEP * (e / np.add.reduce(e, axis=-1, keepdims=True))
-                new_mixes.append(new)
-            mixes = new_mixes
+                    # (v - top) / (max(top - min(v), 1e-12) * temp) bit for bit: top - min(v)
+                    # is the largest top - v, and (top - v) / -s is -((top - v) / s)
+                    below = top[..., None] - v
+                    scale = np.multiply(np.maximum.reduce(below, axis=-1, keepdims=True, initial=1e-12), -temp)
+                    e = np.exp(np.divide(below, scale, out=below), out=below)
+                    m += np.multiply(np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e), _STEP, out=e)
             iteration += 1
 
 
@@ -1043,8 +1052,6 @@ def brute_force_equilibrium(game: FiniteGame, behaviors=None, grid: int = 100) -
 # per-player bound cannot rule out").
 _CANDIDATE_BLOCK = 1 << 13
 
-_EPS = np.finfo(float).eps
-
 
 def _grid_candidates(values, grid, slack, rows):
     """The cells of brute_force_equilibrium's grid that a per-player bound
@@ -1053,75 +1060,77 @@ def _grid_candidates(values, grid, slack, rows):
     player i's (..., A_i) values, one row per opponent cell; rows[i] is its
     grid's length.
 
-    A player with two actions and values (v_0, v_1) at an opponent cell has
-    own row k = ((G - k) / G, k / G), G = grid, and exact gap d * c / G: d =
-    |v_0 - v_1|, c the count of its worse action (k if v_0 >= v_1, else
-    G - k). The computed gap (a rounded row, two products, a sum, a
-    difference) is within about 2 eps (|v_0| + |v_1|) of it, plus 2**-1072
-    from underflow. So it can be within slack only if c <= floor(G (slack +
-    E) / d) + 2, with E = 16 eps (2 w + slack), w the player's largest |v|:
-    E is eight times that error, and covers the underflow since slack >= 2 /
-    G. The + 2 is a margin for the rounding of the bound. A player with more than two
-    actions keeps every row, and so does every player unless all values are
-    finite and below 2**1000: then no op overflows and no dropped cell's
-    residual is NaN, which its neighbors would read. The kept cells'
-    residuals take the elementwise ops of a full surface, so they have its
-    bits.
-
-    Each player keeps a run of own rows per opponent cell; the cells are
-    the runs of the player p whose runs hold the fewest, filtered by the
-    others' runs."""
+    The run rule. A player with two actions and values (v_0, v_1) at an
+    opponent cell has own row k = ((G - k) / G, k / G), G = grid, and exact
+    gap d * c / G: d = |v_0 - v_1|, c the count of its worse action (k if
+    v_0 >= v_1, else G - k). The computed gap (a rounded row, two products,
+    a sum, a difference) is within about 2 eps (|v_0| + |v_1|) of it, plus
+    2**-1072 from underflow. So it can be within slack only if c <=
+    floor(x) + 2, x = G (slack + E) / d, E = 16 eps (2 w + slack), w the
+    largest |v| of any player: E is eight times that error and covers the
+    underflow, since slack >= 2 / G; the + 2 is a margin for the rounding
+    of the bound. Those rows form one run, (first row, count), per opponent
+    cell. A player with more than two actions keeps every row, and so does
+    every player unless all values are finite and below 2**1000: then no op
+    overflows and no dropped cell's residual is NaN, which its neighbors
+    would read. The cells in the run of every bounded player are yielded,
+    each once: the runs of the player p whose runs hold the fewest cells,
+    expanded, then filtered by the others' runs. The kept cells' residuals
+    take the elementwise ops of a full surface, so they have its bits."""
     shapes = [v.shape[:-1] for v in values]  # opponent cells, a length-1 axis at the player's own
     values = [v.reshape(-1, v.shape[-1]) for v in values]
-    largest = [float(np.abs(v).max()) for v in values]
-    bounded = max(largest) < 2.0**1000  # a NaN fails
-    # per opponent cell of a bounded player: x = G (slack + E) / d, and
-    # whether action 0 is the worse one
-    bounds = []
-    for v, w in zip(values, largest):
-        if bounded and v.shape[-1] == 2:
-            with np.errstate(divide="ignore"):  # d = 0 gives inf
-                x = grid * (slack + 16 * _EPS * (2 * w + slack)) / np.abs(v[:, 0] - v[:, 1])
-            # clipped, which keeps the same rows and makes inf an int
-            bounds.append((np.minimum(x, grid - 2), v[:, 0] < v[:, 1]))
-        else:
-            bounds.append(None)
-    sizes = [len(v) * r if b is None else float(np.add.reduce(b[0])) + 3 * len(v)
-             for v, r, b in zip(values, rows, bounds)]
+    two = [i for i, v in enumerate(values) if v.shape[-1] == 2]
+    # the two-action players' opponent cells end to end, for one pass of ops
+    pairs = [np.concatenate([values[i] for i in two])] if two else []
+    largest = [float(np.abs(v).max()) for v in [v for v in values if v.shape[-1] != 2] + pairs]
+    runs = [None] * len(values)  # per player, (first row, count) per opponent cell; None keeps every row
+    sizes = [len(v) * r for v, r in zip(values, rows)]
+    if two and all(w < 2.0**1000 for w in largest):  # a NaN fails
+        d = pairs[0][:, 0] - pairs[0][:, 1]
+        with np.errstate(divide="ignore", over="ignore"):  # d = 0 gives inf, a tiny d overflows to it
+            x = np.divide(grid * (slack + 2.0**-48 * (2 * max(largest) + slack)), np.abs(d))
+        # floor(x) + 3, clipped, which keeps the same rows and makes inf an int
+        count = np.minimum(x, grid - 2, out=x).astype(np.intp) + 3
+        first = np.where(d < 0.0, (grid + 1) - count, 0)
+        bounds = [0, *itertools.accumulate(len(values[i]) for i in two)]
+        for i, size, lo, hi in zip(two, np.add.reduceat(count, bounds[:-1]).tolist(), bounds, bounds[1:]):
+            runs[i], sizes[i] = (first[lo:hi], count[lo:hi]), size
     p = sizes.index(min(sizes))  # any player gives the same cells
-    if bounds[p] is None:
-        first, count = np.zeros(len(values[p]), np.intp), np.full(len(values[p]), rows[p])
-    else:
-        x, flip = bounds[p]
-        reach = x.astype(np.intp) + 2  # floor(x) + 2, at most G
-        first, count = np.where(flip, grid - reach, 0), reach + 1
-    ends = np.cumsum(count)
+    first, count = runs[p] or (np.zeros(len(values[p]), np.intp), np.full(len(values[p]), rows[p]))
+    ends = count.cumsum()
     starts = ends - count - first  # a candidate's own row is its index less its cell's start
-    # per player and opponent cell of p: the player's axis, and its flat
-    # opponent cell less p's own row times that row's stride in it
-    axes = np.unravel_index(np.arange(len(count)), shapes[p])
-    parts = [np.ravel_multi_index(axes[:i] + (0,) + axes[i + 1:], shape) for i, shape in enumerate(shapes)]
-    strides = [math.prod(shape[p + 1:]) for shape in shapes]
+    # row-major strides of each player's opponent cells, and per axis but
+    # p's the index on it of each of p's opponent cells
+    strides = [[math.prod(shape[j + 1:]) for j in range(len(shape))] for shape in shapes]
+    cell = np.arange(len(count))
+    axes = [None if j == p else cell // s % size for j, (size, s) in enumerate(zip(shapes[p], strides[p]))]
+
+    def opponent(cells, i):  # player i's flat opponent cells; a term of stride 1 is the array itself
+        terms = [a if s == 1 else a * s for j, (a, s) in enumerate(zip(cells, strides[i])) if j != i]
+        return functools.reduce(np.add, terms)
+
     # blocks of p's opponent cells, each holding about _CANDIDATE_BLOCK
     # candidates, or one cell when that cell holds more
-    cuts = np.searchsorted(ends, np.arange(_CANDIDATE_BLOCK, ends[-1], _CANDIDATE_BLOCK), side="right")
+    total = int(ends[-1])
+    cuts = [] if total <= _CANDIDATE_BLOCK else np.searchsorted(
+        ends, np.arange(_CANDIDATE_BLOCK, total, _CANDIDATE_BLOCK), side="right")
     for lo, hi in zip([0, *cuts], [*cuts, len(count)]):
         if lo == hi:
             continue
-        own = np.arange(ends[lo] - count[lo], ends[hi - 1]) - np.repeat(starts[lo:hi], count[lo:hi])
-        cells = [own if i == p else np.repeat(a[lo:hi], count[lo:hi]) for i, a in enumerate(axes)]
-        opponents = [np.repeat(a[lo:hi], count[lo:hi]) for a in parts]
-        keep = True  # an array after the first bounded player other than p
-        for i, (c, opponent) in enumerate(zip(cells, opponents)):
-            if i != p:
-                opponent += own * strides[i]
-                if bounds[i] is not None:
-                    x, flip = (a.take(opponent) for a in bounds[i])
-                    keep = keep & (np.where(flip, grid - c, c) - 2 <= x)
-        if keep is True:
-            yield tuple(cells), opponents
-        else:
-            yield tuple(c[keep] for c in cells), [o[keep] for o in opponents]
+        reps = count[lo:hi]
+        own = np.arange(int(ends[lo - 1]) if lo else 0, int(ends[hi - 1])) - starts[lo:hi].repeat(reps)
+        cells = [own if j == p else a[lo:hi].repeat(reps) for j, a in enumerate(axes)]
+        keep = None
+        for i, run in enumerate(runs):
+            if i != p and run is not None:
+                # row - first < count, unsigned: a row before the run wraps
+                at = opponent(cells, i)
+                f, c = (a.take(at).view(np.uintp) for a in run)
+                inside = np.subtract(cells[i].view(np.uintp), f, out=f) < c
+                keep = inside if keep is None else np.logical_and(keep, inside, out=keep)
+        if keep is not None:
+            cells = [c[keep] for c in cells]
+        yield tuple(cells), [opponent(cells, i) for i in range(len(cells))]
 
 
 def _slack_minima(residual: np.ndarray, slack: float) -> tuple:

@@ -1563,6 +1563,68 @@ def test_candidate_rule_on_ties_frames_and_mixed_action_counts():
             assert_candidate_rule_sound(game, behaviors, grid)
 
 
+def assert_candidates_are_the_run_rule(game, behaviors, grid):
+    """_grid_candidates yields each cell at most once, and yields exactly
+    the cells at which every bounded two-action player's worse-action count
+    c meets c <= floor(x) + 2, x = G (slack + E) / d, E = 16 eps (2 w +
+    slack) with w the largest |v| of any player, as its docstring states;
+    when any value is NaN, infinite or at least 2**1000, no player is
+    bounded and every cell is yielded. Returns the number of cells."""
+    n = game.n_players
+    grids = [_simplex_grid(a, grid) for a in game.action_counts]
+    mixes = [
+        g.reshape((1,) * j + g.shape[:1] + (1,) * (n - 1 - j) + g.shape[1:])
+        for j, g in enumerate(grids)
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [pure_action_values(game, i, mixes, behaviors) for i in range(n)]
+    slack = _grid_slack(game, grid)
+    shape = tuple(len(g) for g in grids)
+    yielded = np.zeros(shape, dtype=np.intp)
+    for cells, _ in _grid_candidates(values, grid, slack, list(shape)):
+        np.add.at(yielded, cells, 1)
+    expected = np.ones(shape, dtype=bool)
+    w = np.max([np.abs(v).max() for v in values])  # NaN if any value is
+    if w < 2.0**1000:
+        eps = np.finfo(float).eps
+        for i, v in enumerate(values):
+            if v.shape[-1] != 2:
+                continue
+            k = np.arange(grid + 1).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+            c = np.where(v[..., 0] >= v[..., 1], k, grid - k)
+            with np.errstate(divide="ignore", over="ignore"):
+                x = grid * (slack + 16 * eps * (2 * w + slack)) / np.abs(v[..., 0] - v[..., 1])
+            expected &= c <= np.floor(x) + 2
+    assert yielded.max() <= 1
+    np.testing.assert_array_equal(yielded.astype(bool), expected)
+    return int(expected.sum())
+
+
+def test_candidates_are_exactly_the_run_rule():
+    # the benchmark's games: seed 1's 160 2x2 games at grid 200 and the bank
+    # of three 3-player games at grid 20; then small and large grids, a
+    # three-action player, who keeps every row, and values past 2**1000,
+    # where every cell is a candidate
+    rng, bank = np.random.default_rng(1), np.random.default_rng(0)
+    cases = [(rng.uniform(-5.0, 5.0, size=(2, 2, 2)), rng.uniform(0.2, 1.0), 200) for _ in range(160)]
+    cases += [(bank.uniform(-5.0, 5.0, size=(3, 2, 2, 2)), bank.uniform(0.3, 1.0), 20) for _ in range(3)]
+    for payoffs, alpha, grid in cases:
+        behaviors = [PtProfile.weighting_only(float(alpha))] * len(payoffs)
+        cells = assert_candidates_are_the_run_rule(FiniteGame(payoffs), behaviors, grid)
+        assert 0 < cells < (grid + 1) ** len(payoffs)
+    payoffs = np.random.default_rng(28).uniform(-5.0, 5.0, size=(2, 2, 2))
+    for grid in (1, 2, 7, 1000):
+        assert_candidates_are_the_run_rule(FiniteGame(payoffs), [PtProfile.weighting_only(0.6)] * 2, grid)
+    game = FiniteGame(np.random.default_rng(29).uniform(-5.0, 5.0, size=(2, 2, 3)))
+    assert_candidates_are_the_run_rule(game, [PtProfile.weighting_only(0.7)] * 2, 50)
+    huge = FiniteGame(payoffs * 2.0**1000)
+    assert assert_candidates_are_the_run_rule(huge, [PtProfile.eut()] * 2, 50) == 51 * 51
+    # subnormal payoffs: slack over a subnormal d overflows to inf, without
+    # a warning, and every row of the player is a candidate
+    tiny = FiniteGame(payoffs * 1e-310)
+    assert assert_candidates_are_the_run_rule(tiny, [PtProfile.eut()] * 2, 20) == 21 * 21
+
+
 # ---------------------------------------------------------------------------
 # text format
 
