@@ -76,7 +76,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .prospects import PROB_TOL, PtProfile, _unit_interval_array, _weights, frame_value
 
@@ -213,6 +213,8 @@ class MixedProfile:
             raise ValueError("one action per player required")
         vecs = []
         for a, count in zip(actions, game.action_counts):
+            if not _is_integer(a):
+                raise TypeError(f"action must be an integer, got {a!r}")
             if not (0 <= a < count):
                 raise ValueError(f"action {a} out of range for {count} actions")
             v = np.zeros(count)
@@ -224,14 +226,15 @@ class MixedProfile:
 @dataclass(frozen=True)
 class EquilibriumResult:
     """A candidate equilibrium with its certificate: residual is the largest
-    payoff any player could gain by a unilateral pure deviation."""
+    payoff any player could gain by a unilateral pure deviation. A
+    fixed-point result may be no equilibrium: converged is then False, and
+    cycle_period is the argmax period of a solve certified to cycle without
+    reaching tol (module docstring), else None."""
 
     profile: MixedProfile
     residual: float
     iterations: int
     converged: bool
-    # the argmax period of a fixed-point solve certified to cycle without
-    # reaching tol (module docstring), else None
     cycle_period: int | None = None
 
     def __post_init__(self):
@@ -287,10 +290,11 @@ def pure_action_values(game: FiniteGame, player: int, mixes, behaviors) -> np.nd
     `mixes` is a MixedProfile or any sequence of one probability vector per
     player; the player's own entry is not read. A mix may carry leading
     batch axes: the result has the opponents' batch shapes, broadcast,
-    followed by the player's action axis. behaviors[player] is the player's
-    PtProfile.
+    followed by the player's action axis. behaviors holds one PtProfile per
+    player, checked as the solvers check it, None for EUT.
     """
     _check_player(game, player)
+    behaviors = _check_behaviors(game, behaviors)
     mixes = [np.asarray(m, dtype=float) for m in mixes]
     _check_profile(game, mixes)
     # products of numbers in [0, 1] stay in [0, 1], so the joint
@@ -899,62 +903,56 @@ class _ArgmaxPeriods:
     rows keeps each period its rows still repeat and takes the smallest
     that fits otherwise.
 
-    The codes sit in a buffer of 4 * _CYCLE_STRIDE rows that begins with
-    _CYCLE_STRIDE rows of -1, which no code equals, and keeps its last
-    2 * _CYCLE_STRIDE rows when full. A search updates a table of, per
-    member and lag, the latest row that differs from the row a lag before
-    it, from at most the last _CYCLE_STRIDE new rows: an older row decides
-    no lag up to _CYCLE_STRIDE.
+    A search reads a window of the _CYCLE_STRIDE rows before its
+    _PERIOD_SEARCH new rows, -1 before the first row (no code equals it),
+    and the new rows, then shifts the window up _PERIOD_SEARCH rows. It
+    keeps, per member and lag, an age: the rows added after the latest row
+    that differs from the row a lag before it.
     """
 
     def __init__(self, members):
         stride = _CYCLE_STRIDE
-        self.codes = np.full((4 * stride, members), -1)
-        # the next row's index, and the first row the table lacks
-        self.end = self.read = stride
+        self.codes = np.full((stride + _PERIOD_SEARCH, members), -1)
+        # per new row, the stride rows before it and the row itself; made once,
+        # as a sliding_window_view call takes a quarter of a one-member search
+        self.ahead = sliding_window_view(self.codes, stride + 1, axis=0)
+        self.added = 0  # rows added since the last search
         # a lag p fits when the last max(p, _PERIOD_SEARCH) rows repeat it
         self.lookback = np.maximum(np.arange(1, stride + 1), _PERIOD_SEARCH)
-        self.steps = np.arange(1, stride + 1, dtype=np.int16)[:, None, None]
-        self.differs = np.full((members, stride), -1)
+        self.steps = np.arange(1, _PERIOD_SEARCH + 1, dtype=np.int16)[:, None, None]
+        # the first search finds a mismatch at every lag, against the -1 rows
+        self.age = np.zeros((members, stride), dtype=np.intp)
         self.period = np.zeros(members, dtype=np.intp)
 
     def last(self, k):
         """Member k's codes of its last period, oldest first."""
-        return self.codes[self.end - self.period[k]:self.end, k]
+        end = _CYCLE_STRIDE + self.added
+        return self.codes[end - self.period[k]:end, k]
 
     def add(self, row):
         """Append one row of codes, one per member; True when a search ran."""
         stride = _CYCLE_STRIDE
-        if self.end == len(self.codes):
-            drop = self.end - 2 * stride
-            self.codes[:2 * stride] = self.codes[drop:]
-            self.end -= drop
-            self.read -= drop
-            self.differs -= drop
-        self.codes[self.end] = row
-        self.end += 1
-        if self.end - self.read < _PERIOD_SEARCH:
+        self.codes[stride + self.added] = row
+        self.added += 1
+        if self.added < _PERIOD_SEARCH:
             return False
-        # the table of the class docstring, then the periods that fit
-        first = max(self.read, self.end - stride)
-        codes = self.codes[first - stride:self.end]
-        # per new row, the stride rows before it and the row itself
-        ahead = as_strided(codes, (self.end - first, len(self.period), stride + 1),
-                           codes.strides + codes.strides[:1])
-        differ = ahead[..., :stride] != ahead[..., stride:]  # (new rows, K, lag), the lags from stride down
-        latest = np.maximum.reduce(differ * self.steps[:self.end - first])[:, ::-1]  # new rows' 1-based index
-        np.copyto(self.differs, latest + (first - 1), where=latest > 0)
-        self.read = self.end
-        fits = self.differs <= self.end - 1 - self.lookback
+        # (new rows, K, lag), the lags from stride down
+        differ = self.ahead[..., :stride] != self.ahead[..., stride:]
+        latest = np.maximum.reduce(differ * self.steps)[:, ::-1]  # new rows' 1-based index
+        self.age = np.where(latest > 0, _PERIOD_SEARCH - latest, self.age + _PERIOD_SEARCH)
+        fits = self.age >= self.lookback
         kept = fits[np.arange(len(self.period)), self.period - 1] & (self.period > 0)
         smallest = np.where(np.logical_or.reduce(fits, axis=1), fits.argmax(axis=1) + 1, 0)
         self.period = np.where(kept, self.period, smallest)
+        self.codes[:stride] = self.codes[_PERIOD_SEARCH:]
+        self.added = 0
         return True
 
     def keep(self, kept):
         """Drop the members kept marks False."""
         self.codes = self.codes[:, kept]
-        self.differs, self.period = self.differs[kept], self.period[kept]
+        self.ahead = sliding_window_view(self.codes, _CYCLE_STRIDE + 1, axis=0)
+        self.age, self.period = self.age[kept], self.period[kept]
 
 
 # brute-force oracle

@@ -729,6 +729,57 @@ def test_solvers_reject_a_behavior_list_of_the_wrong_length(count):
             solve(MATCHING_PENNIES, behaviors)
 
 
+# the public value functions check a behavior list as the solvers do, and
+# take None as EUT for every player. At SKEWED matching pennies' residual is
+# not 0, so an unchecked list does not pass for the uniform profile's 0.0
+WRONG_LENGTH = "every behavior set needs 2 profiles, one per player"
+SKEWED = MixedProfile([[0.3, 0.7], [0.6, 0.4]])
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_pure_action_values_checks_behaviors_as_the_solvers_do(count):
+    for player in (0, 1):
+        with pytest.raises(ValueError, match=WRONG_LENGTH):
+            pure_action_values(MATCHING_PENNIES, player, SKEWED, eut_behaviors(count))
+        want = pure_action_values(MATCHING_PENNIES, player, SKEWED, eut_behaviors(2))
+        assert pure_action_values(MATCHING_PENNIES, player, SKEWED, None).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_pt_utility_checks_behaviors_as_the_solvers_do(count):
+    for player in (0, 1):
+        with pytest.raises(ValueError, match=WRONG_LENGTH):
+            pt_utility(MATCHING_PENNIES, player, SKEWED, eut_behaviors(count))
+        want = pt_utility(MATCHING_PENNIES, player, SKEWED, eut_behaviors(2))
+        assert pt_utility(MATCHING_PENNIES, player, SKEWED, None) == want
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_best_response_checks_behaviors_as_the_solvers_do(count):
+    for player in (0, 1):
+        with pytest.raises(ValueError, match=WRONG_LENGTH):
+            best_response(MATCHING_PENNIES, player, SKEWED, eut_behaviors(count))
+    assert [best_response(MATCHING_PENNIES, i, SKEWED, None) for i in (0, 1)] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_equilibrium_residual_checks_behaviors_as_the_solvers_do(count):
+    uniform = MixedProfile.uniform(MATCHING_PENNIES)
+    for profile in (uniform, SKEWED):
+        with pytest.raises(ValueError, match=WRONG_LENGTH):
+            equilibrium_residual(MATCHING_PENNIES, profile, eut_behaviors(count))
+        want = equilibrium_residual(MATCHING_PENNIES, profile, eut_behaviors(2))
+        assert equilibrium_residual(MATCHING_PENNIES, profile, None) == want
+
+
+@pytest.mark.parametrize("actions", [(True, 0), (1.0, 0), (0, np.float64(1.0))])
+def test_pure_profile_takes_integer_actions_only(actions):
+    with pytest.raises(TypeError, match="action must be an integer"):
+        MixedProfile.pure(MATCHING_PENNIES, actions)
+    # a numpy integer is an integer
+    assert MixedProfile.pure(MATCHING_PENNIES, (np.int64(1), 0))[0].tolist() == [0.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # fixed-point solver
 
@@ -1003,7 +1054,7 @@ def test_batch_matches_single_solve_loop_past_a_cycle():
     ]
 
 
-def test_batch_matches_single_solve_loop_to_tol_in_a_window(cycle_certificates):
+def test_batch_matches_single_solve_loop_to_tol_past_a_refused_period(cycle_certificates):
     # the member's argmax rows repeat with period 77 from before iteration
     # 1218, and its residual first reaches this tol at iteration 1376: the
     # certificate, tried at each search on the way, refuses the period
@@ -1068,7 +1119,7 @@ def test_certified_sweep_members_keep_their_argmax_period(k, period):
 def test_argmax_periods_on_synthetic_code_rows():
     # member 0: 40 distinct rows, then period 7 with a run of five equal
     # rows; member 1: period 5 with a run of four, one row ahead from row
-    # 1500 on. 3000 rows fill the buffer of 4 * 512 rows twice over
+    # 1500 on. 3000 rows shift the window of 512 + 32 rows 93 times
     total = 3000
     rows = np.empty((total, 2), dtype=np.int64)
     rows[:40, 0] = np.random.default_rng(28).permutation(40) + 10
@@ -1084,7 +1135,7 @@ def test_argmax_periods_on_synthetic_code_rows():
     assert (after[32], after[64], after[96]) == ((0, 0), (0, 5), (7, 5))
     assert {period[0] for n, period in after.items() if n >= 96} == {7}
     # member 1's rows 1500 to 1504 break its period; the first search whose
-    # lookback is past them finds it again, across both compactions
+    # lookback is past them finds it again, from the ages of its lags
     assert (after[1472], after[1504], after[1536], after[1568]) == ((7, 5), (7, 0), (7, 0), (7, 5))
     assert {period for n, period in after.items() if n >= 1568} == {(7, 5)}
     # a member's last period, oldest row first
@@ -1093,6 +1144,66 @@ def test_argmax_periods_on_synthetic_code_rows():
     periods.keep(np.array([True, False]))
     more = np.resize([3, 3, 3, 3, 3, 1, 2], total + 700)[total - 40:total + 660, None]
     assert {tuple(periods.period.tolist()) for row in more if periods.add(row)} == {(7,)}
+
+
+def reference_period(column, previous):
+    """The period rule of _ArgmaxPeriods on one member's rows so far, written
+    out: a lag p <= 512 fits when each of the last max(p, 32) rows equals
+    the row p before it, a row before the first counting as a mismatch; the
+    previous period stays while it fits, else the smallest lag that fits
+    wins, 0 when none does."""
+    n = len(column)
+
+    def fits(p):
+        look = max(p, 32)
+        return n >= look + p and (column[n - look:] == column[n - look - p:n - p]).all()
+
+    if previous and fits(previous):
+        return previous
+    return next((p for p in range(1, 513) if fits(p)), 0)
+
+
+def test_argmax_periods_follow_the_reference_rule():
+    # members 0 and 1: runs of random periods of 2 to 40, some with one
+    # broken row; member 2: period 300; member 3: period 100, which repeats
+    # at lag 20 but for one row per period, so whether it reads 20 or 100
+    # depends on the period it holds. Member 1 is dropped after row 2000
+    rng = np.random.default_rng(33)
+    total = 4000
+    rows = np.empty((total, 4), dtype=np.int64)
+    for k in (0, 1):
+        runs = []
+        while sum(map(len, runs)) < total:
+            run = np.resize(rng.integers(0, 6, rng.integers(2, 41)), rng.integers(60, 400))
+            if rng.random() < 0.5:
+                run[rng.integers(len(run))] += 6
+            runs.append(run)
+        rows[:, k] = np.concatenate(runs)[:total]
+    rows[:, 2] = np.resize(rng.integers(0, 6, 300), total)
+    rows[:, 3] = np.resize(rng.integers(0, 6, 20), total)
+    rows[99::100, 3] += 6
+    periods = _ArgmaxPeriods(4)
+    members, want = np.arange(4), np.zeros(4, dtype=int)
+    searches, kept = 0, set()
+    for n, row in enumerate(rows, 1):
+        if periods.add(row[members]):
+            assert n % 32 == 0
+            searches += 1
+            for column in members:
+                smallest = reference_period(rows[:n, column], 0)
+                want[column] = reference_period(rows[:n, column], want[column])
+                if want[column] != smallest:
+                    kept.add(int(column))
+            assert periods.period.tolist() == want[members].tolist()
+            for k, column in enumerate(members):
+                if want[column]:
+                    assert periods.last(k).tolist() == rows[n - want[column]:n, column].tolist()
+        if n == 2000:
+            periods.keep(members != 1)
+            members = members[members != 1]
+    assert searches == total // 32
+    # members 2 and 3 end on their periods, and the kept rule decided member 3's
+    assert want[2:].tolist() == [300, 100] and 3 in kept
 
 
 def bank_game(k):
