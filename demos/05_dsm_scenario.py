@@ -10,11 +10,10 @@ import numpy as np
 
 from ptgrid.dsm import hourly_load_report, rationality_sweep
 from ptgrid.fixtures import dsm_config_path
-from ptgrid.formats import load_dsm_config, read_profiles_csv
+from ptgrid.formats import load_dsm_config
 
 cfg = load_dsm_config(dsm_config_path())
-profiles = read_profiles_csv(dsm_config_path().parent / cfg["profiles_csv"])
-config = cfg["config"]
+profiles, config = cfg["profiles"], cfg["config"]
 
 total = sum(p.hourly_demand for p in profiles)
 print(f"{config.n_consumers} consumers, evening peak "

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fixtures
-from .dsm import hourly_load_report, rationality_sweep, synth_profile
+from .dsm import hourly_load_report, rationality_sweep
 from .formats import (
     PROSPECT_KEYS,
     ConfigError,
@@ -32,7 +32,6 @@ from .formats import (
     load_storage_config,
     profiles_table,
     read_kv_config,
-    read_profiles_csv,
     resolve_dsm_config,
     resolve_prospect_config,
     write_csv,
@@ -200,27 +199,9 @@ def cmd_storage(args) -> int:
 # dsm
 
 
-def _dsm_profiles(cfg, config_dir: Path):
-    if cfg["profiles_csv"]:
-        csv_path = Path(cfg["profiles_csv"])
-        if not csv_path.is_absolute():
-            csv_path = config_dir / csv_path
-        with config_errors("profiles_csv"):
-            profiles = read_profiles_csv(csv_path)
-            if len(profiles) != cfg["config"].n_consumers:
-                raise ValueError(
-                    f"{csv_path}: expected {cfg['config'].n_consumers} profiles, "
-                    f"got {len(profiles)}"
-                )
-        return profiles
-    return synth_profile(
-        cfg["seed"], cfg["config"].n_consumers, flexible_range=cfg["flexible_range"]
-    )
-
-
-def _dsm_figure(cfg, profiles, figure: int):
+def _dsm_figure(cfg, figure: int):
     """The figure's (file name, header, rows)."""
-    config, tol, max_iter = cfg["config"], cfg["tol"], cfg["max_iter"]
+    profiles, config, tol, max_iter = cfg["profiles"], cfg["config"], cfg["tol"], cfg["max_iter"]
     if figure == 8:
         report = hourly_load_report(profiles, config, tol=tol, max_iter=max_iter)
         if not (report.eut_converged and report.pt_converged):
@@ -236,13 +217,12 @@ def _dsm_figure(cfg, profiles, figure: int):
 
 def cmd_dsm(args) -> int:
     config_path = Path(args.config) if args.config else fixtures.dsm_config_path()
-    cfg = resolve_dsm_config(_read_config(config_path, args, ("seed", "tol", "max_iter")))
-    profiles = _dsm_profiles(cfg, config_path.parent)
-    table = _dsm_figure(cfg, profiles, args.figure)
+    keys = _read_config(config_path, args, ("seed", "tol", "max_iter"))
+    cfg = resolve_dsm_config(keys, config_path.parent)
     return _write(
         args,
         {"config_file": str(config_path), **cfg["raw"]},
-        [table, ("profiles.csv", *profiles_table(profiles))],
+        [_dsm_figure(cfg, args.figure), ("profiles.csv", *profiles_table(cfg["profiles"]))],
         seed=cfg["seed"],
     )
 

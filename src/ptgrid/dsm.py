@@ -24,6 +24,7 @@ from .games import (
     EquilibriumResult,
     FiniteGame,
     MixedProfile,
+    _is_integer,
     _prefetched_solves,
     solve_fixed_point,
 )
@@ -86,21 +87,22 @@ class DsmConfig:
     alphas: tuple | None = None
 
     def __post_init__(self):
-        if self.n_consumers < 2:
-            raise ValueError(f"n_consumers must be at least 2, got {self.n_consumers!r}")
+        # counts and hours size and index build_dsm_game's arrays, so no float or bool
+        if not (_is_integer(self.n_consumers) and self.n_consumers >= 2):
+            raise ValueError(f"n_consumers must be an integer >= 2, got {self.n_consumers!r}")
         # a repeated start hour is a second copy of one action; shifted_load
         # adds to each off-peak hour once, so a repeat there would lose energy
         for name in ("start_window", "offpeak_hours"):
             hours = getattr(self, name)
             if not hours:
                 raise ValueError(f"{name} must be non-empty")
-            if any(not (0 <= h < HOURS) for h in hours):
-                raise ValueError(f"{name} hours must lie in [0, 23], got {hours!r}")
+            if any(not (_is_integer(h) and 0 <= h < HOURS) for h in hours):
+                raise ValueError(f"{name} hours must be integers in [0, 23], got {hours!r}")
             if len(set(hours)) != len(hours):
                 raise ValueError(f"{name} must not repeat an hour, got {hours!r}")
         # a span past the day shifts nothing more
-        if not 1 <= self.shift_span <= HOURS:
-            raise ValueError(f"shift_span must lie in [1, 24], got {self.shift_span!r}")
+        if not (_is_integer(self.shift_span) and 1 <= self.shift_span <= HOURS):
+            raise ValueError(f"shift_span must be an integer in [1, 24], got {self.shift_span!r}")
         # written so that NaN fails
         coeff, exponent = self.price_coeff, self.price_exponent
         if not (math.isfinite(coeff) and coeff >= 0.0):

@@ -27,9 +27,5 @@ def dsm_config_path() -> Path:
     return fixture_path("dsm_default.cfg")
 
 
-def dsm_profiles_path() -> Path:
-    return fixture_path("dsm_profiles_seed42.csv")
-
-
 def example_game_path(name: str = "matching_pennies") -> Path:
     return fixture_path(f"{name}.game")

@@ -8,6 +8,7 @@ are scalars, comma-separated lists, or `start:stop:count` grid expressions
 from __future__ import annotations
 
 import csv
+import io
 import json
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsm import FLEXIBLE_RANGE, HOURS, DsmConfig, LoadProfile
+from .dsm import FLEXIBLE_RANGE, HOURS, DsmConfig, LoadProfile, synth_profile
 from .games import check_solver_limits
 from .prospects import (
     DEFAULT_ALPHA,
@@ -51,15 +52,20 @@ def config_errors(key: str | None = None):
         raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
 
 
+def _read_text(path: Path, kind: str) -> str:
+    """A file's UTF-8 text, line endings untranslated; a ConfigError naming
+    the path when the file is missing or is not UTF-8."""
+    if not path.is_file():
+        raise ConfigError(f"{kind} file not found: {path}")
+    with config_errors(str(path)):  # a UnicodeDecodeError is a ValueError
+        return path.read_bytes().decode("utf-8")
+
+
 def read_kv_config(path) -> dict:
     """Parse a key = value file into a dict of raw strings."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    with config_errors(str(path)):  # a UnicodeDecodeError is a ValueError
-        text = path.read_text(encoding="utf-8")
     out = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(_read_text(path, "config").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -288,17 +294,21 @@ def _sweep_values(key: str, values: np.ndarray, ascending: bool = False) -> np.n
 
 
 def load_dsm_config(path) -> dict:
-    """Resolve a DSM scenario config file (see resolve_dsm_config)."""
-    return resolve_dsm_config(read_kv_config(path))
+    """Resolve a DSM scenario config file (see resolve_dsm_config); a relative
+    profiles_csv is read from the file's directory."""
+    return resolve_dsm_config(read_kv_config(path), Path(path).parent)
 
 
-def resolve_dsm_config(cfg: dict) -> dict:
+def resolve_dsm_config(cfg: dict, config_dir) -> dict:
     """Resolve the key/value set of a DSM scenario; its keys are DSM_KEYS.
 
-    Raises ConfigError, naming the key, for a value out of its range: alphas
-    and alpha_grid in (0, 1] with alpha_grid non-empty and repeating no
-    value, hour in [0, 23], 0 <= flexible_low <= flexible_high <= 1,
-    seed >= 0, and the DsmConfig and solver limits.
+    The run's load profiles, "profiles", are read from profiles_csv, a path
+    relative to config_dir, if it is set, else synth_profile(seed,
+    n_consumers, flexible_range). Raises ConfigError, naming the key, for a
+    value out of its range: alphas and alpha_grid in (0, 1] with alpha_grid
+    non-empty and repeating no value, hour in [0, 23], 0 <= flexible_low <=
+    flexible_high <= 1, seed >= 0, the DsmConfig and solver limits, and
+    n_consumers rows in profiles_csv.
     """
     values = _resolve(cfg, DSM_KEYS)
     tol, max_iter = values["tol"], values["max_iter"]
@@ -321,10 +331,22 @@ def resolve_dsm_config(cfg: dict) -> dict:
     seed = values["seed"]
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    csv_name = values.get("profiles_csv")
+    if csv_name:
+        csv_path = Path(config_dir) / csv_name  # an absolute path stays itself
+        with config_errors("profiles_csv"):
+            profiles = read_profiles_csv(csv_path)
+            if len(profiles) != config.n_consumers:
+                raise ValueError(
+                    f"{csv_path}: expected {config.n_consumers} profiles, got {len(profiles)}"
+                )
+    else:
+        profiles = synth_profile(seed, config.n_consumers, flexible_range=(low, high))
     return {
         "config": config,
         "seed": seed,
-        "profiles_csv": values.get("profiles_csv"),
+        "profiles_csv": csv_name,
+        "profiles": profiles,
         "flexible_range": (low, high),
         "alpha_grid": alpha_grid,
         "hour": hour,
@@ -393,20 +415,18 @@ def write_csv(path, header, rows) -> None:
 def read_csv(path) -> tuple:
     """Read back a table written by write_csv: (header, list of float rows)."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"csv file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    # newline="" hands the csv reader each line ending as it is
+    reader = csv.reader(io.StringIO(_read_text(path, "csv"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty csv") from None
+    rows = []
+    for row_no, row in enumerate(reader, 2):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty csv") from None
-        rows = []
-        for row_no, row in enumerate(reader, 2):
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: row {row_no}: non-numeric cell") from exc
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {row_no}: non-numeric cell") from exc
     return header, rows
 
 

@@ -430,10 +430,7 @@ def _residual(pairs, tops=None):
     each pair's row maxima, max(values, axis=-1), in pair order: the loop
     computes them once and shares them with its soft step. v.m is the left
     fold along the action axis: one np.add.accumulate where that axis is
-    innermost in memory, else one add per action column. In us, best of 7,
-    accumulate against columns: 0.75 against 1.30 at (2,), 1.14/1.04 at
-    (5, 2), 1.20/1.68, 1.30/4.21 and 3.65/5.07 at (3, 1, 2), (8, 1, 4) and
-    (6, 20, 4); 4.70/1.46 at the oracle's action-major (200, 2)."""
+    innermost in memory, else one add per action column."""
     worst = 0.0
     for i, (v, m) in enumerate(pairs):
         prod = v * m
@@ -694,10 +691,12 @@ def solve_fixed_point_batch(
 
 
 def check_solver_limits(tol: float, max_iter: int) -> None:
-    """Raise ValueError for a tol that is negative, infinite or NaN (an
-    infinite tol would certify any profile) and for a max_iter that is not a
-    non-negative integer, a bool included."""
-    if not 0.0 <= tol < math.inf:
+    """Raise ValueError for a tol that is not a real number, a bool included,
+    or is negative, infinite or NaN (an infinite tol would certify any
+    profile, and True would pass a residual of 1), and for a max_iter that is
+    not a non-negative integer, a bool included."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and 0.0 <= tol < math.inf):
         raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
     # a float would fail in range() instead
     if not (_is_integer(max_iter) and max_iter >= 0):

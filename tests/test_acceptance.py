@@ -17,7 +17,7 @@ from ptgrid.dsm import (
     synth_profile,
 )
 from ptgrid.fixtures import dsm_config_path, storage_config_path
-from ptgrid.formats import load_dsm_config, load_storage_config, read_profiles_csv
+from ptgrid.formats import load_dsm_config, load_storage_config
 from ptgrid.games import (
     FiniteGame,
     MixedProfile,
@@ -212,10 +212,7 @@ def test_criterion_07_storage_framing_shape(storage_cfg):
 @pytest.fixture(scope="module")
 def dsm_cfg():
     cfg = load_dsm_config(dsm_config_path())
-    profiles = read_profiles_csv(
-        dsm_config_path().parent / cfg["profiles_csv"]
-    )
-    return cfg, profiles
+    return cfg, cfg["profiles"]
 
 
 def test_criterion_08_dsm_evening_nonparticipation(dsm_cfg):

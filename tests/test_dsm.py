@@ -19,8 +19,8 @@ from ptgrid.dsm import (
     synth_profile,
     _solve_points,
 )
-from ptgrid.fixtures import dsm_config_path, dsm_profiles_path
-from ptgrid.formats import load_dsm_config, read_profiles_csv
+from ptgrid.fixtures import dsm_config_path
+from ptgrid.formats import load_dsm_config
 from ptgrid.games import (
     BudgetExceededError,
     MixedProfile,
@@ -80,6 +80,13 @@ def test_config_validation():
     for bad in (0, 25, 10**9):
         with pytest.raises(ValueError, match="shift_span"):
             DsmConfig(shift_span=bad)
+    # a float count or hour failed in build_dsm_game's range(), and a float
+    # that is a whole number or a bool passed
+    for name, bad in (("n_consumers", 3.0), ("n_consumers", True), ("shift_span", 2.5),
+                      ("shift_span", True), ("start_window", (18.5, 19)),
+                      ("offpeak_hours", (1, 2.0)), ("start_window", (False, 19))):
+        with pytest.raises(ValueError, match=name):
+            DsmConfig(**{"n_consumers": 3, name: bad})
     DsmConfig(shift_span=24)
     # a repeated start hour is a second copy of one action
     with pytest.raises(ValueError, match="start_window must not repeat"):
@@ -290,7 +297,7 @@ def test_synth_profile_rejects_a_flexible_range_outside_0_low_high_1(flexible_ra
 
 
 def test_synth_profile_matches_frozen_golden_file():
-    frozen = read_profiles_csv(dsm_profiles_path())
+    frozen = load_dsm_config(dsm_config_path())["profiles"]
     fresh = synth_profile(42, 6)
     assert len(frozen) == 6
     for f, g in zip(fresh, frozen):
@@ -525,10 +532,8 @@ def figure_solves(request):
     seed = request.param
     cfg = load_dsm_config(dsm_config_path())
     config, n = cfg["config"], cfg["config"].n_consumers
-    if seed == 42:
-        profiles = read_profiles_csv(dsm_profiles_path())
-    else:
-        profiles = synth_profile(seed, n, cfg["flexible_range"])
+    # seed 42 is the bundled config's own seed and profiles
+    profiles = cfg["profiles"] if seed == 42 else synth_profile(seed, n, cfg["flexible_range"])
     game = build_dsm_game(profiles, config)
     tol, max_iter = cfg["tol"], cfg["max_iter"]
     fig8 = _solve_points(profiles, config, game, [[1.0] * n, None], tol, max_iter)

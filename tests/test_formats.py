@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from ptgrid.dsm import synth_profile
+from ptgrid.fixtures import dsm_config_path
 from ptgrid.formats import (
     MAX_SWEEP_VALUES,
     ConfigError,
@@ -92,14 +95,45 @@ def test_storage_config_missing_key(tmp_path):
 
 
 def test_dsm_config_fixture_loads():
-    from ptgrid.fixtures import dsm_config_path
-
     cfg = load_dsm_config(dsm_config_path())
     assert cfg["config"].n_consumers == 6
     assert cfg["config"].price_exponent == 1.82
     assert cfg["config"].alphas == (0.5, 0.5, 0.2, 0.1, 0.1, 0.1)
     assert cfg["profiles_csv"] == "dsm_profiles_seed42.csv"
     assert cfg["hour"] == 19
+    frozen = read_profiles_csv(dsm_config_path().parent / "dsm_profiles_seed42.csv")
+    assert _same_profiles(cfg["profiles"], frozen)
+
+
+def _same_profiles(a, b) -> bool:
+    return len(a) == len(b) and all(
+        p.hourly_demand.tobytes() == q.hourly_demand.tobytes()
+        and p.flexible_fraction == q.flexible_fraction
+        for p, q in zip(a, b)
+    )
+
+
+def test_dsm_config_resolves_its_profiles(tmp_path, monkeypatch):
+    # without profiles_csv, the seed's synthetic profiles
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("n_consumers = 3\nseed = 7\nflexible_low = 0.5\nflexible_high = 0.6\n")
+    assert _same_profiles(load_dsm_config(cfg)["profiles"], synth_profile(7, 3, (0.5, 0.6)))
+    # a relative profiles_csv lies beside the config, whatever the working
+    # directory is and however the config's path is given, and an absolute
+    # one is read as it is
+    (tmp_path / "data").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    profiles = synth_profile(11, 3)
+    write_profiles_csv(tmp_path / "data" / "p.csv", profiles)
+    cfg = tmp_path / "data" / "d.cfg"
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    for name in ("p.csv", tmp_path / "data" / "p.csv"):
+        cfg.write_text(f"n_consumers = 3\nprofiles_csv = {name}\n")
+        for path in (cfg, "../data/d.cfg"):
+            assert _same_profiles(load_dsm_config(path)["profiles"], profiles)
+    cfg.write_text("n_consumers = 4\nprofiles_csv = p.csv\n")
+    with pytest.raises(ConfigError, match="profiles_csv: .*expected 4 profiles, got 3"):
+        load_dsm_config(cfg)
 
 
 def test_dsm_config_bad_values(tmp_path):
@@ -158,8 +192,13 @@ def test_profiles_csv_diagnostics(tmp_path):
     with pytest.raises(ConfigError, match="empty"):
         read_profiles_csv(path)
     for reader in (read_profiles_csv, read_csv):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ConfigError, match="csv file not found"):
             reader(tmp_path)
+    # bytes that are not UTF-8 raised a bare UnicodeDecodeError naming no file
+    path.write_bytes(b"h00\n\xff\xfe")
+    for reader in (read_profiles_csv, read_csv):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            reader(path)
 
 
 def test_csv_read_back_exact(tmp_path):

@@ -511,7 +511,8 @@ def test_solve_2x2_no_interior_reported_by_omission():
 
 def test_solve_2x2_rejects_a_tol_that_is_not_finite_and_non_negative():
     # an infinite tol once certified every candidate
-    for bad in (float("inf"), float("nan"), -1e-9):
+    # and True, a bool, once kept every candidate with a residual up to 1
+    for bad in (float("inf"), float("nan"), -1e-9, True, "1e-9"):
         with pytest.raises(ValueError, match="tol"):
             solve_2x2(PRISONERS_DILEMMA, tol=bad)
 
@@ -1349,7 +1350,8 @@ def test_batch_rejects_frames_that_differ():
     with pytest.raises(ValueError):
         solve_fixed_point_batch(MATCHING_PENNIES, [])
     bad_limits = (("max_iter", -1), ("max_iter", True), ("max_iter", False),
-                  ("tol", -1e-9), ("tol", float("nan")), ("tol", float("inf")))
+                  ("tol", -1e-9), ("tol", float("nan")), ("tol", float("inf")),
+                  ("tol", True), ("tol", "1e-9"))
     for name, bad in bad_limits:
         with pytest.raises(ValueError, match=name):
             solve_fixed_point_batch(MATCHING_PENNIES, [eut_behaviors(2)], **{name: bad})
@@ -1366,7 +1368,7 @@ def test_batch_solves_equal_sets_once(loop_runs):
         assert [m.tobytes() for m in alone.profile] == [m.tobytes() for m in res.profile]
 
 
-def test_prefetched_solves_serve_matching_default_start_solves_in_the_block(loop_runs):
+def test_prefetched_solves_serve_matching_solves_in_the_block(loop_runs):
     game = random_game(np.random.default_rng(5), 2)
     sets = [[PtProfile.weighting_only(a)] * 2 for a in (1.0, 0.5)]
     with _prefetched_solves(game, sets, tol=1e-8):
